@@ -326,9 +326,9 @@ def config_from_args(argv) -> RunConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(sys.argv[1:] if argv is None else argv)
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return int(exc.code or 0)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     handlers = {
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

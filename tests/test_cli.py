@@ -47,6 +47,12 @@ class TestScan:
         assert (a / "twists.csv").read_bytes() == (b / "twists.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_uncreatable_out_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "10", "--out", str(blocker / "s")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_workers_agree(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["scan", "--a", "1", "--b", "-1", "--X", "60", "--out", str(a)])
@@ -145,6 +151,10 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("X = twelve\n")
         assert run(["--config", str(cfg), "scan", "--a", "1", "--b", "-1"]) == 2
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run(["--config", str(tmp_path / "absent.cfg"), "scan"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_unknown_key_is_fatal(self, tmp_path):
         cfg = tmp_path / "run.cfg"

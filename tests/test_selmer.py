@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistselmer.arith import REAL_PLACE, kronecker, sieve_squarefree, squarefree_part
+from twistselmer.arith import REAL_PLACE, kronecker, sieve_squarefree, squarefree_part, torsor_locally_solvable
 from twistselmer.characters import char_from_element
 from twistselmer.selmer import (
     audit_curve,
@@ -156,6 +156,20 @@ def _factor(n):
     return factorize(n)
 
 
+def _brute_selmer_dim(a, b, d):
+    at, bt = a * d, b * d * d
+    primes = [p for p, _ in _factor(2 * b * (a * a - 4 * b) * d)]
+    gens = [-1, *primes]
+    count = 0
+    for mask in range(1 << len(gens)):
+        delta = math.prod(g for i, g in enumerate(gens) if mask >> i & 1)
+        if all(torsor_locally_solvable(at, bt, delta, v) for v in (REAL_PLACE, *primes)):
+            count += 1
+    dim = count.bit_length() - 1
+    assert 1 << dim == count, (a, b, d, count)
+    return dim
+
+
 class TestGChi:
     def test_examples(self):
         pair = make_pair(1, -1)
@@ -230,10 +244,15 @@ class TestDescend:
                 res = descend(pair, d)  # identities asserted internally
                 assert res.ord2T_product == res.dim_selphi - res.dim_selphihat
 
-    def test_torsor_route_agrees_with_table_route(self):
-        pair = make_pair(-1, 3)
-        for d in (7, 13, -35, 91):
-            assert descend(pair, d) == descend(pair, d, torsor_good_ram=True)
+    def test_selmer_dims_match_brute_force_torsor_count(self):
+        # independent oracle: count the classes of <-1, primes of 2*disc*d>
+        # whose twisted torsor is solvable at every place of S
+        for a, b in CURVES_20:
+            pair = make_pair(a, b)
+            for d in (1, -1, 2, -3, 6, -7, 11, -21, 30, -77):
+                res = descend(pair, d)
+                assert _brute_selmer_dim(a, b, d) == res.dim_selphi, (a, b, d)
+                assert _brute_selmer_dim(pair.a_dual, pair.b_dual, d) == res.dim_selphihat, (a, b, d)
 
 
 class TestSelmer2LowerBound:
@@ -291,3 +310,41 @@ class TestAudit:
     def test_fault_injection_detected(self):
         report = audit_curve(make_pair(1, -1), 60, inject_fault=True)
         assert not report["ok"]
+        assert {f["check"] for f in report["failures"]} == {"product-formula"}
+
+    def test_wrong_local_image_is_named(self, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "torsor_locally_solvable", lambda *args: True)
+        report = audit_curve(make_pair(1, -1), 20)
+        assert not report["ok"]
+        assert {f["check"] for f in report["failures"]} == {"local-image"}
+
+    def test_wrong_additive_part_is_named(self, monkeypatch):
+        import dataclasses
+
+        import twistselmer.selmer as selmer
+
+        real = selmer.SelmerDescentResult
+
+        def off_by_one_g(**fields):
+            return dataclasses.replace(real(**fields), g_chi=fields["g_chi"] + 1)
+
+        monkeypatch.setattr(selmer, "SelmerDescentResult", off_by_one_g)
+        report = audit_curve(make_pair(1, -1), 20)
+        assert not report["ok"]
+        assert {f["check"] for f in report["failures"]} == {"ord2-decomposition"}
+
+
+class TestResidueTable:
+    def test_size_stays_bounded_as_the_scan_grows(self):
+        from twistselmer.selmer import _context
+
+        pair = make_pair(1, -1)
+        table = _context(pair).residue_bits
+        for _ in scan_twists(pair, 2000):
+            pass
+        size = sum(map(len, table.values()))
+        for _ in scan_twists(pair, 20000):
+            pass
+        assert sum(map(len, table.values())) == size <= 8 + sum(q for q in pair.bad_primes if q != 2)
