@@ -66,8 +66,8 @@ from .selmer import (
     descend,
     dual_pair,
     g_chi,
-    local_dim,
     local_dim_good_ramified,
+    local_image,
     make_pair,
     scan_twists,
     selmer2_lower_bound,

@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 REAL_PLACE = "oo"
 
 _SMALL_PRIME_SCAN = 400  # below this, residue scans beat polynomial algebra
+
+# squarefree_factors keeps one list (about 100 bytes) per integer of a block
+SIEVE_BLOCK = 1 << 15
 
 __all__ = [
     "REAL_PLACE",
@@ -27,6 +31,9 @@ __all__ = [
     "is_perfect_square",
     "factorize",
     "sieve_squarefree",
+    "squarefree_flags",
+    "squarefree_factors",
+    "SIEVE_BLOCK",
     "least_nonresidue",
     "local_square_classes",
     "torsor_locally_solvable",
@@ -170,19 +177,53 @@ def squarefree_part(d: int) -> int:
     return s
 
 
+def squarefree_flags(lo: int, hi: int) -> bytearray:
+    """flags[i] = 1 iff lo + i is squarefree, for 1 <= lo <= lo + i < hi.
+
+    Segmented sieve of Eratosthenes over [lo, hi) by the squares of the
+    primes p <= isqrt(hi - 1).
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError("squarefree_flags: need 1 <= lo <= hi")
+    width = hi - lo
+    flags = bytearray([1]) * width
+    if width:
+        for p in sieve_primes(math.isqrt(hi - 1) + 1).primes:
+            pp = p * p
+            start = -lo % pp
+            flags[start::pp] = bytes(len(range(start, width, pp)))
+    return flags
+
+
+def squarefree_factors(lo: int, hi: int):
+    """Yield (d, primes of d ascending) for every squarefree d, lo <= d < hi.
+
+    Sieves [lo, hi) in blocks of SIEVE_BLOCK integers: each prime
+    p <= isqrt(hi - 1) is recorded at its multiples, and the cofactor left
+    after dividing them out is 1 or a single prime.
+    """
+    primes = sieve_primes(math.isqrt(hi - 1) + 1).primes if hi > lo else ()
+    for start in range(lo, hi, SIEVE_BLOCK):
+        end = min(start + SIEVE_BLOCK, hi)
+        small: list[list[int]] = [[] for _ in range(end - start)]
+        for p in primes:
+            for ps in small[-start % p :: p]:
+                ps.append(p)
+        for d, ps in compress(zip(range(start, end), small), squarefree_flags(start, end)):
+            rest = d // math.prod(ps)
+            if rest > 1:
+                ps.append(rest)
+            yield d, tuple(ps)
+
+
 def sieve_squarefree(X: int) -> list[int]:
     """All squarefree d with 0 < |d| < X, ordered by (|d|, sign) with +d first."""
     if X < 2:
         raise ValueError("sieve_squarefree: X must be >= 2")
-    flags = bytearray([1]) * X
-    for p in sieve_primes(math.isqrt(X - 1) + 1).primes:
-        pp = p * p
-        flags[pp::pp] = bytearray(len(range(pp, X, pp)))
     out = []
-    for d in range(1, X):
-        if flags[d]:
-            out.append(d)
-            out.append(-d)
+    for d in compress(range(1, X), squarefree_flags(1, X)):
+        out.append(d)
+        out.append(-d)
     return out
 
 

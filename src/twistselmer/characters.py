@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import quadfield as qf
-from .arith import factorize, kronecker, sieve_squarefree, squarefree_part
+from .arith import factorize, kronecker, sieve_squarefree, squarefree_flags, squarefree_part
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +134,9 @@ def enumerate_characters(field, X: int) -> list[QuadraticCharacter]:
 def count_characters(field, X: int) -> int:
     """|C(K, X)| without materializing character objects."""
     if field == "Q":
-        return len(sieve_squarefree(X))
+        if X < 2:
+            raise ValueError("count_characters: X must be >= 2")
+        return 2 * squarefree_flags(1, X).count(1)
     return len(enumerate_characters(field, X))
 
 

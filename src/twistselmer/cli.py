@@ -40,6 +40,8 @@ class RunConfig:
     def validate(self):
         if self.X < 2:
             raise ValueError("X must be >= 2")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -92,16 +94,24 @@ def cmd_scan(cfg: RunConfig) -> int:
         raise ValueError(
             f"curve ({cfg.a}, {cfg.b}) is ineligible: needs a^2-4b and b*(a^2-4b) both nonsquare"
         )
-    rows = ["d,g_chi,correction,ord2T,dim_selphi,dim_selphihat,d2_lower_bound"]
-    ord2t_values = []
-    for res in selmer.scan_twists(pair, cfg.X, workers=cfg.workers):
-        rows.append(
-            f"{res.d},{res.g_chi},{res.correction},{res.ord2T_product},"
-            f"{res.dim_selphi},{res.dim_selphihat},{selmer.selmer2_lower_bound(res)}"
-        )
-        ord2t_values.append(res.ord2T_product)
     out = Path(cfg.out)
-    _write_text(out / "twists.csv", "\n".join(rows) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    # rows go to a side file that replaces twists.csv only once the scan is complete
+    part = out / "twists.csv.part"
+    ord2t_values = []
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("d,g_chi,correction,ord2T,dim_selphi,dim_selphihat,d2_lower_bound\n")
+            for res in selmer.scan_twists(pair, cfg.X, workers=cfg.workers):
+                fh.write(
+                    f"{res.d},{res.g_chi},{res.correction},{res.ord2T_product},"
+                    f"{res.dim_selphi},{res.dim_selphihat},{selmer.selmer2_lower_bound(res)}\n"
+                )
+                ord2t_values.append(res.ord2T_product)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(out / "twists.csv")
 
     counts: dict[str, int] = {}
     for v in ord2t_values:
@@ -185,15 +195,7 @@ def cmd_ek(cfg: RunConfig) -> int:
         from .characters import enumerate_characters, eval_additive
 
         if cfg.field_m == "Q":
-            import numpy as np
-
-            from .ekstats import _sqfree_bytes
-
-            weighted = np.zeros(cfg.X, dtype=np.float64)
-            for p in ekstats.sieve_primes(cfg.X).primes:
-                weighted[p::p] += 1.0
-            flags = np.frombuffer(_sqfree_bytes(cfg.X), dtype=np.uint8).astype(bool)
-            values = weighted[1:][flags[1:]]
+            values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X).primes)
         else:
             fieldK = qf.make_field(int(cfg.field_m))
             values = [eval_additive(f, chi) for chi in enumerate_characters(fieldK, cfg.X)]
@@ -339,6 +341,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
+    except selmer.DescentConsistencyError as exc:
+        print(f"error: {exc.check} check failed for d={exc.d}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

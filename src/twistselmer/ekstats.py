@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadfield as qf
-from .arith import kronecker, sieve_primes, squarefree_part
+from .arith import kronecker, sieve_primes, squarefree_flags, squarefree_part
 from .characters import enumerate_characters
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "centered_g",
     "moment_constant",
     "empirical_moment",
+    "prime_sum_values",
     "mainterm_G",
     "gaussian_cdf",
     "distribution_report",
@@ -155,11 +156,7 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int, z: float | None = 
     mu_t = math.fsum(f.value(p) / (_norm(p) + 1) for p in primes)
     sigma = math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in primes))
     if f.base_field == "Q":
-        weighted = np.zeros(X, dtype=np.float64)
-        for p in primes:
-            weighted[p::p] += f.value(p)
-        flags = np.frombuffer(_sqfree_bytes(X), dtype=np.uint8).astype(bool)
-        vals = weighted[1:][flags[1:]] - mu_t
+        vals = prime_sum_values(f, X, primes) - mu_t
         empirical = float(np.mean(vals**k))
     else:
         chars = enumerate_characters(f.base_field, X)
@@ -185,20 +182,14 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int, z: float | None = 
     return MomentReport(X, float(z), k, empirical, predicted, ratio, within)
 
 
-_SQFREE_CACHE: dict[int, bytes] = {}
-
-
-def _sqfree_bytes(X: int) -> bytes:
-    cached = _SQFREE_CACHE.get(X)
-    if cached is None:
-        flags = bytearray([1]) * X
-        flags[0] = 0
-        for p in sieve_primes(math.isqrt(X - 1) + 1).primes:
-            pp = p * p
-            flags[pp::pp] = bytearray(len(range(pp, X, pp)))
-        cached = bytes(flags)
-        _SQFREE_CACHE[X] = cached
-    return cached
+def prime_sum_values(f: AdditiveFunctionSpec, X: int, primes) -> np.ndarray:
+    """For each squarefree 0 < d < X, ascending: the sum of f(p) over the
+    rational primes p in `primes` that divide d, added in the order of `primes`."""
+    sums = np.zeros(X, dtype=np.float64)
+    for p in primes:
+        sums[p::p] += f.value(p)
+    flags = np.frombuffer(squarefree_flags(1, X), dtype=np.uint8).astype(bool)
+    return sums[1:][flags]
 
 
 def mainterm_G(f: AdditiveFunctionSpec, q) -> float:

@@ -12,21 +12,20 @@ by two independent routes whose agreement is asserted on every twist.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .arith import (
     REAL_PLACE,
+    SIEVE_BLOCK,
     factorize,
     is_perfect_square,
     kronecker,
+    least_nonresidue,
     local_square_classes,
-    sieve_primes,
     sqrt_mod_prime,
+    squarefree_factors,
     squarefree_part,
     torsor_locally_solvable,
 )
@@ -39,7 +38,7 @@ __all__ = [
     "make_pair",
     "dual_pair",
     "local_dim_good_ramified",
-    "local_dim",
+    "local_image",
     "selmer_phi_dim",
     "selmer_phihat_dim",
     "g_chi",
@@ -57,11 +56,17 @@ class DescentConsistencyError(RuntimeError):
     `check` names the identity: "product-formula" (Selmer ratio != local
     product), "ord2-decomposition" (local product != g + correction) or
     "local-image" (a local image fails its size, subgroup or duality check).
+    `d` is the twist whose descent failed, when known.
     """
 
-    def __init__(self, message: str, check: str):
+    def __init__(self, message: str, check: str, d: int | None = None):
         super().__init__(message)
         self.check = check
+        self.d = d
+
+    def __reduce__(self):
+        # pool workers send the error back pickled; the default would drop check and d
+        return type(self), (str(self), self.check, self.d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,22 +135,24 @@ def local_dim_good_ramified(pair: IsogenyPair, p: int) -> int:
     return 1 + (sp - s) // 2
 
 
-def local_dim(pair: IsogenyPair, d: int, place) -> int:
-    """log2 of the number of local square classes whose twisted torsor is
-    solvable at `place` (the torsor route, independent of any symbol table)."""
-    d = squarefree_part(d)
-    at, bt = pair.a * d, pair.b * d * d
-    count = sum(
-        1
+def local_image(a: int, b: int, rep: int, place) -> tuple[int, tuple[int, ...]]:
+    """(dim, masks): the local square classes at `place` whose quartic torsor
+    for the twist of y^2 = x^3 + a x^2 + b x by `rep` is solvable, as their
+    bit coordinates (see _local_bits), and log2 of their number.  This is the
+    torsor route, independent of any symbol table."""
+    at, bt = a * rep, b * rep * rep
+    masks = tuple(
+        _local_bits(cls.representative, place)
         for cls in local_square_classes(place)
         if torsor_locally_solvable(at, bt, cls.representative, place)
     )
-    dim = count.bit_length() - 1
-    if 1 << dim != count:
+    dim = len(masks).bit_length() - 1
+    if 1 << dim != len(masks):
         raise DescentConsistencyError(
-            f"solvable set at {place} has size {count}, not a power of 2", "local-image"
+            f"local image at {place} (curve {(a, b)}, twist class {rep}) has size {len(masks)}, not a power of 2",
+            "local-image",
         )
-    return dim
+    return dim, masks
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +178,14 @@ def _local_bits(n: int, place) -> int:
         u = n % 8
         return (v & 1) | (u in (3, 7)) << 1 | (u in (3, 5)) << 2
     return (v & 1) | (kronecker(n, place) == -1) << 1
+
+
+def _class_rep(bits: int, place) -> int:
+    """The representative in local_square_classes(place) of the class with these bits."""
+    if place == REAL_PLACE:
+        return -1 if bits else 1
+    unit = (1, -1, 5, -5)[bits >> 1] if place == 2 else least_nonresidue(place) ** (bits >> 1)
+    return unit * place ** (bits & 1)
 
 
 def _span_and_perp(vectors, nbits: int) -> tuple[int, tuple[int, ...]]:
@@ -245,26 +260,17 @@ class _CurveContext:
 
     def _local_images(self, place, bits: int):
         """((dim, rows), (dim, rows)) for the two sides at a place over
-        2*disc*oo, for the twist class with these bits, by enumerating the
-        twisted quartic torsors.  Each row is a pair (functional, its row
-        over the fixed columns)."""
-        classes = [c.representative for c in local_square_classes(place)]
-        nbits = len(classes).bit_length() - 1
-        rep = next(r for r in classes if _local_bits(r, place) == bits)
+        2*disc*oo, for the twist class with these bits, from local_image.
+        Each row is a pair (functional, its row over the fixed columns)."""
+        nbits = 1 if place == REAL_PLACE else 3 if place == 2 else 2
+        rep = _class_rep(bits, place)
         fixed = [_local_bits(g, place) for g in self.columns]
         images = []
         for a, b in self.sides:
-            at, bt = a * rep, b * rep * rep
-            solv = [_local_bits(r, place) for r in classes if torsor_locally_solvable(at, bt, r, place)]
-            dim = len(solv).bit_length() - 1
-            if 1 << dim != len(solv):
-                raise DescentConsistencyError(
-                    f"local image at {place} (curve {(a, b)}, twist class {rep}) has size {len(solv)}",
-                    "local-image",
-                )
-            span, funcs = _span_and_perp(solv, nbits)
+            dim, masks = local_image(a, b, rep, place)
+            span, funcs = _span_and_perp(masks, nbits)
             if span != dim:
-                raise DescentConsistencyError(f"local image at {place} is not a subgroup: {solv}", "local-image")
+                raise DescentConsistencyError(f"local image at {place} is not a subgroup: {masks}", "local-image")
             rows = tuple((f, sum(((f & x).bit_count() & 1) << i for i, x in enumerate(fixed))) for f in funcs)
             images.append((dim, rows))
         # |H^1_phi| * |H^1_phihat| = |Q_v^x / squares| at every place
@@ -328,12 +334,16 @@ def descend(
         if p in column_of:
             dmask |= 1 << column_of[p]
 
-    places = [(REAL_PLACE, (), ctx.images[REAL_PLACE][int(d0 < 0)])]
-    for q, table in ctx.residue_bits.items():
-        m = 8 if q == 2 else q
-        val = d0 % q == 0
-        dbits = val | table[(d0 // q if val else d0) % m]
-        places.append((q, [table[p % m] for p in good], ctx.images[q][dbits]))
+    try:
+        places = [(REAL_PLACE, (), ctx.images[REAL_PLACE][int(d0 < 0)])]
+        for q, table in ctx.residue_bits.items():
+            m = 8 if q == 2 else q
+            val = d0 % q == 0
+            dbits = val | table[(d0 // q if val else d0) % m]
+            places.append((q, [table[p % m] for p in good], ctx.images[q][dbits]))
+    except DescentConsistencyError as exc:
+        exc.d = d0
+        raise
 
     # at a good prime p of d: the nonresidue mask of p over all columns
     syms = [ctx.goodram_syms(p) for p in good]
@@ -399,6 +409,7 @@ def _check_identities(res: SelmerDescentResult):
         f"{check} fails for d={res.d}: product={res.ord2T_product}, ratio={res.ord2T_ratio}, "
         f"g={res.g_chi}, correction={res.correction}, dims={res.local_dims}",
         check,
+        res.d,
     )
 
 
@@ -431,77 +442,41 @@ def selmer2_lower_bound(result: SelmerDescentResult) -> int:
     return result.ord2T_product - 2
 
 
-def _squarefree_flags(X: int) -> bytearray:
-    flags = bytearray([1]) * X
-    flags[0] = 0
-    for p in sieve_primes(math.isqrt(X - 1) + 1).primes:
-        pp = p * p
-        flags[pp::pp] = bytearray(len(range(pp, X, pp)))
-    return flags
+def _scan_range(pair: IsogenyPair, lo: int, hi: int):
+    """descend(+d), then descend(-d), for every squarefree lo <= d < hi."""
+    ctx = _context(pair)
+    for d, primes in squarefree_factors(lo, hi):
+        yield descend(pair, d, _ctx=ctx, _dprimes=primes)
+        yield descend(pair, -d, _ctx=ctx, _dprimes=primes)
 
 
-def _spf_array(X: int) -> np.ndarray:
-    """Smallest prime factor for 0 <= n < X."""
-    spf = np.zeros(X, dtype=np.int32)
-    for p in range(2, X):
-        if spf[p] == 0:
-            view = spf[p::p]
-            view[view == 0] = p
-    return spf
-
-
-def _factor_spf(n: int, spf: np.ndarray) -> tuple[int, ...]:
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        out.append(p)
-        while n % p == 0:
-            n //= p
-    return tuple(out)
+def _scan_batch(a: int, b: int, bounds: tuple[int, int]) -> list[SelmerDescentResult]:
+    return list(_scan_range(make_pair(a, b), *bounds))
 
 
 def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
     """Yield descent results for every squarefree 0 < |d| < X, ordered by
-    (|d|, sign) with the positive twist first.  Internally parallel when
-    workers > 1 with a deterministic ordered merge."""
+    (|d|, sign) with the positive twist first.
+
+    [1, X) is split into chunks of at most one sieve block.  With one worker
+    they run lazily in this process; with more, a pool of at most one
+    process per chunk runs them and the results are merged in order."""
     if not pair.eligible:
         raise ValueError("scan_twists requires an eligible pair")
     if X < 2:
         raise ValueError("scan_twists: X must be >= 2")
-    if workers > 1:
-        yield from _scan_parallel(pair, X, workers)
+    if workers < 1:
+        raise ValueError("scan_twists: workers must be >= 1")
+    size = min(max(64, (X - 1) // (workers * 8)), SIEVE_BLOCK)
+    chunks = [(lo, min(lo + size, X)) for lo in range(1, X, size)]
+    if workers == 1:
+        for lo, hi in chunks:
+            yield from _scan_range(pair, lo, hi)
         return
-    ctx = _context(pair)
-    flags = _squarefree_flags(X)
-    spf = _spf_array(X)
-    for d in range(1, X):
-        if flags[d]:
-            fact = _factor_spf(d, spf)
-            yield descend(pair, d, _ctx=ctx, _dprimes=fact)
-            yield descend(pair, -d, _ctx=ctx, _dprimes=fact)
-
-
-def _scan_chunk(args):
-    a, b, lo, hi, X = args
-    pair = make_pair(a, b)
-    ctx = _context(pair)
-    flags = _squarefree_flags(X)
-    out = []
-    for d in range(lo, hi):
-        if flags[d]:
-            fact = tuple(p for p, _ in factorize(d))
-            out.append(descend(pair, d, _ctx=ctx, _dprimes=fact))
-            out.append(descend(pair, -d, _ctx=ctx, _dprimes=fact))
-    return out
-
-
-def _scan_parallel(pair: IsogenyPair, X: int, workers: int):
     import multiprocessing as mp
 
-    chunk = max(64, (X - 1) // (workers * 8))
-    tasks = [(pair.a, pair.b, lo, min(lo + chunk, X), X) for lo in range(1, X, chunk)]
-    with mp.Pool(workers) as pool:
-        for batch in pool.imap(_scan_chunk, tasks):
+    with mp.Pool(min(workers, len(chunks))) as pool:
+        for batch in pool.imap(partial(_scan_batch, pair.a, pair.b), chunks):
             yield from batch
 
 
@@ -528,12 +503,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
         (dim, rows), dual = ctx.images[2][0]  # the class of d = 1 at 2
         ctx.images[2][0] = ((dim + 1, rows), dual)
 
-    flags = _squarefree_flags(X)
-    spf = _spf_array(X)
-    for ad in range(1, X):
-        if not flags[ad]:
-            continue
-        fact = _factor_spf(ad, spf)
+    for ad, fact in squarefree_factors(1, X):
         for d in (ad, -ad):
             n_twists += 1
             try:
@@ -545,7 +515,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
             for p in (p for p in fact if p not in pair.bad_primes):
                 key = (p, kronecker(d // p, p))
                 if key not in cross_cache:
-                    cross_cache[key] = local_dim(pair, d, p)
+                    cross_cache[key] = local_image(pair.a, pair.b, d, p)[0]
                     n_cross += 1
                     table = local_dim_good_ramified(pair, p)
                     if cross_cache[key] != table:

@@ -5,13 +5,17 @@ import pytest
 
 from twistselmer.arith import (
     REAL_PLACE,
+    SIEVE_BLOCK,
     PrimeTable,
+    factorize,
     is_perfect_square,
     kronecker,
     local_square_classes,
     sieve_primes,
     sieve_squarefree,
     sqrt_mod_prime,
+    squarefree_factors,
+    squarefree_flags,
     squarefree_part,
     torsor_locally_solvable,
 )
@@ -136,6 +140,51 @@ class TestSieveSquarefree:
         vals = set(sieve_squarefree(200))
         for d in range(1, 200):
             assert (d in vals) == (squarefree_part(d) == d)
+
+
+def factorize_squarefree(lo, hi):
+    """(d, primes of d) for the squarefree lo <= d < hi, by trial division."""
+    out = []
+    for d in range(lo, hi):
+        fact = factorize(d)
+        if all(e == 1 for _, e in fact):
+            out.append((d, tuple(p for p, _ in fact)))
+    return out
+
+
+class TestSquarefreeSieve:
+    def test_flags_agree_with_sieve_squarefree(self):
+        X = 5000
+        flags = squarefree_flags(1, X)
+        assert [d for d in range(1, X) if flags[d - 1]] == sieve_squarefree(X)[::2]
+        assert squarefree_flags(30, 30) == bytearray()
+        with pytest.raises(ValueError):
+            squarefree_flags(0, 10)
+
+    def test_factors_match_factorize_below_5e4(self):
+        assert list(squarefree_factors(1, 50000)) == factorize_squarefree(1, 50000)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (1, 2),
+            (1, 300),
+            (49, 400),  # lo a prime square
+            (2, 122),  # hi - 1 = 121 a prime square
+            (1, 169 + 1),
+            (1000, 1003),  # narrower than the gap to the next prime, 1009
+            (7919**2 - 40, 7919**2 + 1),  # hi - 1 a large prime square
+            (10**6 - 5, 10**6 + 2 * SIEVE_BLOCK + 7),  # several sieve blocks
+        ],
+    )
+    def test_factors_on_ranges_and_chunks(self, lo, hi):
+        whole = list(squarefree_factors(lo, hi))
+        assert whole == factorize_squarefree(lo, hi)
+        for width in (1, 7, 64) if hi - lo < 5000 else (64, SIEVE_BLOCK - 1):
+            chunked = []
+            for start in range(lo, hi, width):
+                chunked.extend(squarefree_factors(start, min(start + width, hi)))
+            assert chunked == whole
 
 
 class TestLocalSquareClasses:

@@ -1,7 +1,13 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from twistselmer.cli import main
+
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
 
 
 def run(argv):
@@ -58,6 +64,36 @@ class TestScan:
         run(["scan", "--a", "1", "--b", "-1", "--X", "60", "--out", str(a)])
         run(["scan", "--a", "1", "--b", "-1", "--X", "60", "--workers", "2", "--out", str(b)])
         assert (a / "twists.csv").read_bytes() == (b / "twists.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_benchmark_scan_bytes(self, tmp_path, workers):
+        # X = 5e4 is 9 chunks serially and 17 with two workers
+        out = tmp_path / "s"
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "50000", "--workers", workers, "--out", str(out)]) == 0
+        for name, digest in EXPECTED["scan"]["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_rejects_no_workers(self, tmp_path, capsys, workers):
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "10", "--workers", workers, "--out", str(tmp_path)]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_failed_check_exits_1_without_partial_output(self, tmp_path, capsys, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        real = selmer._check_identities
+
+        def fail_at_minus_15(res):
+            if res.d == -15:
+                raise selmer.DescentConsistencyError("forced", "product-formula", res.d)
+            real(res)
+
+        monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_15)
+        out = tmp_path / "s"
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "40", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "product-formula" in err[0] and "d=-15" in err[0]
+        assert list(out.iterdir()) == []
 
 
 class TestEk:

@@ -21,6 +21,7 @@ from twistselmer.ekstats import (
     mu_f,
     mu_tilde_f,
     omega_spec,
+    prime_sum_values,
     sigma_f,
     sigma_g_exact,
     sigma_g_predicted,
@@ -132,6 +133,23 @@ class TestEmpiricalMoment:
             s = -mu_t + sum(1 for p in primes if chi.d_conductor % p == 0)
             total += s * s
         assert abs(rep.empirical - total / (2 * len(sieve_squarefree(X)) / 2)) < 1e-9
+
+    def test_prime_sum_values_match_factorization(self):
+        from twistselmer.arith import factorize
+
+        f = AdditiveFunctionSpec("Q", lambda p: 1.0 / p, bounded_01=True)
+        primes = sieve_primes(30).primes
+        X = 2000
+        expected = []
+        for d in range(1, X):
+            fact = factorize(d)
+            if all(e == 1 for _, e in fact):
+                total = 0.0
+                for p, _ in fact:
+                    if p in primes:
+                        total += 1.0 / p
+                expected.append(total)
+        assert prime_sum_values(f, X, primes).tolist() == expected
 
     def test_zero_function_gives_zero(self):
         zero = AdditiveFunctionSpec("Q", lambda p: 0.0, bounded_01=True)
@@ -273,16 +291,10 @@ class TestSigmaG:
 
 class TestOmegaDistributionTrend:
     def test_ks_nonincreasing_over_scales(self):
-        from twistselmer.ekstats import _sqfree_bytes
-
         om = omega_spec()
         ks = []
         for X in (10**4, 10**5, 10**6):
-            weighted = np.zeros(X, dtype=np.float64)
-            for p in sieve_primes(X).primes:
-                weighted[p::p] += 1.0
-            flags = np.frombuffer(_sqfree_bytes(X), dtype=np.uint8).astype(bool)
-            values = weighted[1:][flags[1:]]
+            values = prime_sum_values(om, X, sieve_primes(X).primes)
             rep = distribution_report(values, (mu_f(om, X), sigma_f(om, X)), X=X)
             ks.append(rep.ks)
         assert ks[0] >= ks[1] >= ks[2]

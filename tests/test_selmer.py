@@ -11,8 +11,8 @@ from twistselmer.selmer import (
     dual_pair,
     g_chi,
     g_chi_of_twist,
-    local_dim,
     local_dim_good_ramified,
+    local_image,
     make_pair,
     scan_twists,
     selmer2_lower_bound,
@@ -123,15 +123,15 @@ class TestLocalDimGoodRamified:
 
 class TestLocalDim:
     def test_real(self):
-        assert local_dim(make_pair(1, -1), 1, REAL_PLACE) == 0
+        assert local_image(1, -1, 1, REAL_PLACE) == (0, (0,))
 
     def test_good_unramified(self):
-        assert local_dim(make_pair(1, -1), 1, 7) == 1
+        assert local_image(1, -1, 1, 7)[0] == 1
 
     def test_matches_table_at_ramified(self):
         pair = make_pair(1, -1)
-        assert local_dim(pair, 11, 11) == 0 == local_dim_good_ramified(pair, 11)
-        assert local_dim(pair, 13, 13) == 2 == local_dim_good_ramified(pair, 13)
+        assert local_image(1, -1, 11, 11)[0] == 0 == local_dim_good_ramified(pair, 11)
+        assert local_image(1, -1, 13, 13)[0] == 2 == local_dim_good_ramified(pair, 13)
 
     def test_cross_oracle_20_curves_200_twists(self):
         # symbol table vs torsor solvability at every good odd ramified prime
@@ -147,7 +147,7 @@ class TestLocalDim:
                     if key in seen:
                         continue
                     seen.add(key)
-                    assert local_dim(pair, d, p) == local_dim_good_ramified(pair, p), (a, b, d, p)
+                    assert local_image(a, b, d, p)[0] == local_dim_good_ramified(pair, p), (a, b, d, p)
 
 
 def _factor(n):
@@ -291,6 +291,36 @@ class TestScanTwists:
         parallel = list(scan_twists(make_pair(1, -1), 120, workers=2))
         assert serial == parallel
 
+    def test_pool_size_is_capped_by_the_chunk_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        pair = make_pair(1, -1)
+        # X = 200 gives chunks of the minimum width 64: [1, 65), [65, 129), [129, 193), [193, 200)
+        assert list(scan_twists(pair, 200, workers=64)) == list(scan_twists(pair, 200))
+        assert list(scan_twists(pair, 200, workers=3)) == list(scan_twists(pair, 200))
+        assert sizes == [4, 3]
+
+    def test_rejects_no_workers(self):
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                list(scan_twists(make_pair(1, -1), 10, workers=workers))
+
     def test_histogram_totals(self):
         res = list(scan_twists(make_pair(1, -1), 10**3))
         assert len(res) == len(sieve_squarefree(10**3))
@@ -319,6 +349,23 @@ class TestAudit:
         report = audit_curve(make_pair(1, -1), 20)
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"local-image"}
+
+    def test_local_image_failure_names_the_twist(self, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "torsor_locally_solvable", lambda *args: True)
+        with pytest.raises(selmer.DescentConsistencyError) as info:
+            descend(make_pair(7, -11), -6, _ctx=selmer._CurveContext(make_pair(7, -11)))
+        assert (info.value.check, info.value.d) == ("local-image", -6)
+
+    def test_error_survives_pickling(self):
+        # pool workers send a failed check back to the parent pickled
+        import pickle
+
+        from twistselmer.selmer import DescentConsistencyError
+
+        exc = pickle.loads(pickle.dumps(DescentConsistencyError("boom", "product-formula", -15)))
+        assert (str(exc), exc.check, exc.d) == ("boom", "product-formula", -15)
 
     def test_wrong_additive_part_is_named(self, monkeypatch):
         import dataclasses
