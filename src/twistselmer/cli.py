@@ -202,11 +202,14 @@ def cmd_ek(cfg: RunConfig) -> int:
         center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
-        from .arith import sieve_squarefree
+        from .arith import squarefree_factors
 
         pair = selmer.make_pair(cfg.a, cfg.b)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
-        values = [selmer.g_chi_of_twist(pair, d) for d in sieve_squarefree(cfg.X)]
+        values = []
+        for _, primes in squarefree_factors(1, cfg.X):
+            g = selmer.g_of_primes(pair, primes)
+            values += (g, g)  # +d, then -d: g does not see the sign
         center = sum(values) / len(values)
         scale = ekstats.sigma_g_predicted(cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)

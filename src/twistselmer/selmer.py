@@ -43,6 +43,7 @@ __all__ = [
     "selmer_phihat_dim",
     "g_chi",
     "g_chi_of_twist",
+    "g_of_primes",
     "descend",
     "selmer2_lower_bound",
     "scan_twists",
@@ -429,9 +430,13 @@ def g_chi(pair: IsogenyPair, chi) -> int:
 
 
 def g_chi_of_twist(pair: IsogenyPair, d: int) -> int:
-    d0 = squarefree_part(d)
+    return g_of_primes(pair, [p for p, e in factorize(d) if e % 2])
+
+
+def g_of_primes(pair: IsogenyPair, primes) -> int:
+    """g at the twist whose squarefree part has these primes (g ignores its sign)."""
     total = 0
-    for p, _ in factorize(d0):
+    for p in primes:
         if p != 2 and p not in pair.bad_primes:
             total += (kronecker(pair.b, p) - kronecker(pair.b_dual, p)) // 2
     return total

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import twistselmer.arith as arith
 from twistselmer.arith import (
     REAL_PLACE,
     SIEVE_BLOCK,
@@ -330,3 +331,103 @@ def _same_class_two(x, rep):
         return (v % 2, m % 8)
 
     return key(x) == key(rep)
+
+
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _route_cases(p, rng, n):
+    """Polynomials over F_p of degree 1..4 with a unit leading coefficient:
+    even ones, ones that are not even, constants times squares, and
+    products of linear factors with repeated roots."""
+    cases = [[0, 0, 0, 0, 1], [0, 0, 1], [0, 1], [p - 1, 0, 1], [1, 0, 0, 0, 1]]
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            f = [rng.randrange(p), 0, rng.randrange(p), 0, rng.randrange(1, p)]
+        elif kind == 1:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, p)]
+        elif kind == 2:
+            g = [rng.randrange(p), rng.randrange(p) if i % 8 == 2 else 0, 1]
+            f = _poly_mul([rng.randrange(1, p)], _poly_mul(g, g, p), p)
+        else:
+            roots = [rng.randrange(p) for _ in range(rng.randint(2, 4))]
+            roots[1] = roots[0]
+            f = [rng.randrange(1, p)]
+            for r in roots:
+                f = _poly_mul(f, [-r % p, 1], p)
+        cases.append(f)
+    return cases
+
+
+class TestOddPrimeRoutes:
+    """The residue scan, the even reduction and the gcd route of the
+    odd-prime torsor solver, each run on its own against the others."""
+
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(401).primes if p >= 31])
+    def test_polynomial_route_matches_scan(self, p, monkeypatch):
+        monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
+        rng = random.Random(p)
+        for f in _route_cases(p, rng, 24):
+            deg = len(f) - 1
+            scan_roots = arith._roots_by_scan(f, p)
+            assert arith._roots_mod_p(f, deg, p) == scan_roots, f
+            for c_kron in (1, -1):
+                exists, roots = arith._unit_square_scan(f, c_kron, p)
+                assert arith._unit_square_value(f, deg, c_kron, p)[0] == exists, (f, c_kron)
+                assert roots is None or roots == scan_roots
+
+    def test_even_reduction_matches_gcd_route(self):
+        rng = random.Random(4)
+        primes = [p for p in sieve_primes(30000).primes if p > 400]
+        checked = 0
+        for _ in range(150):
+            p = rng.choice(primes)
+            for f in _route_cases(p, rng, 12):
+                f = arith._pmonic(f, p)
+                h = arith._even_half(f)
+                if h is None:
+                    continue
+                assert arith._monic_roots(f, p) == arith._roots_by_gcd(f, p), (f, p)
+                by_sqfree = all(mult % 2 == 0 for _, mult in arith._sqfree_multiplicities(f, p))
+                assert arith._even_is_square(h, p) == by_sqfree, (f, p)
+                checked += 1
+        assert checked > 500
+
+    def test_gcd_route_matches_scan(self):
+        # the route for polynomials that are not even, at primes the scan can still check
+        rng = random.Random(5)
+        for p in (409, 1009, 2003):
+            for f in _route_cases(p, rng, 40):
+                f = arith._pmonic(f, p)
+                assert arith._roots_by_gcd(f, p) == arith._roots_by_scan(f, p), (f, p)
+
+    @pytest.mark.parametrize(
+        "a, b, delta, p, solvable",
+        [(-6, -6 * 401**2, 3, 401, True), (-6, -6 * 401**3, 3, 401, False)],
+    )
+    def test_shift_at_nonzero_double_root(self, a, b, delta, p, solvable, monkeypatch):
+        # the reduction mod p is 3*(3 + 6z^2)^2, with double roots z = +-sqrt(-1/2);
+        # q(r + p*t) is not even, so its Weil test needs the squarefree decomposition
+        calls = {"shift": 0, "sqfree": 0}
+        shift, sqfree = arith._taylor_shift_scale, arith._sqfree_multiplicities
+
+        def counted_shift(c, r, p):
+            calls["shift"] += r % p != 0
+            return shift(c, r, p)
+
+        def counted_sqfree(f, p):
+            calls["sqfree"] += 1
+            return sqfree(f, p)
+
+        monkeypatch.setattr(arith, "_taylor_shift_scale", counted_shift)
+        monkeypatch.setattr(arith, "_sqfree_multiplicities", counted_sqfree)
+        assert torsor_locally_solvable(a, b, delta, p) is solvable
+        assert calls["shift"] >= 1 and calls["sqfree"] >= 1
+        monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p + 1)
+        assert torsor_locally_solvable(a, b, delta, p) is solvable

@@ -123,6 +123,18 @@ class TestEk:
         assert moments["moments"] == []
         assert (out / "cdf.svg").exists()
 
+    def test_curve_g_bytes(self, tmp_path):
+        # the files as written when g was computed from a factorization of each signed d
+        digests = {
+            "cdf.csv": "dd4b1f65801279bcb73a8175492e80a49fb8ef97b0bba5fab1cef9b5de79ae4d",
+            "cdf.svg": "dc669035abf04d564589779f656467c51d3b02c0a6b0100cd51cb5650c43f8bb",
+            "moments.json": "7a56167777f190259d1559424dcbb99b3401c280782c3c950c41468deb9e0271",
+        }
+        out = tmp_path / "ekg"
+        assert run(["ek", "--f", "curve-g", "--a", "1", "--b", "-1", "--X", "2000", "--out", str(out)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["ek", "--f", "omega", "--X", "1500", "--k", "2,4", "--out", str(a)])

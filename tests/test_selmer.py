@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from twistselmer.arith import REAL_PLACE, kronecker, sieve_squarefree, squarefree_part, torsor_locally_solvable
+from twistselmer.arith import (
+    REAL_PLACE,
+    kronecker,
+    sieve_squarefree,
+    squarefree_factors,
+    squarefree_part,
+    torsor_locally_solvable,
+)
 from twistselmer.characters import char_from_element
 from twistselmer.selmer import (
     audit_curve,
@@ -11,6 +18,7 @@ from twistselmer.selmer import (
     dual_pair,
     g_chi,
     g_chi_of_twist,
+    g_of_primes,
     local_dim_good_ramified,
     local_image,
     make_pair,
@@ -192,6 +200,14 @@ class TestGChi:
                 continue
             checked += 1
             assert g_chi_of_twist(pair, d1 * d2) == g_chi_of_twist(pair, d1) + g_chi_of_twist(pair, d2)
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3)])
+    def test_g_of_primes_matches_descent(self, a, b):
+        # ek --f curve-g computes g once per |d| from the sieve's primes
+        pair = make_pair(a, b)
+        for d, primes in squarefree_factors(1, 2000):
+            g = g_of_primes(pair, primes)
+            assert g == g_chi_of_twist(pair, d) == g_chi_of_twist(pair, -d * 4) == descend(pair, -d).g_chi, d
 
 
 class TestDescend:
