@@ -288,7 +288,7 @@ def torsor_locally_solvable(a: int, b: int, delta, place) -> bool:
     # disc of A z^4 + B z^2 + C, nonzero for nonsingular (a, b); reversal preserves it
     disc = 4096 * delta**12 * b * b * (a * a - 4 * b)
     if p == 2:
-        return _solvable_z2(q, disc) or _solvable_z2(qrev, disc)
+        return any(_solve_z2(f, 0, 3 * (_v2(disc) + _v2(f[-1])) + 8) for f in (q, qrev))
     cap = _val(disc, p) + 36
     return _solve_odd(q, p, 0, 1, cap) or _solve_odd(qrev, p, 0, 1, cap)
 
@@ -308,10 +308,6 @@ def _poly_eval(c, x):
     return acc
 
 
-def _poly_deriv(c):
-    return [i * c[i] for i in range(1, len(c))]
-
-
 def _taylor_shift_scale(c, r, p):
     """Coefficients of q(r + p*t) from those of q(t)."""
     c = list(c)
@@ -322,35 +318,49 @@ def _taylor_shift_scale(c, r, p):
     return [c[j] * p**j for j in range(n)]
 
 
-def _solvable_z2(q, disc) -> bool:
-    """Whether q takes a square value (or 0) on Z_2.
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
 
-    Adaptive refinement of residue classes t = t0 mod 2^j.  A class is
-    decided once val_2(q(t0)) + 3 <= j (the square class of q is then
-    constant on it) or once Newton's bound val(q) > 2*val(q') certifies a
-    2-adic root.  The Bezout identity for Res(q, q') bounds the depth.
+
+def _solve_z2(q, c_parity, depth) -> bool:
+    """Whether 2^c_parity * q(t) takes a square value (or 0) on Z_2.
+
+    The 2-adic counterpart of _solve_odd.  The 2-content of q goes into the
+    multiplier, then each class t0 + 2*Z_2 (t0 in {0, 1}) is read from
+    s(t) = q(t0 + 2t).  If v(s_i) >= v(s_0) + 3 for every i >= 1, s is s_0
+    times a unit = 1 mod 8 on all of Z_2, so every value on the class has
+    the square class of s_0.  Newton's bound v(q(t0)) > 2*v(q'(t0)), with
+    q'(t0) = s_1/2, certifies a root of q in Z_2.  Otherwise s is refined.
+
+    Depth: with r = v(Res(q, q')) = v(disc) + v(lead) for the torsor's q,
+    Res = U*q + V*q' gives min(v(q(z)), v(q'(z))) <= r on Z_2.  A class
+    z0 + 2^n*Z_2 is decided once n >= v(q(z0)) + 3.  Past n = 2r + 2 an
+    undecided class lies near a root z* with v(q'(z*)) = k <= r.  If it
+    holds z*, Newton's bound fires.  If the class at n = 2r + 3 does not,
+    v(z0 - z*) = m <= 2r + 2 and v(q) = k + m on all of it, so each class
+    below it is decided by n = k + m + 3 <= 3r + 5, that is, at depth
+    3r + 4.  torsor_locally_solvable allows 3r + 8.
     """
-    dq = _poly_deriv(q)
-    cap = 2 * (_val(disc, 2) + _val(q[-1], 2)) + 16
-    stack = [(0, 0)]
-    while stack:
-        t0, j = stack.pop()
-        v = _poly_eval(q, t0)
-        if v == 0:
+    if depth < 0:
+        raise ArithmeticError("2-adic torsor recursion exceeded certified depth")
+    e = min(_v2(coef) for coef in q if coef)
+    if e:
+        q = [coef >> e for coef in q]
+        c_parity ^= e & 1
+    for t0 in (0, 1):
+        s = _taylor_shift_scale(q, t0, 2)
+        if s[0] == 0:
             return True
-        m = _val(v, 2)
-        if m + 3 <= j:
-            # v = 2^m * u exactly; square in Q_2 iff m even and u = 1 mod 8
-            if m % 2 == 0 and (v >> m) % 8 == 1:
+        m = _v2(s[0])
+        if all(_v2(coef) >= m + 3 for coef in s[1:] if coef):
+            # 2^c_parity * s_0 = 2^(c_parity + m) * u: a square iff the power is even and u = 1 mod 8
+            if (c_parity + m) % 2 == 0 and (s[0] >> m) % 8 == 1:
                 return True
             continue
-        dv = _poly_eval(dq, t0)
-        if dv != 0 and m > 2 * _val(dv, 2):
+        if s[1] and m > 2 * (_v2(s[1]) - 1):
+            return True  # Newton's bound: a root of q in Z_2, value 0
+        if _solve_z2(s, c_parity, depth - 1):
             return True
-        if j >= cap:  # unreachable by the resultant bound; fail loudly if not
-            raise ArithmeticError("2-adic torsor refinement exceeded certified depth")
-        stack.append((t0, j + 1))
-        stack.append((t0 + (1 << j), j + 1))
     return False
 
 
@@ -425,39 +435,21 @@ def _even_half(f):
 
 
 def _monic_is_square(f, p):
-    """Whether a monic f in F_p[x] of degree <= 4 is the square of a polynomial."""
-    h = _even_half(f)
-    if h is None:
-        return all(mult % 2 == 0 for _, mult in _sqfree_multiplicities(f, p))
-    return _even_is_square(h, p)
+    """Whether a monic f in F_p[x] is the square of a polynomial.
 
-
-def _even_is_square(h, p):
-    """Whether h(z^2) is a square in F_p[z], for a monic h of degree 1 or 2.
-
-    A monic square root of an even polynomial is even or odd, so h(z^2) is
-    (z^2 + v)^2 or z^2: h = (w + v)^2, that is disc(h) = 0, or h = w.
+    The torsor solver makes only polynomials of degree <= 2 and even
+    quartics (see _monic_roots).  A quadratic is a square iff its
+    discriminant vanishes.  A monic square root of an even quartic h(z^2)
+    is even, z^2 + v, so the quartic is a square iff disc(h) = 0.
     """
-    if len(h) == 2:
-        return h[0] == 0
-    return (h[1] * h[1] - 4 * h[0]) % p == 0
-
-
-def _sqfree_multiplicities(f, p):
-    """[(deg of g_i, i)] for the squarefree decomposition f = prod g_i^i (f monic)."""
-    out = []
-    a = _pgcd(f, _pderiv(f, p), p)
-    b = _pdiv(f, a, p)
-    c = _pdiv(_pderiv(f, p), a, p)
-    i = 1
-    while _pdeg(b) > 0:
-        d = _psub(c, _pderiv(b, p), p)
-        g = _pgcd(b, d, p)
-        if _pdeg(g) > 0:
-            out.append((_pdeg(g), i))
-        b, c = _pdiv(b, g, p), _pdiv(d, g, p)
-        i += 1
-    return out
+    deg = len(f) - 1
+    if deg == 1:
+        return False
+    if deg == 2:
+        return (f[1] * f[1] - 4 * f[0]) % p == 0
+    if deg == 4 and _even_half(f) is not None:
+        return (f[2] * f[2] - 4 * f[0]) % p == 0
+    raise ArithmeticError(f"square test of a degree-{deg} polynomial that is not even")
 
 
 def _roots_mod_p(qbar, deg, p):
@@ -475,10 +467,9 @@ def _monic_roots(f, p):
     """The distinct roots in F_p of a monic f, ascending, p odd.
 
     Degree 1 and 2 by formula; an even f = h(z^2) from the square roots of
-    the roots of h; any other f by the gcd route.  The torsor solver makes
-    no other f: q is even, and after a Taylor shift at r != 0 mod p at most
-    two roots of q (one of each pair +-root) lie near r, so the reduction
-    has degree <= 2.
+    the roots of h.  The torsor solver makes no other f: q is even, and
+    after a Taylor shift at r != 0 mod p at most two roots of q (one of each
+    pair +-root) lie near r, so the reduction has degree <= 2.
     """
     deg = len(f) - 1
     if deg == 1:
@@ -491,7 +482,7 @@ def _monic_roots(f, p):
         return sorted({(r - f[1]) * half % p, (-r - f[1]) * half % p})
     h = _even_half(f)
     if h is None:
-        return _roots_by_gcd(f, p)
+        raise ArithmeticError(f"roots of a degree-{deg} polynomial that is not even")
     roots = set()
     for s in _monic_roots(h, p):
         r = sqrt_mod_prime(s, p)
@@ -500,116 +491,10 @@ def _monic_roots(f, p):
     return sorted(roots)
 
 
-def _roots_by_gcd(f, p):
-    """Roots of a monic f from gcd(x^p - x, f), split by Cantor-Zassenhaus."""
-    g = _pgcd(_psub(_ppow_x(p, f, p), [0, 1], p), f, p)
-    return sorted(_split_linears(g, p))
-
-
-def _split_linears(g, p):
-    """Roots of a monic product of distinct linear factors over F_p."""
-    d = _pdeg(g)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [(-g[0]) % p]
-    s = 0
-    while True:
-        # gcd with (x+s)^((p-1)/2) - 1 separates roots by the character of r+s
-        base = [s % p, 1]
-        h = _ppow(base, (p - 1) // 2, g, p)
-        h = _psub(h, [1], p)
-        h = _pgcd(h, g, p)
-        if 0 < _pdeg(h) < d:
-            return _split_linears(h, p) + _split_linears(_pdiv(g, h, p), p)
-        s += 1
-
-
-# dense F_p[x] helpers, ascending coefficients, always trimmed
-
-
-def _ptrim(f):
+def _pmonic(f, p):
+    """f mod p, without leading zeros, divided by its leading coefficient."""
+    f = [c % p for c in f]
     while len(f) > 1 and f[-1] == 0:
         f.pop()
-    return f
-
-
-def _pdeg(f):
-    return len(f) - 1 if f != [0] else -1
-
-
-def _pmonic(f, p):
-    f = _ptrim([c % p for c in f])
     inv = pow(f[-1], p - 2, p)
     return [c * inv % p for c in f]
-
-
-def _pderiv(f, p):
-    return _ptrim([i * f[i] % p for i in range(1, len(f))]) or [0]
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    return _ptrim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)])
-
-
-def _pmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _prem(f, g, p):
-    f = [c % p for c in f]
-    dg = _pdeg(g)
-    inv = pow(g[-1], p - 2, p)
-    while _pdeg(f) >= dg and any(f):
-        df = _pdeg(f)
-        coef = f[df] * inv % p
-        for i in range(dg + 1):
-            f[df - dg + i] = (f[df - dg + i] - coef * g[i]) % p
-        f = _ptrim(f)
-        if f == [0]:
-            break
-    return _ptrim(f)
-
-
-def _pdiv(f, g, p):
-    f = [c % p for c in f]
-    dg = _pdeg(g)
-    inv = pow(g[-1], p - 2, p)
-    out = [0] * max(1, _pdeg(f) - dg + 1)
-    while _pdeg(f) >= dg and any(f):
-        df = _pdeg(f)
-        coef = f[df] * inv % p
-        out[df - dg] = coef
-        for i in range(dg + 1):
-            f[df - dg + i] = (f[df - dg + i] - coef * g[i]) % p
-        f = _ptrim(f)
-    return _ptrim(out)
-
-
-def _pgcd(f, g, p):
-    f = _ptrim([c % p for c in f])
-    g = _ptrim([c % p for c in g])
-    while g != [0]:
-        f, g = g, _prem(f, g, p)
-    return _pmonic(f, p) if f != [0] else [0]
-
-
-def _ppow(base, e, mod, p):
-    result = [1]
-    base = _prem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, base, p), mod, p)
-        base = _prem(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _ppow_x(e, mod, p):
-    return _ppow([0, 1], e, mod, p)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import quadfield as qf
 from .arith import kronecker, sieve_primes, squarefree_flags, squarefree_part
 from .characters import enumerate_characters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AdditiveFunctionSpec",
@@ -156,6 +158,8 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int, z: float | None = 
     mu_t = math.fsum(f.value(p) / (_norm(p) + 1) for p in primes)
     sigma = math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in primes))
     if f.base_field == "Q":
+        import numpy as np
+
         vals = prime_sum_values(f, X, primes) - mu_t
         empirical = float(np.mean(vals**k))
     else:
@@ -185,6 +189,8 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int, z: float | None = 
 def prime_sum_values(f: AdditiveFunctionSpec, X: int, primes) -> np.ndarray:
     """For each squarefree 0 < d < X, ascending: the sum of f(p) over the
     rational primes p in `primes` that divide d, added in the order of `primes`."""
+    import numpy as np
+
     sums = np.zeros(X, dtype=np.float64)
     for p in primes:
         sums[p::p] += f.value(p)
@@ -218,6 +224,8 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
     (continuity correction); otherwise the jump points themselves are used
     and both one-sided gaps enter the KS distance.
     """
+    import numpy as np
+
     center, scale = normalize
     if scale <= 0:
         raise ValueError("scale must be positive")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import factorize, kronecker, sieve_primes, sqrt_mod_prime, squarefree_part
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
@@ -716,6 +714,8 @@ def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
         B = ZETA2_DEFAULT_CUTOFF
     if B in field._zeta2_cache:
         return field._zeta2_cache[B]
+    import numpy as np
+
     absd = abs(field.disc)
     chi_table = np.array([kronecker(field.disc, r) if r else 0 for r in range(absd)], dtype=np.int8)
     flags = np.ones(B, dtype=bool)
@@ -723,8 +723,12 @@ def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
     for i in range(2, math.isqrt(B - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = False
-    ps = np.nonzero(flags)[0].astype(np.float64)
-    chi = chi_table[np.nonzero(flags)[0] % absd]
+    # the prime index once, and the B-entry sieve freed before the float arrays
+    index = np.nonzero(flags)[0]
+    del flags
+    ps = index.astype(np.float64)
+    chi = chi_table[index % absd]
+    del index
     inv2 = 1.0 / (ps * ps)
     log_split = -2.0 * np.log1p(-inv2[chi == 1])
     log_ram = -np.log1p(-inv2[chi == 0])

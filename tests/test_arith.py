@@ -342,32 +342,55 @@ def _poly_mul(f, g, p):
 
 
 def _route_cases(p, rng, n):
-    """Polynomials over F_p of degree 1..4 with a unit leading coefficient:
-    even ones, ones that are not even, constants times squares, and
-    products of linear factors with repeated roots."""
+    """Polynomials over F_p with a unit leading coefficient, of the shapes the
+    torsor solver reduces to: even quartics and quadratics, polynomials of
+    degree 1 or 2, constants times squares, and even quartics with
+    repeated roots."""
     cases = [[0, 0, 0, 0, 1], [0, 0, 1], [0, 1], [p - 1, 0, 1], [1, 0, 0, 0, 1]]
     for i in range(n):
         kind = i % 4
         if kind == 0:
             f = [rng.randrange(p), 0, rng.randrange(p), 0, rng.randrange(1, p)]
         elif kind == 1:
-            f = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, p)]
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [rng.randrange(1, p)]
         elif kind == 2:
-            g = [rng.randrange(p), rng.randrange(p) if i % 8 == 2 else 0, 1]
+            g = [rng.randrange(p), 1] if i % 8 == 2 else [rng.randrange(p), 0, 1]
             f = _poly_mul([rng.randrange(1, p)], _poly_mul(g, g, p), p)
         else:
-            roots = [rng.randrange(p) for _ in range(rng.randint(2, 4))]
-            roots[1] = roots[0]
-            f = [rng.randrange(1, p)]
-            for r in roots:
-                f = _poly_mul(f, [-r % p, 1], p)
+            # c * (z^2 - r^2) * (z^2 - v): double roots +-r when v = r^2, 0 when r = 0
+            r = rng.randrange(p)
+            v = r * r if i % 8 == 3 else rng.randrange(p)
+            f = _poly_mul([rng.randrange(1, p)], _poly_mul([-r * r % p, 0, 1], [-v % p, 0, 1], p), p)
         cases.append(f)
     return cases
 
 
+def _not_even_cases(p, rng, n):
+    """Monic cubics and quartics over F_p with an odd power of z."""
+    cases = []
+    while len(cases) < n:
+        f = [rng.randrange(p) for _ in range(rng.randint(3, 4))] + [1]
+        if any(f[1::2]):
+            cases.append(f)
+    return cases
+
+
+def _square_by_coefficients(f, p):
+    """Whether a monic f of degree <= 4 is g^2, g read off the top coefficients of f."""
+    half = (p + 1) // 2
+    if len(f) == 3:
+        g = [f[1] * half % p, 1]
+    elif len(f) == 5:
+        u = f[3] * half % p
+        g = [(f[2] - u * u) * half % p, u, 1]
+    else:
+        return False
+    return _poly_mul(g, g, p) == [c % p for c in f]
+
+
 class TestOddPrimeRoutes:
-    """The residue scan, the even reduction and the gcd route of the
-    odd-prime torsor solver, each run on its own against the others."""
+    """The residue scan and the polynomial route of the odd-prime torsor
+    solver, each run on its own against the other."""
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(401).primes if p >= 31])
     def test_polynomial_route_matches_scan(self, p, monkeypatch):
@@ -382,30 +405,29 @@ class TestOddPrimeRoutes:
                 assert arith._unit_square_value(f, deg, c_kron, p)[0] == exists, (f, c_kron)
                 assert roots is None or roots == scan_roots
 
-    def test_even_reduction_matches_gcd_route(self):
+    def test_even_reduction_matches_scan(self):
         rng = random.Random(4)
-        primes = [p for p in sieve_primes(30000).primes if p > 400]
-        checked = 0
-        for _ in range(150):
+        primes = [p for p in sieve_primes(3000).primes if p > 400]
+        squares = 0
+        for _ in range(40):
             p = rng.choice(primes)
             for f in _route_cases(p, rng, 12):
                 f = arith._pmonic(f, p)
-                h = arith._even_half(f)
-                if h is None:
-                    continue
-                assert arith._monic_roots(f, p) == arith._roots_by_gcd(f, p), (f, p)
-                by_sqfree = all(mult % 2 == 0 for _, mult in arith._sqfree_multiplicities(f, p))
-                assert arith._even_is_square(h, p) == by_sqfree, (f, p)
-                checked += 1
-        assert checked > 500
+                assert arith._monic_roots(f, p) == arith._roots_by_scan(f, p), (f, p)
+                square = _square_by_coefficients(f, p)
+                assert arith._monic_is_square(f, p) == square, (f, p)
+                squares += square
+        assert squares > 50
 
-    def test_gcd_route_matches_scan(self):
-        # the route for polynomials that are not even, at primes the scan can still check
+    def test_not_even_cubic_or_quartic_raises(self):
+        # the torsor solver never reduces to one (see arith._monic_roots)
         rng = random.Random(5)
         for p in (409, 1009, 2003):
-            for f in _route_cases(p, rng, 40):
-                f = arith._pmonic(f, p)
-                assert arith._roots_by_gcd(f, p) == arith._roots_by_scan(f, p), (f, p)
+            for f in _not_even_cases(p, rng, 20):
+                with pytest.raises(ArithmeticError):
+                    arith._monic_roots(f, p)
+                with pytest.raises(ArithmeticError):
+                    arith._monic_is_square(f, p)
 
     @pytest.mark.parametrize(
         "a, b, delta, p, solvable",
@@ -413,21 +435,128 @@ class TestOddPrimeRoutes:
     )
     def test_shift_at_nonzero_double_root(self, a, b, delta, p, solvable, monkeypatch):
         # the reduction mod p is 3*(3 + 6z^2)^2, with double roots z = +-sqrt(-1/2);
-        # q(r + p*t) is not even, so its Weil test needs the squarefree decomposition
-        calls = {"shift": 0, "sqfree": 0}
-        shift, sqfree = arith._taylor_shift_scale, arith._sqfree_multiplicities
+        # q(r + p*t) is not even, so its Weil test is the quadratic discriminant
+        calls = {"shift": 0, "disc": 0}
+        shift, is_square = arith._taylor_shift_scale, arith._monic_is_square
 
         def counted_shift(c, r, p):
             calls["shift"] += r % p != 0
             return shift(c, r, p)
 
-        def counted_sqfree(f, p):
-            calls["sqfree"] += 1
-            return sqfree(f, p)
+        def counted_is_square(f, p):
+            calls["disc"] += len(f) == 3 and arith._even_half(f) is None
+            return is_square(f, p)
 
         monkeypatch.setattr(arith, "_taylor_shift_scale", counted_shift)
-        monkeypatch.setattr(arith, "_sqfree_multiplicities", counted_sqfree)
+        monkeypatch.setattr(arith, "_monic_is_square", counted_is_square)
         assert torsor_locally_solvable(a, b, delta, p) is solvable
-        assert calls["shift"] >= 1 and calls["sqfree"] >= 1
+        assert calls["shift"] >= 1 and calls["disc"] >= 1
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p + 1)
         assert torsor_locally_solvable(a, b, delta, p) is solvable
+
+
+def _reference_solvable_z2(q, disc) -> bool:
+    """Whether q takes a square value (or 0) on Z_2: the depth-first search
+    over residue classes t = t0 mod 2^j that the solver used before the
+    recursion, kept as an oracle.
+
+    Adaptive refinement of residue classes t = t0 mod 2^j.  A class is
+    decided once val_2(q(t0)) + 3 <= j (the square class of q is then
+    constant on it) or once Newton's bound val(q) > 2*val(q') certifies a
+    2-adic root.  The Bezout identity for Res(q, q') bounds the depth.
+    """
+    dq = [i * q[i] for i in range(1, len(q))]
+    cap = 2 * (_val(disc, 2) + _val(q[-1], 2)) + 16
+    stack = [(0, 0)]
+    while stack:
+        t0, j = stack.pop()
+        v = _poly_eval(q, t0)
+        if v == 0:
+            return True
+        m = _val(v, 2)
+        if m + 3 <= j:
+            # v = 2^m * u exactly; square in Q_2 iff m even and u = 1 mod 8
+            if m % 2 == 0 and (v >> m) % 8 == 1:
+                return True
+            continue
+        dv = _poly_eval(dq, t0)
+        if dv != 0 and m > 2 * _val(dv, 2):
+            return True
+        if j >= cap:  # unreachable by the resultant bound; fail loudly if not
+            raise ArithmeticError("2-adic torsor refinement exceeded certified depth")
+        stack.append((t0, j + 1))
+        stack.append((t0 + (1 << j), j + 1))
+    return False
+
+
+def _val(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _poly_eval(c, x):
+    acc = 0
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def _reference_at_2(a, b, delta):
+    q = [delta**3, 0, -2 * a * delta * delta, 0, delta * (a * a - 4 * b)]
+    disc = 4096 * delta**12 * b * b * (a * a - 4 * b)
+    return _reference_solvable_z2(q, disc) or _reference_solvable_z2(q[::-1], disc)
+
+
+CLASSES_AT_2 = (1, -1, 2, -2, 5, -5, 10, -10)
+
+
+class TestTwoAdicSolver:
+    """The 2-adic recursion against the residue-class search it replaced."""
+
+    @pytest.mark.parametrize("a,b", SAMPLE_CURVES)
+    def test_matches_reference_on_sample_curves(self, a, b):
+        # both sides of the isogeny, every twist class at 2, every delta
+        for sa, sb in ((a, b), (-2 * a, a * a - 4 * b)):
+            for rep in CLASSES_AT_2:
+                at, bt = sa * rep, sb * rep * rep
+                for delta in CLASSES_AT_2:
+                    expected = _reference_at_2(at, bt, delta)
+                    assert torsor_locally_solvable(at, bt, delta, 2) == expected, (at, bt, delta)
+
+    def test_matches_reference_on_random_twists(self):
+        rng = random.Random(6)
+        checked = solvable = 0
+        while checked < 1600:
+            a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+            if b * (a * a - 4 * b) == 0:
+                continue
+            k = rng.choice((1, 2, 3, 4, 6, 8, 12))
+            rep = rng.choice(CLASSES_AT_2) * k
+            at, bt = a * rep, b * rep * rep
+            for delta in CLASSES_AT_2:
+                expected = _reference_at_2(at, bt, delta)
+                assert torsor_locally_solvable(at, bt, delta, 2) == expected, (at, bt, delta)
+                checked += 1
+                solvable += expected
+        assert 0 < solvable < checked
+
+    def test_newton_bound_certifies_simple_root(self):
+        # t^2 - 17 has simple roots in 1 + 2*Z_2, found by Newton's bound at once:
+        # q(1 + 2t) = 4t^2 + 4t - 16, and v(q(1)) = 4 > 2*v(q'(1)) = 2.  Without
+        # the bound the class is refined past depth 1 toward the root.
+        assert arith._solve_z2([-17, 0, 1], 0, 1) is True
+
+    def test_depth_caps_fire(self):
+        # t^2 + 1 needs one refinement at 2: q(2t) = 1 + 4t^2 is not yet
+        # 1 mod 8 on Z_2, while q(4t) = 1 + 16t^2 is
+        assert arith._solve_z2([1, 0, 1], 0, 1) is True
+        with pytest.raises(ArithmeticError):
+            arith._solve_z2([1, 0, 1], 0, 0)
+        # (t^2 + 9) times a nonresidue at 3: its unit values are nonresidues and
+        # t = 0 is a double root mod 3, so the class 3*Z_3 needs a shift
+        assert arith._solve_odd([9, 0, 1], 3, 0, -1, 1) is True
+        with pytest.raises(ArithmeticError):
+            arith._solve_odd([9, 0, 1], 3, 0, -1, 0)

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import twistselmer
 from twistselmer.cli import main
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
@@ -185,6 +189,21 @@ class TestAudit:
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "60", "--inject-fault"]) == 1
         record = json.loads(capsys.readouterr().out)
         assert record["ok"] is False and record["failures"]
+
+
+def test_scan_and_audit_never_import_numpy(tmp_path):
+    code = f"""
+import sys
+from twistselmer import cli
+assert cli.main(["scan", "--a", "1", "--b", "-1", "--X", "200", "--out", {str(tmp_path)!r}]) == 0
+assert cli.main(["audit", "--a", "1", "--b", "-1", "--X", "200"]) == 0
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+    src = str(Path(twistselmer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 class TestConfigFile:
