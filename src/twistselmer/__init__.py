@@ -61,18 +61,14 @@ from .selmer import (
     DescentConsistencyError,
     IsogenyPair,
     SelmerDescentResult,
-    TwistedPair,
     audit_curve,
     descend,
-    dual_pair,
     g_chi,
     local_dim_good_ramified,
     local_image,
     make_pair,
     scan_twists,
     selmer2_lower_bound,
-    selmer_phi_dim,
-    selmer_phihat_dim,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import ekstats, quadfield as qf, selmer
+from .arith import factorize
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +73,10 @@ def _parse_ideal_spec(fieldK, spec: str) -> qf.IdealK:
             continue
         p_str, _, idx_str = token.partition(":")
         p, idx = int(p_str), int(idx_str or 0)
+        if p < 2 or factorize(p) != ((p, 1),):
+            raise ValueError(f"ideal spec {token!r}: {p} is not a prime")
+        if idx < 0:
+            raise ValueError(f"ideal spec {token!r}: the conjugate index must be >= 0")
         primes = qf.split_prime(fieldK, p)
         if idx >= len(primes):
             raise ValueError(f"no prime with conjugate index {idx} above {p}")

@@ -3,8 +3,8 @@
 Mean and deviation sums over primes, centered per-prime variables,
 empirical moments against the predicted Gaussian moment constants, the
 multiplicative main-term function on prime-power ideals, empirical-CDF
-reports with Kolmogorov-Smirnov distance, Mertens-type character sums,
-and the predicted spread of the curve twist statistic.
+reports with Kolmogorov-Smirnov distance, Mertens-type character sums
+over Q, and the predicted spread of the curve twist statistic.
 """
 
 from __future__ import annotations
@@ -263,40 +263,28 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
 
 
 def mertens_char_sum(field, c, X) -> float:
-    """Sum over primes of norm <= X of (1 + chi_c(p))/Np for nonsquare c."""
-    if field == "Q":
-        if c > 0 and math.isqrt(c) ** 2 == c:
-            raise ValueError("c must not be a square")
-        primes = [p for p in sieve_primes(int(X) + 2).primes if p <= X]
-        period = 4 * abs(c)  # (c|.) is periodic with period 4|c| on odd arguments
-        tab = {}
-        acc = []
-        for p in primes:
-            if p == 2:
-                sym = kronecker(c, 2)
-            else:
-                r = p % period
-                sym = tab.get(r)
-                if sym is None:
-                    sym = kronecker(c, p)
-                    tab[r] = sym
-            acc.append((1 + sym) / p)
-        return math.fsum(acc)
-    if qf.element_is_square(field, c):
-        raise ValueError("c must not be a square in the field")
-    from .characters import char_from_element
+    """Sum over primes p <= X of (1 + (c|p))/p for a nonsquare integer c.
 
-    chi = char_from_element(field, c)
-    total = []
-    for P in qf.primes_up_to(field, int(X) + 1):
-        if P.norm > X:
-            continue
-        try:
-            val = chi.evaluate(P)
-        except ValueError:
-            val = 0
-        total.append((1 + val) / P.norm)
-    return math.fsum(total)
+    Defined over Q only (`field` must be "Q")."""
+    if field != "Q":
+        raise ValueError("mertens_char_sum is defined over Q only")
+    if c > 0 and math.isqrt(c) ** 2 == c:
+        raise ValueError("c must not be a square")
+    primes = [p for p in sieve_primes(int(X) + 2).primes if p <= X]
+    period = 4 * abs(c)  # (c|.) is periodic with period 4|c| on odd arguments
+    tab = {}
+    acc = []
+    for p in primes:
+        if p == 2:
+            sym = kronecker(c, 2)
+        else:
+            r = p % period
+            sym = tab.get(r)
+            if sym is None:
+                sym = kronecker(c, p)
+                tab[r] = sym
+        acc.append((1 + sym) / p)
+    return math.fsum(acc)
 
 
 def sigma_g_predicted(X) -> float:

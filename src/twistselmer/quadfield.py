@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, kronecker, sieve_primes, sqrt_mod_prime, squarefree_part
+from .arith import kronecker, sieve_primes, sqrt_mod_prime, squarefree_part
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
@@ -244,29 +244,6 @@ def element_mul(field: QuadraticField, a, b):
     )
 
 
-def element_conj(field: QuadraticField, a):
-    x, y = a
-    return (x + field.omega_trace * y, -y)
-
-
-def element_pow(field: QuadraticField, a, e: int):
-    out = (1, 0)
-    for _ in range(e):
-        out = element_mul(field, out, a)
-    return out
-
-
-def element_divexact(field: QuadraticField, a, b):
-    """a / b in O_K, or None if b does not divide a."""
-    nb = element_norm(field, b)
-    if nb == 0:
-        raise ZeroDivisionError
-    num = element_mul(field, a, element_conj(field, b))
-    if num[0] % nb or num[1] % nb:
-        return None
-    return (num[0] // nb, num[1] // nb)
-
-
 def _fundamental_unit(m: int):
     """Fundamental unit of O_K for real m, as integral coordinates on (1, omega)."""
     # continued fraction of sqrt(m) gives the fundamental solution of x^2-my^2=+-1
@@ -309,7 +286,7 @@ def _fundamental_unit(m: int):
     return (x1 - y1, 2 * y1)
 
 
-def _unit_group_mod_squares(field: QuadraticField):
+def units_mod_squares(field: QuadraticField):
     """Representatives of O_K^x/(O_K^x)^2 as elements."""
     if field.m < 0:
         if field.m == -1:
@@ -319,59 +296,6 @@ def _unit_group_mod_squares(field: QuadraticField):
         return [(1, 0), (-1, 0)]
     eps = field.fundamental_unit
     return [(1, 0), (-1, 0), eps, element_mul(field, (-1, 0), eps)]
-
-
-def units_mod_squares(field: QuadraticField):
-    return _unit_group_mod_squares(field)
-
-
-def _all_units(field: QuadraticField):
-    """Torsion units (imaginary) or None (real: infinite)."""
-    if field.m > 0:
-        return None
-    out = []
-    for x in range(-2, 3):
-        for y in range(-2, 3):
-            if (x, y) != (0, 0) and element_norm(field, (x, y)) == 1:
-                out.append((x, y))
-    return out
-
-
-def element_is_unit(field: QuadraticField, el) -> bool:
-    return abs(element_norm(field, el)) == 1
-
-
-def element_is_square(field: QuadraticField, el) -> bool:
-    """Whether el is a square in K^x (el a nonzero O_K element)."""
-    if el == (0, 0):
-        raise ValueError("element_is_square: element must be nonzero")
-    ideal = ideal_of_element(field, el)
-    if any(e % 2 for _, e in ideal.factorization):
-        return False
-    half = make_ideal([(P, e // 2) for P, e in ideal.factorization])
-    gen = generator_if_principal(field, half)
-    if gen is None:
-        return False
-    u = element_divexact(field, el, element_mul(field, gen, gen))
-    assert u is not None and element_is_unit(field, u)
-    if field.m < 0:
-        squares = {element_mul(field, t, t) for t in _all_units(field)}
-        return u in squares
-    # real: u = +- eps^k; square iff sign + and k even
-    eps = field.fundamental_unit
-    uval = u[0] + u[1] * field._omega_real()
-    if uval < 0:
-        return False
-    k = round(math.log(abs(uval)) / field.regulator) if uval != 1 else 0
-    cand = element_pow(field, eps, abs(k))
-    if k < 0:
-        # eps^-1 = +-conj(eps)
-        cand = element_conj(field, cand)
-        if element_norm(field, eps) == -1 and abs(k) % 2 == 1:
-            cand = (-cand[0], -cand[1])
-    if cand != u and (-cand[0], -cand[1]) != u:
-        return False
-    return k % 2 == 0 and cand == u
 
 
 # --- prime ideals -----------------------------------------------------
@@ -482,35 +406,6 @@ def hnf_contains(H, el) -> bool:
     if y % C:
         return False
     return (x - (y // C) * B) % A == 0
-
-
-def ideal_of_element(field: QuadraticField, el) -> IdealK:
-    """The principal ideal generated by a nonzero el, in factored form."""
-    n = abs(element_norm(field, el))
-    if n == 0:
-        raise ValueError("zero element")
-    out = []
-    for p, e in factorize(n):
-        primes = split_prime(field, p)
-        if primes[0].splitting == INERT:
-            assert e % 2 == 0
-            if e // 2:
-                out.append((primes[0], e // 2))
-        elif primes[0].splitting == RAMIFIED:
-            out.append((primes[0], e))
-        else:
-            H = _prime_hnf(field, primes[0])
-            Hk = H
-            v0 = 0
-            while v0 < e and hnf_contains(Hk, el):
-                v0 += 1
-                if v0 < e:
-                    Hk = _hnf_mul(field, Hk, H)
-            if v0:
-                out.append((primes[0], v0))
-            if e - v0:
-                out.append((primes[1], e - v0))
-    return make_ideal(out)
 
 
 def generator_if_principal(field: QuadraticField, a: IdealK):
@@ -752,42 +647,9 @@ def mainterm_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) 
     )
 
 
-def lambda_exponent(deg: int) -> float:
-    """Error exponent in the squarefree-ideal count: 1/2 for deg <= 2."""
-    return 0.5 if deg <= 2 else (deg - 1) / (deg + 1)
-
-
 def density_constant(field: QuadraticField) -> float:
     """c(K): the character count |C(K, X)| grows like c(K) * X."""
     reps = field.class_data.representatives
     s = sum(1.0 / (b.norm**2) for b in reps)
     u = len(units_mod_squares(field))
     return u * (1.0 / field.class_number) * (zeta_residue(field) / zeta_at_2(field)) * s
-
-
-def ideal_count_up_to(field: QuadraticField, X: int) -> int:
-    """Number of integral ideals of norm < X (multiplicative sieve)."""
-    arr = [0] * X
-    arr[1] = 1
-    for p in sieve_primes(X).primes:
-        sym = kronecker(field.disc, p)
-        if sym == 1:
-            local = lambda j: j + 1
-        elif sym == 0:
-            local = lambda j: 1
-        else:
-            local = lambda j: 1 if j % 2 == 0 else 0
-        # norms coprime to p live at indices not divisible by p, so no double count
-        pj, j = p, 1
-        updates = []
-        while pj < X:
-            cj = local(j)
-            if cj:
-                for k in range(1, (X - 1) // pj + 1):
-                    if arr[k]:
-                        updates.append((k * pj, cj * arr[k]))
-            pj *= p
-            j += 1
-        for idx, v in updates:
-            arr[idx] += v
-    return sum(arr)

@@ -32,15 +32,11 @@ from .arith import (
 
 __all__ = [
     "IsogenyPair",
-    "TwistedPair",
     "SelmerDescentResult",
     "DescentConsistencyError",
     "make_pair",
-    "dual_pair",
     "local_dim_good_ramified",
     "local_image",
-    "selmer_phi_dim",
-    "selmer_phihat_dim",
     "g_chi",
     "g_chi_of_twist",
     "g_of_primes",
@@ -86,22 +82,6 @@ class IsogenyPair:
 
 
 @dataclass(frozen=True, slots=True)
-class TwistedPair:
-    """The twist of `pair` by d: y^2 = x^3 + a*d x^2 + b*d^2 x."""
-
-    pair: IsogenyPair
-    d: int
-
-    @property
-    def a(self) -> int:
-        return self.pair.a * self.d
-
-    @property
-    def b(self) -> int:
-        return self.pair.b * self.d * self.d
-
-
-@dataclass(frozen=True, slots=True)
 class SelmerDescentResult:
     d: int
     local_dims: dict
@@ -120,10 +100,6 @@ def make_pair(a: int, b: int) -> IsogenyPair:
     bad = tuple(p for p, _ in factorize(2 * b * disc2))
     eligible = not is_perfect_square(disc2) and not is_perfect_square(b * disc2)
     return IsogenyPair(a, b, -2 * a, disc2, disc2, b, bad, eligible)
-
-
-def dual_pair(pair: IsogenyPair) -> IsogenyPair:
-    return make_pair(pair.a_dual, pair.b_dual)
 
 
 def local_dim_good_ramified(pair: IsogenyPair, p: int) -> int:
@@ -412,14 +388,6 @@ def _check_identities(res: SelmerDescentResult):
         check,
         res.d,
     )
-
-
-def selmer_phi_dim(pair: IsogenyPair, d: int) -> int:
-    return descend(pair, d).dim_selphi
-
-
-def selmer_phihat_dim(pair: IsogenyPair, d: int) -> int:
-    return descend(pair, d).dim_selphihat
 
 
 def g_chi(pair: IsogenyPair, chi) -> int:

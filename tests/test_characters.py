@@ -4,10 +4,10 @@ import random
 import pytest
 
 from twistselmer import quadfield as qf
-from twistselmer.arith import kronecker, squarefree_part
+from twistselmer.arith import squarefree_part
 from twistselmer.characters import (
+    QuadraticCharacter,
     char_from_element,
-    characters_equal,
     count_characters,
     enumerate_characters,
     eval_additive,
@@ -25,25 +25,18 @@ class TestCharFromElement:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             char_from_element("Q", 0)
-        with pytest.raises(ValueError):
-            char_from_element(qf.make_field(-1), (0, 0))
 
     def test_square_multiple_invariance(self):
         for d in (7, -6, 15):
             for k in (2, 3, 10):
                 assert char_from_element("Q", d * k * k) == char_from_element("Q", d)
 
-    def test_gaussian_d_equals_2(self):
+    def test_defined_over_q_only(self):
         K = qf.make_field(-1)
-        chi = char_from_element(K, (2, 0))  # (2) = (1+i)^2: trivial conductor
-        assert chi.d_conductor == qf.ONE_IDEAL
-
-    def test_gaussian_conductor_is_squarefree_part(self):
-        K = qf.make_field(-1)
-        chi = char_from_element(K, (6, 0))
-        ideal = qf.ideal_of_element(K, (6, 0))
-        expected = qf.make_ideal([(P, 1) for P, e in ideal.factorization if e % 2])
-        assert chi.d_conductor == expected
+        with pytest.raises(ValueError):
+            char_from_element(K, (3, 0))
+        with pytest.raises(ValueError):
+            enumerate_characters(K, 10)[0].evaluate(qf.split_prime(K, 3)[0])
 
 
 class TestEvaluate:
@@ -54,17 +47,6 @@ class TestEvaluate:
         assert chi5.evaluate(5) == 0
         assert chi5.evaluate(2) == -1  # d = 1 mod 4: unramified at 2
         assert char_from_element("Q", 3).evaluate(2) == 0  # ramified at 2
-
-    def test_gaussian_matches_kronecker_of_residue(self):
-        K = qf.make_field(-1)
-        chi = char_from_element(K, (3, 0))  # K(sqrt(3))/K
-        for P in qf.primes_up_to(K, 60):
-            if P.p in (2, 3):
-                continue
-            val = chi.evaluate(P)
-            assert val in (-1, 1)
-            if P.splitting == "split":
-                assert val == kronecker(3, P.p)
 
 
 class TestEnumerate:
@@ -95,22 +77,34 @@ class TestEnumerate:
         assert len(chars) == 2  # unit classes only
 
     def test_triples_match_elements_gaussian(self):
-        # enumeration by triples = deduplicated enumeration by elements
+        # enumeration by triples = square classes of Gaussian integers of norm
+        # < X.  Two of them, alpha and beta, share a class iff alpha*beta is a
+        # square gamma^2, and then N(gamma) < X.
         K = qf.make_field(-1)
         X = 80
+
+        def mul(a, b):
+            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+        bound = math.isqrt(X)
+        gaussians = [
+            (x, y)
+            for x in range(-bound, bound + 1)
+            for y in range(-bound, bound + 1)
+            if (x, y) != (0, 0) and x * x + y * y < X
+        ]
+        squares = {mul(g, g) for g in gaussians}
+        classes = []
+        for alpha in gaussians:
+            if not any(mul(alpha, c) in squares for c in classes):
+                classes.append(alpha)
         triples = enumerate_characters(K, X)
-        seen = []
-        bound = math.isqrt(X) + 1
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if (x, y) == (0, 0) or x * x + y * y >= X:
-                    continue
-                chi = char_from_element(K, (x, y))
-                if not any(characters_equal(chi, s) for s in seen):
-                    seen.append(chi)
-        assert len(seen) == len(triples)
-        for t in triples:
-            assert sum(1 for s in seen if characters_equal(t, s)) == 1
+        units = qf.units_mod_squares(K)
+        # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a)
+        elements = [mul(units[t.unit_index], qf.generator_if_principal(K, t.d_conductor)) for t in triples]
+        assert len(classes) == len(triples)
+        for alpha in classes:
+            assert sum(1 for e in elements if mul(alpha, e) in squares) == 1
 
 
 class TestRamifiedPrimes:
@@ -121,7 +115,7 @@ class TestRamifiedPrimes:
 
     def test_gaussian(self):
         K = qf.make_field(-1)
-        chi = char_from_element(K, (3, 0))  # 3 is inert: one prime in the conductor
+        chi = QuadraticCharacter(K, qf.make_ideal([(qf.split_prime(K, 3)[0], 1)]))  # 3 is inert
         assert [P.p for P in ramified_primes(chi)] == [3]
 
 
@@ -150,14 +144,14 @@ class TestEvalAdditive:
                 continue
             pairs += 1
             c1, c2 = char_from_element("Q", d1), char_from_element("Q", d2)
-            prod = c1 * c2
+            prod = char_from_element("Q", d1 * d2)
             assert prod.d_conductor == squarefree_part(d1 * d2)
             assert eval_additive(om, prod) == eval_additive(om, c1) + eval_additive(om, c2)
 
     def test_omega_over_gaussian_field(self):
         K = qf.make_field(-1)
         om = omega_spec(K)
-        chi = char_from_element(K, (3, 0))  # (3) inert: conductor is one prime
-        assert eval_additive(om, chi) == 1
-        chi2 = char_from_element(K, (15, 0))  # 3 inert, 5 split: three primes
-        assert eval_additive(om, chi2) == 3
+        (P3,) = qf.split_prime(K, 3)  # inert: one prime
+        P5, P5c = qf.split_prime(K, 5)  # split: two primes
+        assert eval_additive(om, QuadraticCharacter(K, qf.make_ideal([(P3, 1)]))) == 1
+        assert eval_additive(om, QuadraticCharacter(K, qf.make_ideal([(P3, 1), (P5, 1), (P5c, 1)]))) == 3

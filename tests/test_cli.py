@@ -139,6 +139,12 @@ class TestEk:
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_benchmark_field_bytes(self, tmp_path):
+        out = tmp_path / "ekf"
+        assert run(["ek", "--f", "omega", "--field", "-5", "--X", "50000", "--k", "2", "--out", str(out)]) == 0
+        for name, digest in EXPECTED["ek-field"]["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["ek", "--f", "omega", "--X", "1500", "--k", "2,4", "--out", str(a)])
@@ -176,6 +182,15 @@ class TestIdealCount:
 
     def test_field_cap_violation(self, tmp_path):
         assert run(["ideal-count", "--m", "-10007", "--X", "100", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("spec", ["4:0", "1:0", "9:0", "0:0", "3:-1"])
+    def test_rejects_bad_ideal_spec(self, tmp_path, capsys, spec):
+        # p must be a rational prime and the conjugate index >= 0
+        out = tmp_path / "ic"
+        assert run(["ideal-count", "--m", "-5", "--X", "100", "--q", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and spec in err[0]
+        assert not out.exists()
 
 
 class TestAudit:

@@ -4,21 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from twistselmer.arith import kronecker
+from twistselmer.arith import kronecker, sieve_primes
 from twistselmer.quadfield import (
     ONE_IDEAL,
     FieldTooLargeError,
     count_sf,
     density_constant,
-    element_is_square,
-    element_mul,
     element_norm,
     generator_if_principal,
     ideal_conj,
-    ideal_count_up_to,
     ideal_mul,
-    ideal_of_element,
-    lambda_exponent,
     make_field,
     make_ideal,
     mainterm_sf,
@@ -31,6 +26,34 @@ from twistselmer.quadfield import (
     zeta_at_2,
     zeta_residue,
 )
+
+
+def ideal_count_up_to(field, X: int) -> int:
+    """Number of integral ideals of norm < X (multiplicative sieve)."""
+    arr = [0] * X
+    arr[1] = 1
+    for p in sieve_primes(X).primes:
+        sym = kronecker(field.disc, p)
+        if sym == 1:
+            local = lambda j: j + 1
+        elif sym == 0:
+            local = lambda j: 1
+        else:
+            local = lambda j: 1 if j % 2 == 0 else 0
+        # norms coprime to p live at indices not divisible by p, so no double count
+        pj, j = p, 1
+        updates = []
+        while pj < X:
+            cj = local(j)
+            if cj:
+                for k in range(1, (X - 1) // pj + 1):
+                    if arr[k]:
+                        updates.append((k * pj, cj * arr[k]))
+            pj *= p
+            j += 1
+        for idx, v in updates:
+            arr[idx] += v
+    return sum(arr)
 
 
 def reduced_form_count(D):
@@ -175,23 +198,6 @@ class TestIdealArithmetic:
             a = make_ideal([(P, 2)])
             assert ideal_conj(ideal_conj(a)) == a
 
-    def test_ideal_of_element_gaussian(self):
-        K = make_field(-1)
-        ideal = ideal_of_element(K, (3, 4))  # 3 + 4i = (2+i)^2
-        assert ideal.norm == 25
-        assert [e for _, e in ideal.factorization] == [2]
-
-    def test_element_squares(self):
-        K = make_field(-1)
-        assert element_is_square(K, (3, 4)) is True
-        assert element_is_square(K, (0, 2)) is True  # 2i = (1+i)^2
-        assert element_is_square(K, (2, 0)) is False
-        assert element_is_square(K, (-4, 0)) is True
-        K2 = make_field(2)
-        eps = K2.fundamental_unit
-        assert element_is_square(K2, element_mul(K2, eps, eps)) is True
-        assert element_is_square(K2, eps) is False
-
 
 class TestSquarefreeIdeals:
     def test_small_gaussian(self):
@@ -205,13 +211,18 @@ class TestSquarefreeIdeals:
             assert all(e == 1 for _, e in a.factorization)
 
     def test_class_constraint_against_principality(self):
-        K = make_field(-5)
-        b = K.class_data.representatives[1]
-        constrained = set(squarefree_ideals_up_to(K, 60, class_constraint=b))
-        b2 = ideal_mul(b, b)
-        for a in squarefree_ideals_up_to(K, 60):
-            principal = generator_if_principal(K, ideal_mul(a, b2)) is not None
-            assert principal == (a in constrained)
+        # the character enumeration relies on a*b^2 being principal for every
+        # (b, a) it walks; here against the norm-form search, for every class b
+        for m, h in ((-5, 2), (-14, 4), (-23, 3), (10, 2)):
+            K = make_field(m)
+            assert K.class_number == h
+            ideals = squarefree_ideals_up_to(K, 60)
+            for b in K.class_data.representatives:
+                constrained = set(squarefree_ideals_up_to(K, 60, class_constraint=b))
+                b2 = ideal_mul(b, b)
+                for a in ideals:
+                    principal = generator_if_principal(K, ideal_mul(a, b2)) is not None
+                    assert principal == (a in constrained), (m, b, a)
 
 
 class TestCountSf:
@@ -303,10 +314,6 @@ class TestAnalyticConstants:
         K = make_field(-1)
         mt = mainterm_sf(K, 10**5, ONE_IDEAL, ONE_IDEAL, ONE_IDEAL)
         assert abs(mt - 52127) < 5
-
-    def test_lambda_exponent(self):
-        assert lambda_exponent(2) == 0.5
-        assert lambda_exponent(3) == (3 - 1) / (3 + 1)
 
 
 class TestUnitsAndDensity:

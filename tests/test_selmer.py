@@ -15,7 +15,6 @@ from twistselmer.characters import char_from_element
 from twistselmer.selmer import (
     audit_curve,
     descend,
-    dual_pair,
     g_chi,
     g_chi_of_twist,
     g_of_primes,
@@ -24,8 +23,6 @@ from twistselmer.selmer import (
     make_pair,
     scan_twists,
     selmer2_lower_bound,
-    selmer_phi_dim,
-    selmer_phihat_dim,
 )
 
 CURVES_20 = [
@@ -67,11 +64,14 @@ class TestMakePair:
 
 class TestDualPair:
     def test_example(self):
-        assert (dual_pair(make_pair(1, -1)).a, dual_pair(make_pair(1, -1)).b) == (-2, 5)
+        pair = make_pair(1, -1)
+        dp = make_pair(pair.a_dual, pair.b_dual)
+        assert (dp.a, dp.b) == (-2, 5)
 
     def test_double_dual_is_square_twist(self):
         pair = make_pair(1, -1)
-        dd = dual_pair(dual_pair(pair))
+        dp = make_pair(pair.a_dual, pair.b_dual)
+        dd = make_pair(dp.a_dual, dp.b_dual)
         assert (dd.a, dd.b) == (4, -16)
         assert squarefree_part(dd.delta_class_E) == squarefree_part(pair.delta_class_E)
         assert squarefree_part(dd.delta_class_Eprime) == squarefree_part(pair.delta_class_Eprime)
@@ -79,29 +79,9 @@ class TestDualPair:
     def test_dual_swaps_classes(self):
         for a, b in CURVES_20:
             pair = make_pair(a, b)
-            dp = dual_pair(pair)
+            dp = make_pair(pair.a_dual, pair.b_dual)
             assert squarefree_part(dp.delta_class_E) == squarefree_part(16 * pair.b)
             assert squarefree_part(dp.delta_class_Eprime) == squarefree_part(pair.delta_class_E)
-
-
-class TestTwistedPair:
-    def test_twisted_coefficients(self):
-        from twistselmer.selmer import TwistedPair
-
-        tp = TwistedPair(make_pair(1, -1), 3)
-        assert (tp.a, tp.b) == (3, -9)
-
-    def test_twisted_disc_symbols_match_base_off_2d(self):
-        from twistselmer.selmer import TwistedPair
-
-        pair = make_pair(1, -1)
-        for d in (3, -7, 11):
-            tp = TwistedPair(pair, d)
-            disc_t = 16 * tp.b**2 * (tp.a**2 - 4 * tp.b)
-            disc = 16 * pair.b**2 * (pair.a**2 - 4 * pair.b)
-            for p in (7, 13, 17, 19):
-                if (2 * d * disc) % p:
-                    assert kronecker(disc_t, p) == kronecker(disc, p)
 
 
 class TestLocalDimGoodRamified:
@@ -233,16 +213,9 @@ class TestDescend:
 
     def test_dual_symmetry(self):
         pair = make_pair(1, -1)
-        dp = dual_pair(pair)
+        dp = make_pair(pair.a_dual, pair.b_dual)
         for d in (1, -1, 7, 11, -13, 30, -105):
             assert descend(pair, d).ord2T_product == -descend(dp, d).ord2T_product
-
-    def test_phi_dims_vs_descend(self):
-        pair = make_pair(0, 4)
-        for d in (1, 5, -3):
-            res = descend(pair, d)
-            assert selmer_phi_dim(pair, d) == res.dim_selphi
-            assert selmer_phihat_dim(pair, d) == res.dim_selphihat
 
     def test_identity_class_always_in_selmer(self):
         for a, b in CURVES_20[:8]:
