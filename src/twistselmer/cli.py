@@ -12,11 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import ekstats, quadfield as qf, selmer
-from .arith import factorize
+from .arith import factorize, squarefree_factors
+from .characters import enumerate_characters, eval_additive
 
 SCHEMA_VERSION = 1
 
@@ -178,37 +179,17 @@ def _cdf_svg(report: ekstats.DistributionReport) -> str:
 def cmd_ek(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     if cfg.f_name == "omega":
-        if cfg.field_m == "Q":
-            f = ekstats.omega_spec()
-        else:
-            f = ekstats.omega_spec(qf.make_field(int(cfg.field_m)))
-        moments = []
-        for k in cfg.k_list:
-            rep = ekstats.empirical_moment(f, cfg.X, k)
-            moments.append(
-                {
-                    "X": rep.X,
-                    "z": rep.z,
-                    "k": rep.k,
-                    "empirical": rep.empirical,
-                    "predicted": rep.predicted,
-                    "ratio": rep.ratio,
-                    "within_uniform_range": rep.within_uniform_range,
-                }
-            )
-        # distribution of f over C(Q, X) against the Gaussian
-        from .characters import enumerate_characters, eval_additive
-
-        if cfg.field_m == "Q":
+        base = "Q" if cfg.field_m == "Q" else qf.make_field(int(cfg.field_m))
+        f = ekstats.omega_spec(base)
+        moments = [asdict(ekstats.empirical_moment(f, cfg.X, k)) for k in cfg.k_list]
+        # distribution of f over C(base, X) against the Gaussian
+        if base == "Q":
             values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X).primes)
         else:
-            fieldK = qf.make_field(int(cfg.field_m))
-            values = [eval_additive(f, chi) for chi in enumerate_characters(fieldK, cfg.X)]
+            values = [eval_additive(f, chi) for chi in enumerate_characters(base, cfg.X)]
         center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
-        from .arith import squarefree_factors
-
         pair = selmer.make_pair(cfg.a, cfg.b)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
         values = []

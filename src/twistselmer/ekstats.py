@@ -268,7 +268,7 @@ def mertens_char_sum(field, c, X) -> float:
     Defined over Q only (`field` must be "Q")."""
     if field != "Q":
         raise ValueError("mertens_char_sum is defined over Q only")
-    if c > 0 and math.isqrt(c) ** 2 == c:
+    if c >= 0 and math.isqrt(c) ** 2 == c:
         raise ValueError("c must not be a square")
     primes = [p for p in sieve_primes(int(X) + 2).primes if p <= X]
     period = 4 * abs(c)  # (c|.) is periodic with period 4|c| on odd arguments

@@ -65,7 +65,9 @@ def _fact_key(ideal: IdealK):
 
 
 def make_ideal(factors) -> IdealK:
-    """Build an IdealK from (PrimeIdealK, exponent) pairs, merging duplicates."""
+    """Build an IdealK from (PrimeIdealK, exponent) pairs in any order, merging duplicates.
+
+    The enumeration walks add primes in order and build their IdealK directly."""
     acc: dict[PrimeIdealK, int] = {}
     for P, e in factors:
         if e < 0:
@@ -135,7 +137,6 @@ class QuadraticField:
             self.unit_value = None
             self.regulator = 0.0
         self._prime_cache: dict[int, list[PrimeIdealK]] = {}
-        self._root_cache: dict[tuple[int, int], int] = {}
         self._prime_class_cache: dict[PrimeIdealK, int] = {}
         self._zeta2_cache: dict[int, float] = {}
         self._class_data: IdealClassData | None = None
@@ -200,9 +201,12 @@ class QuadraticField:
             return 0
         cls = self._prime_class_cache.get(P)
         if cls is None:
-            a = make_ideal([(P, 1)])
-            reps = self.class_data.representatives
-            cls = next(k for k in range(len(reps)) if self._equivalent(a, reps[k]))
+            if P.conjugate_index == 1:
+                # P * conj(P) = (p), so P is in the inverse class of its conjugate
+                cls = self.class_inverse(self.class_of_prime(PrimeIdealK(P.p, SPLIT, 0, P.norm)))
+            else:
+                a = IdealK(((P, 1),), P.norm)
+                cls = next(k for k, r in enumerate(self.class_data.representatives) if self._equivalent(a, r))
             self._prime_class_cache[P] = cls
         return cls
 
@@ -316,26 +320,16 @@ def split_prime(field: QuadraticField, p: int) -> list[PrimeIdealK]:
 
 
 def _omega_roots_mod_p(field: QuadraticField, p: int) -> list[int]:
-    """Roots of the minimal polynomial of omega mod p (split: two, ramified: one)."""
-    m = field.m
+    """Roots of x^2 - t*x + N(omega), the minimal polynomial of omega, mod p."""
+    t = field.omega_trace
     if p == 2:
-        if m % 8 == 1:
-            return [0, 1]
-        if m % 2 == 0:
-            return [0]
-        return [1]  # m = 3 mod 4: ideal (2, 1+omega)
-    if m % 4 == 1:
-        s = sqrt_mod_prime(m % p, p)
-        if s is None:
-            return []
-        inv2 = (p + 1) // 2
-        r1, r2 = (1 + s) * inv2 % p, (1 - s) * inv2 % p
-    else:
-        s = sqrt_mod_prime(m % p, p)
-        if s is None:
-            return []
-        r1, r2 = s, (-s) % p
-    return sorted({r1, r2})
+        return [x for x in (0, 1) if (x * x - t * x + field.omega_norm) % 2 == 0]
+    # omega = (t + sqrt(D))/2
+    s = sqrt_mod_prime(field.disc % p, p)
+    if s is None:
+        return []
+    inv2 = (p + 1) // 2
+    return sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
 
 
 def _prime_hnf(field: QuadraticField, P: PrimeIdealK):
@@ -409,67 +403,37 @@ def hnf_contains(H, el) -> bool:
 
 
 def generator_if_principal(field: QuadraticField, a: IdealK):
-    """A generator of a if principal, else None.  Bounded norm-form search."""
+    """A generator of a if principal, else None.
+
+    Bounded search of the norm form 4*N(x + y*omega) = (2x + t*y)^2 - D*y^2,
+    D = disc and t = trace(omega): the target n = N(a) with y^2 <= 4n/|D| when
+    D < 0, and the targets +-n with y in a unit box when D > 0.
+    """
     n = a.norm
     if n == 1:
         return (1, 0)
     H = ideal_hnf(field, a)
-    m = field.m
-    if m < 0:
-        # 4*N(x + y*omega) = (2x + t*y)^2 + |m'| y^2 with m' = -m*(1 or 4)
-        if m % 4 == 1:
-            ybound = math.isqrt(4 * n // abs(m)) + 1
-            for y in range(-ybound, ybound + 1):
-                uu = 4 * n + m * y * y
-                if uu < 0:
-                    continue
-                u = math.isqrt(uu)
-                if u * u != uu:
-                    continue
-                for uv in {u, -u}:
-                    if (uv - y) % 2 == 0:
-                        cand = ((uv - y) // 2, y)
-                        if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
-                            return cand
-        else:
-            ybound = math.isqrt(n // abs(m)) + 1
-            for y in range(-ybound, ybound + 1):
-                xx = n + m * y * y
-                if xx < 0:
-                    continue
-                x = math.isqrt(xx)
-                if x * x != xx:
-                    continue
-                for cand in {(x, y), (-x, y)}:
+    D, t = field.disc, field.omega_trace
+    if D < 0:
+        ybound = math.isqrt(4 * n // -D) + 1
+        targets = (n,)
+    else:
+        # real field: a generator can be normalized into a unit box
+        ybound = int((math.sqrt(n) * (field.unit_value + 1)) / math.sqrt(field.m)) + 2
+        targets = (n, -n)
+    for y in range(-ybound, ybound + 1):
+        for target in targets:
+            uu = 4 * target + D * y * y
+            if uu < 0:
+                continue
+            u = math.isqrt(uu)
+            if u * u != uu:
+                continue
+            for v in (u, -u):
+                if (v - t * y) % 2 == 0:
+                    cand = ((v - t * y) // 2, y)
                     if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
                         return cand
-        return None
-    # real field: a generator can be normalized into a unit box
-    eps = field.unit_value
-    sq = math.sqrt(n)
-    w1 = field._omega_real()
-    ybound = int((sq * (eps + 1)) / math.sqrt(m)) + 2
-    for y in range(-ybound, ybound + 1):
-        for target in (n, -n):
-            if m % 4 == 1:
-                uu = 4 * target + m * y * y
-                if uu < 0:
-                    continue
-                u = math.isqrt(uu)
-                if u * u != uu:
-                    continue
-                cands = [((uv - y) // 2, y) for uv in {u, -u} if (uv - y) % 2 == 0]
-            else:
-                xx = target + m * y * y
-                if xx < 0:
-                    continue
-                x = math.isqrt(xx)
-                if x * x != xx:
-                    continue
-                cands = [(x, y), (-x, y)]
-            for cand in cands:
-                if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
-                    return cand
     return None
 
 
@@ -489,35 +453,35 @@ def primes_up_to(field: QuadraticField, X: int) -> list[PrimeIdealK]:
 
 def _ideals_up_to_norm(field: QuadraticField, bound: int) -> list[IdealK]:
     """All integral ideals of norm <= bound, sorted by (norm, factorization)."""
-    primes = [P for P in primes_up_to(field, bound + 1)]
+    primes = primes_up_to(field, bound + 1)
     out = []
 
     def rec(i, factors, norm):
-        out.append(make_ideal(factors))
+        # primes are added in primes_up_to order, so factors is already sorted
+        out.append(IdealK(factors, norm))
         for j in range(i, len(primes)):
             P = primes[j]
             if norm * P.norm > bound:
                 break
             e, nn = 1, norm * P.norm
             while nn <= bound:
-                rec(j + 1, factors + [(P, e)], nn)
+                rec(j + 1, factors + ((P, e),), nn)
                 e += 1
                 nn *= P.norm
-        return
 
-    rec(0, [], 1)
+    rec(0, (), 1)
     out.sort(key=lambda a: (a.norm, _fact_key(a)))
     return out
 
 
 def squarefree_ideals_up_to(field: QuadraticField, X: int, class_constraint: IdealK | None = None) -> list[IdealK]:
     """Squarefree ideals of norm < X; optionally only those a with a*b^2 principal."""
-    ideals = [a for a, _ in _squarefree_with_classes(field, X)]
+    classed = _squarefree_with_classes(field, X)
     if class_constraint is None:
-        return list(ideals)
+        return [a for a, _ in classed]
     b_cls = field.class_of_ideal(class_constraint)
     target = field.class_inverse(field.class_compose(b_cls, b_cls))
-    return [a for a, cls in _squarefree_with_classes(field, X) if cls == target]
+    return [a for a, cls in classed if cls == target]
 
 
 def _squarefree_with_classes(field: QuadraticField, X: int):
@@ -531,14 +495,14 @@ def _squarefree_with_classes(field: QuadraticField, X: int):
 
     def rec(i, factors, norm, cls):
         if norm < X:
-            out.append((make_ideal(factors), cls))
+            out.append((IdealK(factors, norm), cls))
         for j in range(i, len(primes)):
             nn = norm * primes[j].norm
             if nn >= X:
                 break
-            rec(j + 1, factors + [(primes[j], 1)], nn, field.class_compose(cls, pcls[j]))
+            rec(j + 1, factors + ((primes[j], 1),), nn, field.class_compose(cls, pcls[j]))
 
-    rec(0, [], 1, 0)
+    rec(0, (), 1, 0)
     out.sort(key=lambda t: (t[0].norm, _fact_key(t[0])))
     result = tuple(out)
     field._sqfree_cache[X] = result

@@ -145,6 +145,35 @@ class TestEk:
         for name, digest in EXPECTED["ek-field"]["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    @pytest.mark.parametrize(
+        "m, digests",
+        [
+            (
+                "-23",
+                {
+                    "cdf.csv": "4e11bc0d9789b9935c82c43fbd600207214ac9aa2635a7d01528f015f6c57bfe",
+                    "cdf.svg": "9516eb50c65425b08cdd2ad550d5e783242a859aba6e81534afa7bba09292072",
+                    "moments.json": "bcf078c6e9d91a66d98a69d4d91081e70e133d883995d146d2cb169f9d7342fb",
+                },
+            ),
+            (
+                "10",
+                {
+                    "cdf.csv": "c94b06b7cff8da38a270e9394267da0320927817ed91b1e28e4b5be96364cb00",
+                    "cdf.svg": "858c3623f2b0139ebb5517a9600deb8d3cc58a0dca875e23b04890592ccd2e66",
+                    "moments.json": "a5fc9023f9266f64010762b6af5f34744e004bcce1a32b7951fa3b47a6805a7f",
+                },
+            ),
+        ],
+        ids=["-23", "10"],
+    )
+    def test_field_bytes(self, tmp_path, m, digests):
+        # the files as written when each field type had its own principality search
+        out = tmp_path / "ekf"
+        assert run(["ek", "--f", "omega", "--field", m, "--X", "20000", "--k", "2", "--out", str(out)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["ek", "--f", "omega", "--X", "1500", "--k", "2,4", "--out", str(a)])
@@ -179,6 +208,35 @@ class TestIdealCount:
         line = (out / "sfcount.csv").read_text().splitlines()[1]
         norm_gap = float(line.split(",")[-1])
         assert abs(norm_gap) <= 5.0
+
+    def test_benchmark_bytes(self, tmp_path):
+        out = tmp_path / "ic"
+        args = ["ideal-count", "--m", "-5", "--X", "100000", "--q", "3:0,7:0", "--d", "3:0"]
+        assert run(args + ["--out", str(out)]) == 0
+        for name, digest in EXPECTED["ideal-count"]["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            # h = 3, real
+            (
+                ["--m", "79", "--X", "4000", "--q", "3:1", "--d", "3:1"],
+                "c1e7e706189ee4121ef8a9fd418ceab8cd654b25a7c345d562ad2b5ec7573d98",
+            ),
+            # h = 4, imaginary with m = 2 mod 4
+            (
+                ["--m", "-14", "--X", "20000", "--q", "3:1"],
+                "7854b35d962384f7ce9263e02919bb82811c5a00e71effeca55f79138a3053e4",
+            ),
+        ],
+        ids=["79", "-14"],
+    )
+    def test_sfcount_bytes(self, tmp_path, args, digest):
+        # the files as written when each field type had its own principality search
+        out = tmp_path / "ic"
+        assert run(["ideal-count", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "sfcount.csv").read_bytes()).hexdigest() == digest
 
     def test_field_cap_violation(self, tmp_path):
         assert run(["ideal-count", "--m", "-10007", "--X", "100", "--out", str(tmp_path)]) == 2

@@ -252,6 +252,11 @@ class TestMertens:
         with pytest.raises(ValueError):
             mertens_char_sum("Q", 9, 100)
 
+    def test_rejects_zero(self):
+        # 0 = 0^2, and (0|.) would give a period 4|c| of 0
+        with pytest.raises(ValueError, match="c must not be a square"):
+            mertens_char_sum("Q", 0, 100)
+
     def test_loglog_growth(self):
         for c in (5, -1, -6):
             prev = None

@@ -7,12 +7,18 @@ import pytest
 from twistselmer.arith import kronecker, sieve_primes
 from twistselmer.quadfield import (
     ONE_IDEAL,
+    SPLIT,
     FieldTooLargeError,
+    IdealK,
+    _ideals_up_to_norm,
+    _omega_roots_mod_p,
     count_sf,
     density_constant,
     element_norm,
     generator_if_principal,
+    hnf_contains,
     ideal_conj,
+    ideal_hnf,
     ideal_mul,
     make_field,
     make_ideal,
@@ -91,6 +97,75 @@ def brute_pell_unit(m, cap=10**5):
                 if x % 2 == 0 and y % 2 == 0:
                     return (x // 2, y // 2)
     raise AssertionError("no unit found")
+
+
+def reference_generator_if_principal(field, a):
+    """The norm-form search as it was written per field type (one loop for
+    imaginary m = 1 mod 4, one for the other imaginary m, one for real m)."""
+    n = a.norm
+    if n == 1:
+        return (1, 0)
+    H = ideal_hnf(field, a)
+    m = field.m
+    if m < 0:
+        # 4*N(x + y*omega) = (2x + t*y)^2 + |m'| y^2 with m' = -m*(1 or 4)
+        if m % 4 == 1:
+            ybound = math.isqrt(4 * n // abs(m)) + 1
+            for y in range(-ybound, ybound + 1):
+                uu = 4 * n + m * y * y
+                if uu < 0:
+                    continue
+                u = math.isqrt(uu)
+                if u * u != uu:
+                    continue
+                for uv in {u, -u}:
+                    if (uv - y) % 2 == 0:
+                        cand = ((uv - y) // 2, y)
+                        if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                            return cand
+        else:
+            ybound = math.isqrt(n // abs(m)) + 1
+            for y in range(-ybound, ybound + 1):
+                xx = n + m * y * y
+                if xx < 0:
+                    continue
+                x = math.isqrt(xx)
+                if x * x != xx:
+                    continue
+                for cand in {(x, y), (-x, y)}:
+                    if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                        return cand
+        return None
+    # real field: a generator can be normalized into a unit box
+    eps = field.unit_value
+    sq = math.sqrt(n)
+    ybound = int((sq * (eps + 1)) / math.sqrt(m)) + 2
+    for y in range(-ybound, ybound + 1):
+        for target in (n, -n):
+            if m % 4 == 1:
+                uu = 4 * target + m * y * y
+                if uu < 0:
+                    continue
+                u = math.isqrt(uu)
+                if u * u != uu:
+                    continue
+                cands = [((uv - y) // 2, y) for uv in {u, -u} if (uv - y) % 2 == 0]
+            else:
+                xx = target + m * y * y
+                if xx < 0:
+                    continue
+                x = math.isqrt(xx)
+                if x * x != xx:
+                    continue
+                cands = [(x, y), (-x, y)]
+            for cand in cands:
+                if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                    return cand
+    return None
+
+
+# imaginary and real, both residues of m mod 4, class groups up to Z/4 and Z/5
+SEARCH_FIELDS = (-1, -2, -3, -5, -6, -7, -14, -15, -23, -47, 2, 3, 5, 6, 7, 10, 13, 15, 21, 79, 82)
 
 
 class TestMakeField:
@@ -339,10 +414,48 @@ class TestUnitsAndDensity:
         assert len(reps) == 1 and reps[0] == ONE_IDEAL
 
 
+class TestPrincipalitySearch:
+    def test_agrees_with_per_field_search(self):
+        for m in SEARCH_FIELDS:
+            K = make_field(m)
+            for a in _ideals_up_to_norm(K, 150):
+                gen = generator_if_principal(K, a)
+                assert (gen is None) == (reference_generator_if_principal(K, a) is None), (m, a)
+                if gen is not None:
+                    assert hnf_contains(ideal_hnf(K, a), gen), (m, a, gen)
+                    assert abs(element_norm(K, gen)) == a.norm, (m, a, gen)
+
+    def test_real_generator_of_negative_norm(self):
+        # the prime above 3 in Q(sqrt(3)) is (sqrt(3)); every generator has norm -3
+        K = make_field(3)
+        (P3,) = split_prime(K, 3)
+        gen = generator_if_principal(K, make_ideal([(P3, 1)]))
+        assert gen is not None and element_norm(K, gen) == -3
+
+    def test_omega_roots_against_brute_force(self):
+        for m in SEARCH_FIELDS:
+            K = make_field(m)
+            for p in sieve_primes(400).primes:
+                brute = [x for x in range(p) if (x * x - K.omega_trace * x + K.omega_norm) % p == 0]
+                assert _omega_roots_mod_p(K, p) == brute, (m, p)
+
+
+class TestClassOfPrime:
+    def test_against_full_search(self):
+        # Z/4, Z/3, Z/5, and real fields with h = 3 and 4: the inverse of a
+        # class is not always the class itself
+        for m, h in ((-14, 4), (-23, 3), (-47, 5), (79, 3), (82, 4)):
+            K = make_field(m)
+            assert K.class_number == h
+            reps = K.class_data.representatives
+            for P in primes_up_to(K, 3000):
+                a = IdealK(((P, 1),), P.norm)
+                full = next(k for k in range(h) if K._equivalent(a, reps[k]))
+                assert K.class_of_prime(P) == full, (m, P)
+
+
 class TestMinkowskiPartition:
     def test_every_small_ideal_has_one_class(self):
-        from twistselmer.quadfield import _ideals_up_to_norm
-
         for m in (-5, -6, -10):
             K = make_field(m)
             reps = K.class_data.representatives
