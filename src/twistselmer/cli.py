@@ -237,7 +237,8 @@ def cmd_audit(cfg: RunConfig) -> int:
         print(_json_dumps({"ok": False, "error": f"configuration: {exc}"}), end="")
         return 2
     report = selmer.audit_curve(pair, cfg.X, seed=cfg.seed, inject_fault=cfg.inject_fault)
-    print(_json_dumps({k: report[k] for k in ("ok", "n_twists", "n_cross_checks", "n_corrections", "failures")}), end="")
+    keys = ("ok", "n_twists", "n_cross_checks", "n_parity_checks", "n_parity_skipped", "n_corrections", "failures")
+    print(_json_dumps({k: report[k] for k in keys}), end="")
     return 0 if report["ok"] else 1
 
 

@@ -187,9 +187,11 @@ def _span_and_perp(vectors, nbits: int) -> tuple[int, tuple[int, ...]]:
     return len(rows), funcs
 
 
-def _f2_rank(rows) -> int:
+def _f2_rank(rows, keep: int = -1) -> int:
+    """Rank over F_2 of the rows restricted to the columns in `keep`."""
     pivots: dict[int, int] = {}
     for r in rows:
+        r &= keep
         while r:
             hb = r.bit_length()
             if hb in pivots:
@@ -217,11 +219,14 @@ class _CurveContext:
 
     The Selmer matrix of a twist d has the fixed columns -1 and the bad
     primes, then one column per good prime of d.  Its rows are the
-    annihilator functionals of the local images: at a place over 2*disc*oo
-    they depend only on the class of d there and are cached with their row
-    over the fixed columns; at a good prime of d they come from Legendre
-    symbols.  The local bits of a good prime at a bad place depend only on
-    its residue mod 8 (at 2) or mod q (at odd q), so they come from a table
+    annihilator functionals of the local images.  At the places over
+    2*disc*oo they depend only on the class of d there: `blocks`, keyed by
+    the sign of d and its class bits at the bad primes, holds the dims
+    there, the correction and each functional with its row over the fixed
+    columns, so it has at most 2 * 8 * 4^k entries for k odd bad primes.  At
+    a good prime of d the rows come from Legendre symbols, which +d and -d
+    share.  The local bits of a good prime at a bad place depend only on its
+    residue mod 8 (at 2) or mod q (at odd q), so they come from a table
     keyed by that residue, of size at most 8 + sum(q).
     """
 
@@ -232,7 +237,11 @@ class _CurveContext:
         self.columns = (-1, *pair.bad_primes)
         self.column_of = {p: i for i, p in enumerate(self.columns)}
         self.residue_bits = {q: _Lazy(partial(_local_bits, place=q)) for q in pair.bad_primes}
+        # the unit bits of the classes at the bad primes, numbered from 1; 0 is a bit no class has
+        unit_bits = [(q, k) for q in pair.bad_primes for k in range(1, 3 if q == 2 else 2)]
+        self.unit_bit = {qk: i for i, qk in enumerate(unit_bits, 1)}
         self.images = {v: _Lazy(partial(self._local_images, v)) for v in self.bad_places}
+        self.blocks = _Lazy(self._bad_block)
         self._goodram_cache: dict = {}
 
     def _local_images(self, place, bits: int):
@@ -258,9 +267,27 @@ class _CurveContext:
             )
         return tuple(images)
 
+    def _bad_block(self, classes: tuple[int, ...]):
+        """(dims, correction, rows) at the places over 2*disc*oo for a twist
+        with these class bits there.  rows holds, for each side, every
+        functional as (its row over the fixed columns, then the unit_bit of
+        its bits 1 and 2, 0 where unset).  A good prime has valuation bit 0,
+        so only the unit bits meet the good columns."""
+        dims = {}
+        rows: tuple[list, list] = ([], [])
+        for v, bits in zip(self.bad_places, classes):
+            images = self.images[v][bits]
+            dims[v] = images[0][0]
+            for side, (_, frows) in zip(rows, images):
+                for f, fixed in frows:
+                    u1, u2 = (self.unit_bit.get((v, k), 0) if f >> k & 1 else 0 for k in (1, 2))
+                    side.append((fixed, u1, u2))
+        return dims, sum(dims.values()) - len(dims), rows
+
     def goodram_syms(self, p: int):
         """(s, s', nonres bit of a+2*sqrt(b), nonres bit of -2a+2*sqrt(a^2-4b),
-        nonresidue mask of p over the fixed columns) at a good odd prime p."""
+        nonresidue mask of p over the fixed columns, the unit_bit of each unit
+        bit of p at the bad primes) at a good odd prime p."""
         data = self._goodram_cache.get(p)
         if data is None:
             a = self.pair.a
@@ -273,7 +300,10 @@ class _CurveContext:
                 rp = sqrt_mod_prime(self.pair.b_dual % p, p)
                 kb_dual = (1 - kronecker(-2 * a + 2 * rp, p)) // 2
             fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate(self.columns))
-            data = (s, sp, kb_phi, kb_dual, fixed)
+            units = tuple(
+                i for (q, k), i in self.unit_bit.items() if self.residue_bits[q][p % (8 if q == 2 else q)] >> k & 1
+            )
+            data = (s, sp, kb_phi, kb_dual, fixed, units)
             self._goodram_cache[p] = data
         return data
 
@@ -290,40 +320,49 @@ def _context(pair: IsogenyPair) -> _CurveContext:
     return ctx
 
 
-def descend(
-    pair: IsogenyPair,
-    d: int,
-    *,
-    _ctx: _CurveContext | None = None,
-    _dprimes: tuple[int, ...] | None = None,
-) -> SelmerDescentResult:
+def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> SelmerDescentResult:
     """Full local-global descent data for the twist of `pair` by d."""
+    d0 = squarefree_part(d)
     ctx = _ctx if _ctx is not None else _context(pair)
-    d0 = squarefree_part(d) if _dprimes is None else d
-    dprimes = _dprimes if _dprimes is not None else tuple(p for p, _ in factorize(d0))
+    (res,) = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)), (1 if d0 > 0 else -1,))
+    return _raise_failed(res)
+
+
+def _raise_failed(res):
+    if isinstance(res, DescentConsistencyError):
+        raise res
+    return res
+
+
+def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) -> list:
+    """The descent of the twist by sign*ad for each sign in `signs`, where
+    ad > 0 is squarefree with these primes: per sign its SelmerDescentResult,
+    or the DescentConsistencyError that its checks raised.  What depends only
+    on ad (good-prime symbols, residue bits, single-column rows) is computed
+    once for all signs."""
     column_of = ctx.column_of
-    good = [p for p in dprimes if p not in column_of]
     nfix = len(ctx.columns)
-    ngens = nfix + len(good)
-    # d over the columns: its sign, its bad primes and all of its good primes
-    dmask = int(d0 < 0) | (((1 << len(good)) - 1) << nfix)
-    for p in dprimes:
+    good = []
+    dmask = 0  # +ad over the columns: its bad primes, then all of its good primes
+    for p in primes:
         if p in column_of:
             dmask |= 1 << column_of[p]
-
-    try:
-        places = [(REAL_PLACE, (), ctx.images[REAL_PLACE][int(d0 < 0)])]
-        for q, table in ctx.residue_bits.items():
-            m = 8 if q == 2 else q
-            val = d0 % q == 0
-            dbits = val | table[(d0 // q if val else d0) % m]
-            places.append((q, [table[p % m] for p in good], ctx.images[q][dbits]))
-    except DescentConsistencyError as exc:
-        exc.d = d0
-        raise
-
-    # at a good prime p of d: the nonresidue mask of p over all columns
+        else:
+            good.append(p)
+    ngens = nfix + len(good)
+    dmask |= ((1 << len(good)) - 1) << nfix
     syms = [ctx.goodram_syms(p) for p in good]
+
+    # the class bits of +ad and -ad at the places over 2*disc*oo
+    classes = ([0], [1])
+    for q, table in ctx.residue_bits.items():
+        m = 8 if q == 2 else q
+        val = ad % q == 0
+        u = ad // q if val else ad
+        classes[0].append(val | table[u % m])
+        classes[1].append(val | table[-u % m])
+
+    # at a good prime p: the nonresidue mask of p over all columns
     nonres = [sym[4] for sym in syms]
     for i, pi in enumerate(good):
         for j in range(i + 1, len(good)):
@@ -332,47 +371,59 @@ def descend(
             nonres[j] |= nij << (nfix + i)
             nonres[i] |= (nij ^ (pi & pj & 2 != 0)) << (nfix + j)  # reciprocity
 
-    dims_phi: dict = {}
-    rows0: list[int] = []
-    rows1: list[int] = []
-    for v, gbits, images in places:
-        dims_phi[v] = images[0][0]
-        for rows, (_, frows) in zip((rows0, rows1), images):
-            for f, row in frows:
-                for j, x in enumerate(gbits, nfix):
-                    row |= ((f & x).bit_count() & 1) << j
-                rows.append(row)
-    for j, (s, sp, kb_phi, kb_dual, _) in enumerate(syms):
-        dims_phi[good[j]] = 1 + (sp - s) // 2
-        col, n = 1 << (nfix + j), nonres[j]
+    units = [0] * (len(ctx.unit_bit) + 1)  # per unit bit at a bad prime, the good columns that have it
+    killed = [0, 0]  # per side, the columns of its single-column rows
+    grows = (([], []), ([], []))  # per sign and side, the other good-prime rows
+    good_dims = {}
+    g_val = 0
+    for j, (p, (s, sp, kb_phi, kb_dual, _, ubits), n) in enumerate(zip(good, syms, nonres)):
+        g_val += (sp - s) // 2
+        good_dims[p] = 1 + (sp - s) // 2
+        col = 1 << (nfix + j)
+        for i in ubits:
+            units[i] |= col
         if s == sp == -1:
-            rows0.append(col)
-            rows1.append(col)
+            killed[0] |= col
+            killed[1] |= col
         elif s == sp:
-            # image = {1, p*c}; the unit class of d/p folds into c
+            # image = {1, p*c}; the unit class of d/p folds into c, and -1 moves it when p = 3 mod 4
             c = (n & dmask).bit_count() & 1
-            rows0.append(n | col * (kb_phi ^ c))
-            rows1.append(n | col * (kb_dual ^ c))
+            r0, r1, flip = n | col * (kb_phi ^ c), n | col * (kb_dual ^ c), col * (n & 1)
+            grows[0][0].append(r0)
+            grows[0][1].append(r1)
+            grows[1][0].append(r0 ^ flip)
+            grows[1][1].append(r1 ^ flip)
         else:
             # the side with (s, s') = (1, -1) has the trivial image, the other all classes
-            (rows0 if s == 1 else rows1).extend((col, n))
-    sel_dims = (ngens - _f2_rank(rows0), ngens - _f2_rank(rows1))
+            side = 0 if s == 1 else 1
+            killed[side] |= col
+            grows[0][side].append(n)
+            grows[1][side].append(n)
+    # a single-column row adds 1 to the rank and clears its column from the other rows
+    keep = (~killed[0], ~killed[1])
+    base = (ngens - killed[0].bit_count(), ngens - killed[1].bit_count())
 
-    ord2T_product = sum(dims_phi.values()) - len(dims_phi)
-    g_val = sum((sym[1] - sym[0]) // 2 for sym in syms)
-
-    result = SelmerDescentResult(
-        d=d0,
-        local_dims=dims_phi,
-        dim_selphi=sel_dims[0],
-        dim_selphihat=sel_dims[1],
-        ord2T_product=ord2T_product,
-        ord2T_ratio=sel_dims[0] - sel_dims[1],
-        g_chi=g_val,
-        correction=sum(dims_phi[v] for v in ctx.bad_places) - len(ctx.bad_places),
-    )
-    _check_identities(result)
-    return result
+    results = []
+    for sign in signs:
+        neg = sign < 0
+        d = -ad if neg else ad
+        try:
+            bad_dims, correction, frows = ctx.blocks[tuple(classes[neg])]
+            sel = []
+            for side in (0, 1):
+                rows = [fixed | units[u1] ^ units[u2] for fixed, u1, u2 in frows[side]]
+                sel.append(base[side] - _f2_rank(rows + grows[neg][side], keep[side]))
+            dims = {**bad_dims, **good_dims}
+            # positional: keyword arguments add about 1 us to each result
+            res = SelmerDescentResult(
+                d, dims, sel[0], sel[1], sum(dims.values()) - len(dims), sel[0] - sel[1], g_val, correction
+            )
+            _check_identities(res)
+        except DescentConsistencyError as exc:
+            exc.d = d
+            res = exc
+        results.append(res)
+    return results
 
 
 def _check_identities(res: SelmerDescentResult):
@@ -416,11 +467,11 @@ def selmer2_lower_bound(result: SelmerDescentResult) -> int:
 
 
 def _scan_range(pair: IsogenyPair, lo: int, hi: int):
-    """descend(+d), then descend(-d), for every squarefree lo <= d < hi."""
+    """The descent of +d, then of -d, for every squarefree lo <= d < hi."""
     ctx = _context(pair)
     for d, primes in squarefree_factors(lo, hi):
-        yield descend(pair, d, _ctx=ctx, _dprimes=primes)
-        yield descend(pair, -d, _ctx=ctx, _dprimes=primes)
+        for res in _descend_abs(ctx, d, primes, (1, -1)):
+            yield _raise_failed(res)
 
 
 def _scan_batch(a: int, b: int, bounds: tuple[int, int]) -> list[SelmerDescentResult]:
@@ -453,16 +504,39 @@ def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
             yield from batch
 
 
+def _parity_modulus(pair: IsogenyPair) -> int | None:
+    """-N_odd, where N_odd is the product of the odd primes of multiplicative
+    reduction: the odd bad primes not dividing c4 = 16(a^2 - 3b).  None when
+    the model may not be minimal at an odd bad prime (p^4 | c4 and
+    p^12 | disc), where the reduction type cannot be read off it."""
+    c4 = 16 * (pair.a * pair.a - 3 * pair.b)
+    disc = 16 * pair.b * pair.b * pair.b_dual
+    n_odd = 1
+    for p in pair.bad_primes[1:]:  # bad_primes starts with 2
+        if c4 % p**4 == 0 and disc % p**12 == 0:
+            return None
+        if c4 % p:
+            n_odd *= p
+    return -n_odd
+
+
 def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = False) -> dict:
     """Run the exact invariant suite over all squarefree |d| < X.
 
     Per twist: the product-formula identity, the additive decomposition of
     ord_2 of the Tamagawa ratio, and agreement of the symbol-table and
     torsor routes at every good odd ramified prime encountered; plus
-    twist-class invariance on a seeded sample.  Returns a report dict with
+    twist-class invariance on a seeded sample.  The root-number parity
+    check shares no code with the descent: on the twists d = 1 mod 8
+    coprime to the bad primes, (-1)^ord2T(d) = w(E_d) = w(E) * (d | -N_odd)
+    (2-parity, with N_odd from _parity_modulus), so the product of the
+    two sides is the same on all of them.  A model that may not be minimal
+    at an odd bad prime is refused: its family is counted in
+    n_parity_skipped instead of checked.  Returns a report dict with
     report["ok"] False iff an exact identity failed; each failure names its
     check ("product-formula", "ord2-decomposition", "local-image",
-    "good-ramified-cross-oracle" or "twist-class-invariance").
+    "good-ramified-cross-oracle", "root-number-parity" or
+    "twist-class-invariance").
     """
     rng = random.Random(seed)
     ctx = _CurveContext(pair)  # private context: fault injection stays isolated
@@ -471,18 +545,20 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     n_cross = 0
     n_twists = 0
     cross_cache: dict = {}
+    parity_mod = _parity_modulus(pair)
+    parity_ref = None  # (d, sign) of the first twist the parity check saw
+    n_parity = n_parity_skipped = 0
 
     if inject_fault:
         (dim, rows), dual = ctx.images[2][0]  # the class of d = 1 at 2
         ctx.images[2][0] = ((dim + 1, rows), dual)
 
     for ad, fact in squarefree_factors(1, X):
-        for d in (ad, -ad):
+        coprime = not any(p in pair.bad_primes for p in fact)  # 2 is a bad prime, so ad is odd
+        for d, res in zip((ad, -ad), _descend_abs(ctx, ad, fact, (1, -1))):
             n_twists += 1
-            try:
-                res = descend(pair, d, _ctx=ctx, _dprimes=fact)
-            except DescentConsistencyError as exc:
-                failures.append({"d": d, "check": exc.check, "detail": str(exc)})
+            if isinstance(res, DescentConsistencyError):
+                failures.append({"d": d, "check": res.check, "detail": str(res)})
                 continue
             corrections.add(res.correction)
             for p in (p for p in fact if p not in pair.bad_primes):
@@ -499,11 +575,28 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
                                 "detail": f"p={p}: torsor {cross_cache[key]} != table {table}",
                             }
                         )
+            if not coprime or d % 8 != 1:
+                continue
+            if parity_mod is None:
+                n_parity_skipped += 1
+                continue
+            n_parity += 1
+            sign = (1 - 2 * (res.ord2T_product & 1)) * kronecker(d, parity_mod)
+            if parity_ref is None:
+                parity_ref = (d, sign)
+            elif sign != parity_ref[1]:
+                failures.append(
+                    {
+                        "d": d,
+                        "check": "root-number-parity",
+                        "detail": f"(-1)^ord2T * (d | {parity_mod}) = {sign}, but {parity_ref[1]} at d={parity_ref[0]}",
+                    }
+                )
 
     if inject_fault and not failures:
         failures.append({"d": 0, "check": "fault-injection", "detail": "injected fault went undetected"})
 
-    if not failures:
+    if not failures and X > 2:  # randrange(2, X) needs X > 2
         for _ in range(4):
             ad = rng.randrange(2, X)
             base = descend(pair, ad, _ctx=ctx)
@@ -516,6 +609,8 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
         "ok": not failures,
         "n_twists": n_twists,
         "n_cross_checks": n_cross,
+        "n_parity_checks": n_parity,
+        "n_parity_skipped": n_parity_skipped,
         "n_corrections": len(corrections),
         "corrections": sorted(corrections),
         "correction_bound": 3 ** len(ctx.bad_places),

@@ -255,6 +255,11 @@ class TestAudit:
     def test_pass(self):
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "200"]) == 0
 
+    def test_smallest_range(self, capsys):
+        # X = 2 leaves d = +-1 and no twist for the twist-class sample
+        assert run(["audit", "--a", "1", "--b", "-1", "--X", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_twists"] == 2
+
     def test_singular_configuration(self):
         assert run(["audit", "--a", "0", "--b", "0", "--X", "100"]) == 2
 

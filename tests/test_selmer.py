@@ -5,7 +5,9 @@ import pytest
 
 from twistselmer.arith import (
     REAL_PLACE,
+    factorize,
     kronecker,
+    sieve_primes,
     sieve_squarefree,
     squarefree_factors,
     squarefree_part,
@@ -13,6 +15,14 @@ from twistselmer.arith import (
 )
 from twistselmer.characters import char_from_element
 from twistselmer.selmer import (
+    DescentConsistencyError,
+    IsogenyPair,
+    SelmerDescentResult,
+    _check_identities,
+    _context,
+    _CurveContext,
+    _descend_abs,
+    _f2_rank,
     audit_curve,
     descend,
     g_chi,
@@ -158,6 +168,94 @@ def _brute_selmer_dim(a, b, d):
     return dim
 
 
+# The one-sign descent that the two-sign kernel _descend_abs replaced, kept
+# as the reference for it: verbatim, except that goodram_syms has a sixth
+# field (the unit bits of p at the bad primes) to unpack.
+def _parent_descend(
+    pair: IsogenyPair,
+    d: int,
+    *,
+    _ctx: _CurveContext | None = None,
+    _dprimes: tuple[int, ...] | None = None,
+) -> SelmerDescentResult:
+    """Full local-global descent data for the twist of `pair` by d."""
+    ctx = _ctx if _ctx is not None else _context(pair)
+    d0 = squarefree_part(d) if _dprimes is None else d
+    dprimes = _dprimes if _dprimes is not None else tuple(p for p, _ in factorize(d0))
+    column_of = ctx.column_of
+    good = [p for p in dprimes if p not in column_of]
+    nfix = len(ctx.columns)
+    ngens = nfix + len(good)
+    # d over the columns: its sign, its bad primes and all of its good primes
+    dmask = int(d0 < 0) | (((1 << len(good)) - 1) << nfix)
+    for p in dprimes:
+        if p in column_of:
+            dmask |= 1 << column_of[p]
+
+    try:
+        places = [(REAL_PLACE, (), ctx.images[REAL_PLACE][int(d0 < 0)])]
+        for q, table in ctx.residue_bits.items():
+            m = 8 if q == 2 else q
+            val = d0 % q == 0
+            dbits = val | table[(d0 // q if val else d0) % m]
+            places.append((q, [table[p % m] for p in good], ctx.images[q][dbits]))
+    except DescentConsistencyError as exc:
+        exc.d = d0
+        raise
+
+    # at a good prime p of d: the nonresidue mask of p over all columns
+    syms = [ctx.goodram_syms(p) for p in good]
+    nonres = [sym[4] for sym in syms]
+    for i, pi in enumerate(good):
+        for j in range(i + 1, len(good)):
+            pj = good[j]
+            nij = pow(pi, (pj - 1) >> 1, pj) != 1
+            nonres[j] |= nij << (nfix + i)
+            nonres[i] |= (nij ^ (pi & pj & 2 != 0)) << (nfix + j)  # reciprocity
+
+    dims_phi: dict = {}
+    rows0: list[int] = []
+    rows1: list[int] = []
+    for v, gbits, images in places:
+        dims_phi[v] = images[0][0]
+        for rows, (_, frows) in zip((rows0, rows1), images):
+            for f, row in frows:
+                for j, x in enumerate(gbits, nfix):
+                    row |= ((f & x).bit_count() & 1) << j
+                rows.append(row)
+    for j, (s, sp, kb_phi, kb_dual, _, _) in enumerate(syms):
+        dims_phi[good[j]] = 1 + (sp - s) // 2
+        col, n = 1 << (nfix + j), nonres[j]
+        if s == sp == -1:
+            rows0.append(col)
+            rows1.append(col)
+        elif s == sp:
+            # image = {1, p*c}; the unit class of d/p folds into c
+            c = (n & dmask).bit_count() & 1
+            rows0.append(n | col * (kb_phi ^ c))
+            rows1.append(n | col * (kb_dual ^ c))
+        else:
+            # the side with (s, s') = (1, -1) has the trivial image, the other all classes
+            (rows0 if s == 1 else rows1).extend((col, n))
+    sel_dims = (ngens - _f2_rank(rows0), ngens - _f2_rank(rows1))
+
+    ord2T_product = sum(dims_phi.values()) - len(dims_phi)
+    g_val = sum((sym[1] - sym[0]) // 2 for sym in syms)
+
+    result = SelmerDescentResult(
+        d=d0,
+        local_dims=dims_phi,
+        dim_selphi=sel_dims[0],
+        dim_selphihat=sel_dims[1],
+        ord2T_product=ord2T_product,
+        ord2T_ratio=sel_dims[0] - sel_dims[1],
+        g_chi=g_val,
+        correction=sum(dims_phi[v] for v in ctx.bad_places) - len(ctx.bad_places),
+    )
+    _check_identities(result)
+    return result
+
+
 class TestGChi:
     def test_examples(self):
         pair = make_pair(1, -1)
@@ -233,12 +331,32 @@ class TestDescend:
                 res = descend(pair, d)  # identities asserted internally
                 assert res.ord2T_product == res.dim_selphi - res.dim_selphihat
 
-    def test_selmer_dims_match_brute_force_torsor_count(self):
-        # independent oracle: count the classes of <-1, primes of 2*disc*d>
-        # whose twisted torsor is solvable at every place of S
+    def test_kernel_matches_parent_descend(self):
+        # every field and the order of local_dims, on both signs of every squarefree |d| < 2000
         for a, b in CURVES_20:
             pair = make_pair(a, b)
-            for d in (1, -1, 2, -3, 6, -7, 11, -21, 30, -77):
+            ctx = _CurveContext(pair)
+            for ad, primes in squarefree_factors(1, 2000):
+                for res in _descend_abs(ctx, ad, primes, (1, -1)):
+                    ref = _parent_descend(pair, res.d, _ctx=ctx, _dprimes=primes)
+                    assert res == ref, (a, b, res.d)
+                    assert list(res.local_dims.items()) == list(ref.local_dims.items()), (a, b, res.d)
+                    if ad % 97 == 1:
+                        assert descend(pair, res.d * 9) == ref, (a, b, res.d)
+
+    def test_selmer_dims_match_brute_force_torsor_count(self):
+        # independent oracle: count the classes of <-1, primes of 2*disc*d>
+        # whose twisted torsor is solvable at every place of S.  Two twists
+        # per curve take one good prime of each kind (s, s') that occurs, so
+        # both sides get single-column rows (s = s' = -1, and s != s' on the
+        # trivial side), rows over their columns, and rows with s = s' = 1.
+        for a, b in CURVES_20:
+            pair = make_pair(a, b)
+            kinds: dict = {}
+            for p in (p for p in sieve_primes(400).primes if p not in pair.bad_primes):
+                kinds.setdefault((kronecker(pair.b_dual, p), kronecker(pair.b, p)), []).append(p)
+            mixed = [math.prod(ps[i] for ps in kinds.values()) for i in (0, 1)]
+            for d in (1, -1, 2, -3, 6, -7, 11, -21, 30, -77, *mixed, *(-m for m in mixed)):
                 res = descend(pair, d)
                 assert _brute_selmer_dim(a, b, d) == res.dim_selphi, (a, b, d)
                 assert _brute_selmer_dim(pair.a_dual, pair.b_dual, d) == res.dim_selphihat, (a, b, d)
@@ -356,6 +474,61 @@ class TestAudit:
         exc = pickle.loads(pickle.dumps(DescentConsistencyError("boom", "product-formula", -15)))
         assert (str(exc), exc.check, exc.d) == ("boom", "product-formula", -15)
 
+    def test_failure_on_plus_d_keeps_minus_d(self, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        clean = audit_curve(pair, 60)
+
+        def fail_at_7(res):
+            if res.d == 7:
+                raise DescentConsistencyError("forced", "product-formula", res.d)
+            _check_identities(res)
+
+        monkeypatch.setattr(selmer, "_check_identities", fail_at_7)
+        plus, minus = _descend_abs(_CurveContext(pair), 7, (7,), (1, -1))
+        assert isinstance(plus, DescentConsistencyError) and (plus.check, plus.d) == ("product-formula", 7)
+        assert minus == descend(pair, -7)
+        report = audit_curve(pair, 60)
+        assert report["failures"] == [{"d": 7, "check": "product-formula", "detail": "forced"}]
+        # -7 = 1 mod 8 is coprime to 10, so its parity check shows that -7 was audited
+        assert report["n_twists"] == clean["n_twists"]
+        assert report["n_parity_checks"] == clean["n_parity_checks"]
+        assert report["corrections"] == clean["corrections"]
+
+    def test_flipped_ord2t_fires_root_number_parity(self, monkeypatch):
+        import dataclasses
+
+        import twistselmer.selmer as selmer
+
+        real = selmer._descend_abs
+
+        def flip_17(ctx, ad, primes, signs):
+            out = real(ctx, ad, primes, signs)
+            if ad == 17:
+                out[0] = dataclasses.replace(out[0], ord2T_product=out[0].ord2T_product + 1)
+            return out
+
+        monkeypatch.setattr(selmer, "_descend_abs", flip_17)
+        report = audit_curve(make_pair(1, -1), 60)
+        assert [(f["d"], f["check"]) for f in report["failures"]] == [(17, "root-number-parity")]
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (0, 4), (-1, 3), (0, -2), (7, -11), (2, 3), (3, -5), (5, 2), (-3, 7)])
+    def test_root_number_parity_holds(self, a, b):
+        report = audit_curve(make_pair(a, b), 1500)
+        assert report["ok"], report["failures"][:2]
+        assert report["n_parity_checks"] > 100 and report["n_parity_skipped"] == 0
+
+    def test_root_number_parity_refuses_a_model_not_minimal_at_3(self):
+        from twistselmer.selmer import _parity_modulus
+
+        # y^2 = x^3 + 81x is y^2 = x^3 + x scaled by 3: p^4 | c4 and p^12 | disc at p = 3
+        assert _parity_modulus(make_pair(0, 81)) is None
+        assert _parity_modulus(make_pair(0, 1)) == -1
+        assert _parity_modulus(make_pair(-1, 3)) == -33  # 3 and 11 are multiplicative
+        report = audit_curve(make_pair(0, 81), 200)
+        assert report["ok"] and report["n_parity_checks"] == 0 and report["n_parity_skipped"] > 0
+
     def test_wrong_additive_part_is_named(self, monkeypatch):
         import dataclasses
 
@@ -363,8 +536,9 @@ class TestAudit:
 
         real = selmer.SelmerDescentResult
 
-        def off_by_one_g(**fields):
-            return dataclasses.replace(real(**fields), g_chi=fields["g_chi"] + 1)
+        def off_by_one_g(*args, **fields):
+            res = real(*args, **fields)
+            return dataclasses.replace(res, g_chi=res.g_chi + 1)
 
         monkeypatch.setattr(selmer, "SelmerDescentResult", off_by_one_g)
         report = audit_curve(make_pair(1, -1), 20)
