@@ -10,7 +10,6 @@ from .arith import (
     kronecker,
     local_square_classes,
     sieve_primes,
-    sieve_squarefree,
     squarefree_part,
     torsor_locally_solvable,
 )

@@ -36,7 +36,6 @@ __all__ = [
     "squarefree_part",
     "is_perfect_square",
     "factorize",
-    "sieve_squarefree",
     "squarefree_flags",
     "squarefree_factors",
     "SIEVE_BLOCK",
@@ -220,17 +219,6 @@ def squarefree_factors(lo: int, hi: int):
             if rest > 1:
                 ps.append(rest)
             yield d, tuple(ps)
-
-
-def sieve_squarefree(X: int) -> list[int]:
-    """All squarefree d with 0 < |d| < X, ordered by (|d|, sign) with +d first."""
-    if X < 2:
-        raise ValueError("sieve_squarefree: X must be >= 2")
-    out = []
-    for d in compress(range(1, X), squarefree_flags(1, X)):
-        out.append(d)
-        out.append(-d)
-    return out
 
 
 def least_nonresidue(p: int) -> int:

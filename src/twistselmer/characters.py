@@ -13,9 +13,10 @@ principal, unit class).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import quadfield as qf
-from .arith import factorize, kronecker, sieve_squarefree, squarefree_flags, squarefree_part
+from .arith import factorize, kronecker, squarefree_flags, squarefree_part
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +68,8 @@ def enumerate_characters(field, X: int) -> list[QuadraticCharacter]:
     if X < 2:
         raise ValueError("enumerate_characters: X must be >= 2")
     if field == "Q":
-        return [QuadraticCharacter("Q", d) for d in sieve_squarefree(X)]
+        squarefree = compress(range(1, X), squarefree_flags(1, X))
+        return [QuadraticCharacter("Q", sd) for d in squarefree for sd in (d, -d)]
     out = []
     n_units = len(qf.units_mod_squares(field))
     for b_idx, b in enumerate(field.class_data.representatives):

@@ -94,12 +94,16 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def _eligible_pair(cfg: RunConfig) -> selmer.IsogenyPair:
+    """The curve of cfg; a ValueError (exit 2) unless it is eligible."""
     pair = selmer.make_pair(cfg.a, cfg.b)
     if not pair.eligible:
-        raise ValueError(
-            f"curve ({cfg.a}, {cfg.b}) is ineligible: needs a^2-4b and b*(a^2-4b) both nonsquare"
-        )
+        raise ValueError(f"curve ({cfg.a}, {cfg.b}) is ineligible: needs a^2-4b and b*(a^2-4b) both nonsquare")
+    return pair
+
+
+def cmd_scan(cfg: RunConfig) -> int:
+    pair = _eligible_pair(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # rows go to a side file that replaces twists.csv only once the scan is complete
@@ -190,7 +194,7 @@ def cmd_ek(cfg: RunConfig) -> int:
         center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
-        pair = selmer.make_pair(cfg.a, cfg.b)
+        pair = _eligible_pair(cfg)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
         values = []
         for _, primes in squarefree_factors(1, cfg.X):

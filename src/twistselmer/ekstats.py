@@ -306,9 +306,8 @@ def sigma_g_exact(pair, X) -> float:
     return math.sqrt(math.fsum(acc))
 
 
-def tail_fraction(results, r: int) -> float:
-    """Fraction of scan results (or plain integers) with ord2T >= r."""
-    vals = [x.ord2T_product if hasattr(x, "ord2T_product") else int(x) for x in results]
-    if not vals:
+def tail_fraction(values, r: int) -> float:
+    """Fraction of the ord2T values with ord2T >= r."""
+    if len(values) == 0:
         raise ValueError("tail_fraction of an empty result set")
-    return sum(1 for v in vals if v >= r) / len(vals)
+    return sum(1 for v in values if v >= r) / len(values)

@@ -128,7 +128,7 @@ class QuadraticField:
         else:
             self.num_roots_of_unity = 2
         if m > 0:
-            self.fundamental_unit = _fundamental_unit(m)
+            self.fundamental_unit = _fundamental_unit(self)
             x, y = self.fundamental_unit
             self.unit_value = x + y * self._omega_real()
             self.regulator = math.log(self.unit_value)
@@ -248,46 +248,29 @@ def element_mul(field: QuadraticField, a, b):
     )
 
 
-def _fundamental_unit(m: int):
-    """Fundamental unit of O_K for real m, as integral coordinates on (1, omega)."""
-    # continued fraction of sqrt(m) gives the fundamental solution of x^2-my^2=+-1
-    a0 = math.isqrt(m)
-    mm, dd, aa = 0, 1, a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
+def _fundamental_unit(field: QuadraticField):
+    """Fundamental unit of a real field, as integral coordinates on (1, omega).
+
+    Write omega = (t + sqrt(D))/2, t its trace and D the discriminant.  A
+    unit u = x + y*omega > 1 has |(x + y*t) - y*omega| = |conj(u)| = 1/u, and
+    u >= y*sqrt(D) - 1/u > 2y once D > 8, so by Legendre's criterion
+    (x + y*t)/y is a convergent h/k of omega.  The first convergent of norm
+    h^2 - t*h*k + N(omega)*k^2 = +-1 thus gives the smallest unit > 1,
+    h - k*conj(omega) = (h - k*t) + k*omega (it exceeds 1 as conj(omega) < 0).
+    The tests check this against a brute-force search, D = 5 and 8 included.
+    """
+    t, n, D = field.omega_trace, field.omega_norm, field.disc
+    P, Q = t, 2  # the complete quotient (P + sqrt(D))/Q, starting from omega
+    h, hp, k, kp = 1, 0, 0, 1  # the last two convergents h/k and hp/kp
     while True:
-        if h1 * h1 - m * k1 * k1 in (1, -1):
-            x1, y1 = h1, k1
-            break
-        mm = dd * aa - mm
-        dd = (m - mm * mm) // dd
-        aa = (a0 + mm) // dd
-        h0, h1 = h1, aa * h1 + h0
-        k0, k1 = k1, aa * k1 + k0
-        if h1 > UNIT_COORD_CAP * 10:
-            raise FieldTooLargeError(f"fundamental unit of Q(sqrt({m})) exceeds the search bound")
-    if x1 > UNIT_COORD_CAP or y1 > UNIT_COORD_CAP:
-        raise FieldTooLargeError(f"fundamental unit of Q(sqrt({m})) exceeds the search bound")
-    if m % 4 != 1:
-        return (x1, y1)  # coordinates on (1, sqrt(m))
-    # O_K may contain a half-integral unit (u + v*sqrt(m))/2 whose cube is x1 + y1*sqrt(m)
-    vmax = int(round((8 * y1 / m) ** (1 / 3))) + 2
-    for v in range(1, vmax + 1):
-        for u in range(1, int(round((8 * x1) ** (1 / 3))) + 2):
-            lhs = u * u * u + 3 * u * v * v * m
-            if lhs > 8 * x1:
-                break
-            if lhs == 8 * x1:
-                if (
-                    3 * u * u * v + v * v * v * m == 8 * y1
-                    and (u * u - m * v * v) in (4, -4)
-                    and (u - v) % 2 == 0
-                ):
-                    # (u + v*sqrt(m))/2 = (u-v)/2 + v*omega
-                    return ((u - v) // 2, v)
-                break
-    # no half-unit: x1 + y1*sqrt(m) = (x1 - y1) + 2*y1*omega
-    return (x1 - y1, 2 * y1)
+        a = (P + math.isqrt(D)) // Q
+        h, hp, k, kp = a * h + hp, h, a * k + kp, k
+        if max(h - k * t, k) > UNIT_COORD_CAP:
+            raise FieldTooLargeError(f"fundamental unit of Q(sqrt({field.m})) exceeds the search bound")
+        if h * h - t * h * k + n * k * k in (1, -1):
+            return (h - k * t, k)
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 def units_mod_squares(field: QuadraticField):

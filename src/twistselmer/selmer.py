@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .arith import (
     REAL_PLACE,
@@ -53,17 +54,20 @@ class DescentConsistencyError(RuntimeError):
     `check` names the identity: "product-formula" (Selmer ratio != local
     product), "ord2-decomposition" (local product != g + correction) or
     "local-image" (a local image fails its size, subgroup or duality check).
-    `d` is the twist whose descent failed, when known.
+    `d` is the twist whose descent failed, when known.  `dims` maps each
+    place (the places over 2*disc*oo, then the good primes of d) to
+    dim H^1_phi there when an identity check failed, else None.
     """
 
-    def __init__(self, message: str, check: str, d: int | None = None):
+    def __init__(self, message: str, check: str, d: int | None = None, dims: dict | None = None):
         super().__init__(message)
         self.check = check
         self.d = d
+        self.dims = dims
 
     def __reduce__(self):
-        # pool workers send the error back pickled; the default would drop check and d
-        return type(self), (str(self), self.check, self.d)
+        # pool workers send the error back pickled; the default would drop check, d and dims
+        return type(self), (str(self), self.check, self.d, self.dims)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +78,15 @@ class IsogenyPair:
     a: int
     b: int
     a_dual: int
-    b_dual: int
-    delta_class_E: int       # square class of disc(E) = 16 b^2 (a^2-4b)
-    delta_class_Eprime: int  # square class of disc(E') = 256 b (a^2-4b)^2
+    b_dual: int  # a^2-4b, also the square class of disc(E) = 16 b^2 (a^2-4b); b is that of disc(E')
     bad_primes: tuple[int, ...]
     eligible: bool
 
 
-@dataclass(frozen=True, slots=True)
-class SelmerDescentResult:
+class SelmerDescentResult(NamedTuple):
+    """The descent data of one twist: the row that `scan` writes to twists.csv."""
+
     d: int
-    local_dims: dict
     dim_selphi: int
     dim_selphihat: int
     ord2T_product: int
@@ -99,7 +101,7 @@ def make_pair(a: int, b: int) -> IsogenyPair:
         raise ValueError(f"(a, b) = ({a}, {b}) gives a singular curve")
     bad = tuple(p for p, _ in factorize(2 * b * disc2))
     eligible = not is_perfect_square(disc2) and not is_perfect_square(b * disc2)
-    return IsogenyPair(a, b, -2 * a, disc2, disc2, b, bad, eligible)
+    return IsogenyPair(a, b, -2 * a, disc2, bad, eligible)
 
 
 def local_dim_good_ramified(pair: IsogenyPair, p: int) -> int:
@@ -107,8 +109,11 @@ def local_dim_good_ramified(pair: IsogenyPair, p: int) -> int:
     twist, from the Legendre symbols of the two discriminant classes."""
     if p == 2 or (2 * pair.b * pair.b_dual) % p == 0:
         raise ValueError(f"p = {p} divides 2*disc; the good-reduction table does not apply")
-    s = kronecker(pair.b_dual, p)   # class of disc(E)
-    sp = kronecker(pair.b, p)       # class of disc(E')
+    return _good_dim(kronecker(pair.b_dual, p), kronecker(pair.b, p))
+
+
+def _good_dim(s: int, sp: int) -> int:
+    """dim H^1_phi at a good odd ramified prime p, from s = (disc(E) | p) and s' = (disc(E') | p)."""
     return 1 + (sp - s) // 2
 
 
@@ -308,16 +313,9 @@ class _CurveContext:
         return data
 
 
-_CTX_CACHE: dict[tuple[int, int], _CurveContext] = {}
-
-
+@lru_cache(maxsize=8)
 def _context(pair: IsogenyPair) -> _CurveContext:
-    key = (pair.a, pair.b)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _CurveContext(pair)
-        _CTX_CACHE[key] = ctx
-    return ctx
+    return _CurveContext(pair)
 
 
 def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> SelmerDescentResult:
@@ -374,11 +372,10 @@ def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) ->
     units = [0] * (len(ctx.unit_bit) + 1)  # per unit bit at a bad prime, the good columns that have it
     killed = [0, 0]  # per side, the columns of its single-column rows
     grows = (([], []), ([], []))  # per sign and side, the other good-prime rows
-    good_dims = {}
-    g_val = 0
-    for j, (p, (s, sp, kb_phi, kb_dual, _, ubits), n) in enumerate(zip(good, syms, nonres)):
+    g_val = excess = 0  # excess: the sum of (dim H^1_phi - 1) over the good primes
+    for j, ((s, sp, kb_phi, kb_dual, _, ubits), n) in enumerate(zip(syms, nonres)):
         g_val += (sp - s) // 2
-        good_dims[p] = 1 + (sp - s) // 2
+        excess += _good_dim(s, sp) - 1
         col = 1 << (nfix + j)
         for i in ubits:
             units[i] |= col
@@ -407,20 +404,21 @@ def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) ->
     for sign in signs:
         neg = sign < 0
         d = -ad if neg else ad
+        block = None
         try:
-            bad_dims, correction, frows = ctx.blocks[tuple(classes[neg])]
+            block = ctx.blocks[tuple(classes[neg])]
+            _, correction, frows = block
             sel = []
             for side in (0, 1):
                 rows = [fixed | units[u1] ^ units[u2] for fixed, u1, u2 in frows[side]]
                 sel.append(base[side] - _f2_rank(rows + grows[neg][side], keep[side]))
-            dims = {**bad_dims, **good_dims}
-            # positional: keyword arguments add about 1 us to each result
-            res = SelmerDescentResult(
-                d, dims, sel[0], sel[1], sum(dims.values()) - len(dims), sel[0] - sel[1], g_val, correction
-            )
+            # the local product: correction is the sum of (dim - 1) over the places over 2*disc*oo
+            res = SelmerDescentResult(d, sel[0], sel[1], correction + excess, sel[0] - sel[1], g_val, correction)
             _check_identities(res)
         except DescentConsistencyError as exc:
             exc.d = d
+            if block is not None:
+                exc.dims = {**block[0], **{p: _good_dim(sym[0], sym[1]) for p, sym in zip(good, syms)}}
             res = exc
         results.append(res)
     return results
@@ -435,7 +433,7 @@ def _check_identities(res: SelmerDescentResult):
         return
     raise DescentConsistencyError(
         f"{check} fails for d={res.d}: product={res.ord2T_product}, ratio={res.ord2T_ratio}, "
-        f"g={res.g_chi}, correction={res.correction}, dims={res.local_dims}",
+        f"g={res.g_chi}, correction={res.correction}",
         check,
         res.d,
     )

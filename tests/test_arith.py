@@ -13,13 +13,13 @@ from twistselmer.arith import (
     kronecker,
     local_square_classes,
     sieve_primes,
-    sieve_squarefree,
     sqrt_mod_prime,
     squarefree_factors,
     squarefree_flags,
     squarefree_part,
     torsor_locally_solvable,
 )
+from twistselmer.characters import enumerate_characters
 
 
 def trial_division_primes(bound):
@@ -127,20 +127,20 @@ class TestSquarefreePart:
 
 
 class TestSieveSquarefree:
+    # the signed squarefree d with 0 < |d| < X, as C(Q, X) reads them off squarefree_flags
     def test_small(self):
-        assert sieve_squarefree(10) == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
-        assert sieve_squarefree(2) == [1, -1]
+        assert [c.d_conductor for c in enumerate_characters("Q", 10)] == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
+        assert [c.d_conductor for c in enumerate_characters("Q", 2)] == [1, -1]
 
     def test_million_count_against_density(self):
-        vals = sieve_squarefree(10**6)
-        count = len(vals)
+        count = 2 * squarefree_flags(1, 10**6).count(1)
         predicted = (6 / math.pi**2) * 2 * 10**6
         assert abs(count - predicted) / predicted < 0.001
 
     def test_matches_squarefree_part(self):
-        vals = set(sieve_squarefree(200))
+        flags = squarefree_flags(1, 200)
         for d in range(1, 200):
-            assert (d in vals) == (squarefree_part(d) == d)
+            assert bool(flags[d - 1]) == (squarefree_part(d) == d)
 
 
 def factorize_squarefree(lo, hi):
@@ -154,10 +154,10 @@ def factorize_squarefree(lo, hi):
 
 
 class TestSquarefreeSieve:
-    def test_flags_agree_with_sieve_squarefree(self):
+    def test_flags_agree_with_factorize(self):
         X = 5000
         flags = squarefree_flags(1, X)
-        assert [d for d in range(1, X) if flags[d - 1]] == sieve_squarefree(X)[::2]
+        assert [d for d in range(1, X) if flags[d - 1]] == [d for d, _ in factorize_squarefree(1, X)]
         assert squarefree_flags(30, 30) == bytearray()
         with pytest.raises(ValueError):
             squarefree_flags(0, 10)

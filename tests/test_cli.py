@@ -120,6 +120,15 @@ class TestEk:
         assert len(polylines) == 2
         assert "script" not in (out / "cdf.svg").read_text()
 
+    def test_curve_g_rejects_ineligible(self, tmp_path, capsys):
+        # a^2 - 4b = 9: the same message and exit as scan, and no files
+        out = tmp_path / "e"
+        assert run(["ek", "--f", "curve-g", "--a", "5", "--b", "4", "--X", "1000", "--out", str(out)]) == 2
+        assert run(["scan", "--a", "5", "--b", "4", "--X", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1] and "ineligible" in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_curve_g(self, tmp_path):
         out = tmp_path / "ekg"
         assert run(["ek", "--f", "curve-g", "--a", "1", "--b", "-1", "--X", "500", "--out", str(out)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twistselmer import quadfield as qf
-from twistselmer.arith import sieve_primes, sieve_squarefree
+from twistselmer.arith import sieve_primes, squarefree_flags
 from twistselmer.characters import char_from_element, enumerate_characters
 from twistselmer.ekstats import (
     AdditiveFunctionSpec,
@@ -89,8 +89,7 @@ class TestCenteredG:
     def test_centering_property_at_million(self):
         # divisibility frequency within 3 standard errors of 1/(p+1)
         X = 10**6
-        squarefree = np.array(sieve_squarefree(X), dtype=np.int64)
-        pos = squarefree[squarefree > 0]
+        pos = np.flatnonzero(np.frombuffer(squarefree_flags(1, X), dtype=np.uint8)) + 1
         n = 2 * len(pos)
         for p in sieve_primes(72).primes[:20]:
             freq = 2 * int(np.count_nonzero(pos % p == 0)) / n
@@ -132,7 +131,7 @@ class TestEmpiricalMoment:
         for chi in enumerate_characters("Q", X):
             s = -mu_t + sum(1 for p in primes if chi.d_conductor % p == 0)
             total += s * s
-        assert abs(rep.empirical - total / (2 * len(sieve_squarefree(X)) / 2)) < 1e-9
+        assert abs(rep.empirical - total / (2 * squarefree_flags(1, X).count(1))) < 1e-9
 
     def test_prime_sum_values_match_factorization(self):
         from twistselmer.arith import factorize
@@ -305,10 +304,9 @@ class TestTailFraction:
         assert tail_fraction([0, 1, -2], -10**9) == 1.0
         assert tail_fraction([0, 1, -2], 10**9) == 0.0
 
-    def test_accepts_results(self):
-        res = descend_results = [r for r in _small_scan()]
-        frac = tail_fraction(res, 1)
-        assert 0 <= frac <= 1
+    def test_scan_ord2t_values(self):
+        vals = [r.ord2T_product for r in _small_scan()]
+        assert tail_fraction(vals, 1) == sum(v >= 1 for v in vals) / len(vals)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistselmer.arith import kronecker, sieve_primes
+from twistselmer.arith import kronecker, sieve_primes, squarefree_part
 from twistselmer.quadfield import (
     ONE_IDEAL,
     SPLIT,
@@ -196,6 +196,22 @@ class TestMakeField:
         assert K.fundamental_unit == brute_pell_unit(5) == (0, 1)
         K13 = make_field(13)
         assert K13.fundamental_unit == brute_pell_unit(13) == (1, 1)
+
+    def test_unit_matches_brute_force(self):
+        # 181 and 341 have units (604, 97) and (131, 15) outside Z[sqrt(m)], whose
+        # cubes exceed the coordinate cap; the cap applies to the unit itself
+        checked = []
+        for m in range(2, 500):
+            if squarefree_part(m) != m:
+                continue
+            try:
+                x, y = make_field(m).fundamental_unit
+            except FieldTooLargeError:
+                continue
+            if y < 10**5:
+                assert (x, y) == brute_pell_unit(m, cap=2 * y + 2), m
+                checked.append(m)
+        assert {181, 341} <= set(checked) and len(checked) > 150
 
     def test_rejects_bad_m(self):
         for m in (0, 1, 12, -8):

@@ -8,8 +8,8 @@ from twistselmer.arith import (
     factorize,
     kronecker,
     sieve_primes,
-    sieve_squarefree,
     squarefree_factors,
+    squarefree_flags,
     squarefree_part,
     torsor_locally_solvable,
 )
@@ -46,13 +46,13 @@ class TestMakePair:
     def test_example_1_m1(self):
         pair = make_pair(1, -1)
         assert (pair.a_dual, pair.b_dual) == (-2, 5)
-        assert (pair.delta_class_E, pair.delta_class_Eprime) == (5, -1)
+        assert (pair.b_dual, pair.b) == (5, -1)
         assert pair.eligible
-        # stored classes really are the square classes of the discriminants
+        # b_dual and b are the square classes of the discriminants of E and E'
         disc = 16 * pair.b**2 * (pair.a**2 - 4 * pair.b)
         disc_dual = 256 * pair.b * (pair.a**2 - 4 * pair.b) ** 2
-        assert squarefree_part(disc) == squarefree_part(pair.delta_class_E)
-        assert squarefree_part(disc_dual) == squarefree_part(pair.delta_class_Eprime)
+        assert squarefree_part(disc) == squarefree_part(pair.b_dual)
+        assert squarefree_part(disc_dual) == squarefree_part(pair.b)
 
     def test_full_two_torsion_ineligible(self):
         assert not make_pair(6, 5).eligible  # a^2-4b = 16 is a square
@@ -83,15 +83,15 @@ class TestDualPair:
         dp = make_pair(pair.a_dual, pair.b_dual)
         dd = make_pair(dp.a_dual, dp.b_dual)
         assert (dd.a, dd.b) == (4, -16)
-        assert squarefree_part(dd.delta_class_E) == squarefree_part(pair.delta_class_E)
-        assert squarefree_part(dd.delta_class_Eprime) == squarefree_part(pair.delta_class_Eprime)
+        assert squarefree_part(dd.b_dual) == squarefree_part(pair.b_dual)
+        assert squarefree_part(dd.b) == squarefree_part(pair.b)
 
     def test_dual_swaps_classes(self):
         for a, b in CURVES_20:
             pair = make_pair(a, b)
             dp = make_pair(pair.a_dual, pair.b_dual)
-            assert squarefree_part(dp.delta_class_E) == squarefree_part(16 * pair.b)
-            assert squarefree_part(dp.delta_class_Eprime) == squarefree_part(pair.delta_class_E)
+            assert squarefree_part(dp.b_dual) == squarefree_part(16 * pair.b)
+            assert squarefree_part(dp.b) == squarefree_part(pair.b_dual)
 
 
 class TestLocalDimGoodRamified:
@@ -134,7 +134,7 @@ class TestLocalDim:
     def test_cross_oracle_20_curves_200_twists(self):
         # symbol table vs torsor solvability at every good odd ramified prime
         seen = set()
-        twists = [d for d in sieve_squarefree(200)]
+        twists = [sd for d, _ in squarefree_factors(1, 200) for sd in (d, -d)]
         for a, b in CURVES_20:
             pair = make_pair(a, b)
             for d in twists:
@@ -170,7 +170,8 @@ def _brute_selmer_dim(a, b, d):
 
 # The one-sign descent that the two-sign kernel _descend_abs replaced, kept
 # as the reference for it: verbatim, except that goodram_syms has a sixth
-# field (the unit bits of p at the bad primes) to unpack.
+# field (the unit bits of p at the bad primes) to unpack and that the result
+# no longer carries the per-place dims.
 def _parent_descend(
     pair: IsogenyPair,
     d: int,
@@ -244,7 +245,6 @@ def _parent_descend(
 
     result = SelmerDescentResult(
         d=d0,
-        local_dims=dims_phi,
         dim_selphi=sel_dims[0],
         dim_selphihat=sel_dims[1],
         ord2T_product=ord2T_product,
@@ -254,6 +254,10 @@ def _parent_descend(
     )
     _check_identities(result)
     return result
+
+
+def _always_fail(res):
+    raise DescentConsistencyError("forced", "product-formula", res.d)
 
 
 class TestGChi:
@@ -299,8 +303,42 @@ class TestDescend:
         res = descend(make_pair(1, -1), 11)
         assert res.g_chi == -1
         assert res.ord2T_product == -1 + res.correction
-        # correction involves only the places over 2*disc*oo = {oo, 2, 5}
-        assert set(res.local_dims) == {REAL_PLACE, 2, 5, 11}
+
+    def test_failure_carries_the_dims(self, monkeypatch):
+        import pickle
+
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "_check_identities", _always_fail)
+        with pytest.raises(DescentConsistencyError) as info:
+            descend(make_pair(1, -1), 11)
+        # a pool worker sends the error back pickled
+        exc = pickle.loads(pickle.dumps(info.value))
+        assert (exc.check, exc.d) == ("product-formula", 11)
+        assert set(exc.dims) == {REAL_PLACE, 2, 5, 11}
+        assert list(exc.dims) == [REAL_PLACE, 2, 5, 11]  # the places over 2*disc*oo, then the good primes
+        assert exc.dims[11] == local_dim_good_ramified(make_pair(1, -1), 11) == 0
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3), (7, -11)])
+    def test_failure_dims_are_the_local_images(self, a, b, monkeypatch):
+        # on a failed check the dims come from local_image at the places over
+        # 2*disc*oo and from the symbol table at the good primes, and the
+        # result's ord2T_product is the sum of (dim - 1) over them
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(a, b)
+        clean = list(scan_twists(pair, 300))
+
+        monkeypatch.setattr(selmer, "_check_identities", _always_fail)
+        ctx = _CurveContext(pair)
+        failed = [exc for ad, primes in squarefree_factors(1, 300) for exc in _descend_abs(ctx, ad, primes, (1, -1))]
+        for res, exc in zip(clean, failed, strict=True):
+            assert exc.d == res.d
+            good = [p for p, _ in factorize(res.d) if p not in pair.bad_primes]
+            want = {v: local_image(a, b, res.d, v)[0] for v in (REAL_PLACE, *pair.bad_primes)}
+            want.update((p, local_dim_good_ramified(pair, p)) for p in good)
+            assert list(exc.dims.items()) == list(want.items()), res.d
+            assert sum(exc.dims.values()) - len(exc.dims) == res.ord2T_product, res.d
 
     def test_twist_class_invariance(self):
         pair = make_pair(1, -1)
@@ -332,7 +370,7 @@ class TestDescend:
                 assert res.ord2T_product == res.dim_selphi - res.dim_selphihat
 
     def test_kernel_matches_parent_descend(self):
-        # every field and the order of local_dims, on both signs of every squarefree |d| < 2000
+        # every field, on both signs of every squarefree |d| < 2000
         for a, b in CURVES_20:
             pair = make_pair(a, b)
             ctx = _CurveContext(pair)
@@ -340,7 +378,6 @@ class TestDescend:
                 for res in _descend_abs(ctx, ad, primes, (1, -1)):
                     ref = _parent_descend(pair, res.d, _ctx=ctx, _dprimes=primes)
                     assert res == ref, (a, b, res.d)
-                    assert list(res.local_dims.items()) == list(ref.local_dims.items()), (a, b, res.d)
                     if ad % 97 == 1:
                         assert descend(pair, res.d * 9) == ref, (a, b, res.d)
 
@@ -430,7 +467,7 @@ class TestScanTwists:
 
     def test_histogram_totals(self):
         res = list(scan_twists(make_pair(1, -1), 10**3))
-        assert len(res) == len(sieve_squarefree(10**3))
+        assert len(res) == 2 * squarefree_flags(1, 10**3).count(1)
         counts = {}
         for r in res:
             counts[r.ord2T_product] = counts.get(r.ord2T_product, 0) + 1
@@ -497,8 +534,6 @@ class TestAudit:
         assert report["corrections"] == clean["corrections"]
 
     def test_flipped_ord2t_fires_root_number_parity(self, monkeypatch):
-        import dataclasses
-
         import twistselmer.selmer as selmer
 
         real = selmer._descend_abs
@@ -506,7 +541,7 @@ class TestAudit:
         def flip_17(ctx, ad, primes, signs):
             out = real(ctx, ad, primes, signs)
             if ad == 17:
-                out[0] = dataclasses.replace(out[0], ord2T_product=out[0].ord2T_product + 1)
+                out[0] = out[0]._replace(ord2T_product=out[0].ord2T_product + 1)
             return out
 
         monkeypatch.setattr(selmer, "_descend_abs", flip_17)
@@ -530,20 +565,33 @@ class TestAudit:
         assert report["ok"] and report["n_parity_checks"] == 0 and report["n_parity_skipped"] > 0
 
     def test_wrong_additive_part_is_named(self, monkeypatch):
-        import dataclasses
-
         import twistselmer.selmer as selmer
 
         real = selmer.SelmerDescentResult
 
         def off_by_one_g(*args, **fields):
             res = real(*args, **fields)
-            return dataclasses.replace(res, g_chi=res.g_chi + 1)
+            return res._replace(g_chi=res.g_chi + 1)
 
         monkeypatch.setattr(selmer, "SelmerDescentResult", off_by_one_g)
         report = audit_curve(make_pair(1, -1), 20)
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"ord2-decomposition"}
+
+
+class TestContextCache:
+    def test_nine_curves_leave_at_most_eight_contexts(self):
+        twists = (1, -1, 6, -7, 11, -30, 105, -143)
+        fresh = {}
+        for a, b in CURVES_20[:9]:
+            pair = make_pair(a, b)
+            fresh[a, b] = [descend(pair, d, _ctx=_CurveContext(pair)) for d in twists]
+        _context.cache_clear()
+        for _ in range(2):  # the second pass finds the first curve evicted
+            for a, b in CURVES_20[:9]:
+                assert [descend(make_pair(a, b), d) for d in twists] == fresh[a, b], (a, b)
+                assert _context.cache_info().currsize <= 8
+        assert _context.cache_info().currsize == 8
 
 
 class TestResidueTable:
