@@ -5,8 +5,6 @@ squarefree-ideal counting in quadratic number fields."""
 
 from .arith import (
     REAL_PLACE,
-    PrimeTable,
-    SquareClassLocal,
     kronecker,
     local_square_classes,
     sieve_primes,
@@ -40,7 +38,6 @@ from .ekstats import (
     tail_fraction,
 )
 from .quadfield import (
-    IdealClassData,
     IdealK,
     PrimeIdealK,
     QuadraticField,

@@ -9,7 +9,6 @@ functions are pure and safe to share across worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -28,8 +27,6 @@ SIEVE_BLOCK = 1 << 15
 
 __all__ = [
     "REAL_PLACE",
-    "PrimeTable",
-    "SquareClassLocal",
     "sieve_primes",
     "kronecker",
     "sqrt_mod_prime",
@@ -45,25 +42,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeTable:
-    """All rational primes strictly below `bound`, ascending."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class SquareClassLocal:
-    """A square class of R or Q_p, tagged by a squarefree integer representative."""
-
-    place: object  # finite prime (int) or REAL_PLACE
-    representative: int
-
-
 @lru_cache(maxsize=8)
-def sieve_primes(bound: int) -> PrimeTable:
-    """Sieve of Eratosthenes; primes < bound."""
+def sieve_primes(bound: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes: the primes < bound, ascending."""
     if bound < 2:
         raise ValueError("sieve_primes: bound must be >= 2")
     flags = bytearray([1]) * bound
@@ -71,7 +52,7 @@ def sieve_primes(bound: int) -> PrimeTable:
     for i in range(2, math.isqrt(bound - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, bound, i)))
-    return PrimeTable(bound, tuple(i for i in range(bound) if flags[i]))
+    return tuple(compress(range(bound), flags))
 
 
 def kronecker(a: int, n: int) -> int:
@@ -193,7 +174,7 @@ def squarefree_flags(lo: int, hi: int) -> bytearray:
     width = hi - lo
     flags = bytearray([1]) * width
     if width:
-        for p in sieve_primes(math.isqrt(hi - 1) + 1).primes:
+        for p in sieve_primes(math.isqrt(hi - 1) + 1):
             pp = p * p
             start = -lo % pp
             flags[start::pp] = bytes(len(range(start, width, pp)))
@@ -207,7 +188,7 @@ def squarefree_factors(lo: int, hi: int):
     p <= isqrt(hi - 1) is recorded at its multiples, and the cofactor left
     after dividing them out is 1 or a single prime.
     """
-    primes = sieve_primes(math.isqrt(hi - 1) + 1).primes if hi > lo else ()
+    primes = sieve_primes(math.isqrt(hi - 1) + 1) if hi > lo else ()
     for start in range(lo, hi, SIEVE_BLOCK):
         end = min(start + SIEVE_BLOCK, hi)
         small: list[list[int]] = [[] for _ in range(end - start)]
@@ -229,17 +210,15 @@ def least_nonresidue(p: int) -> int:
     return u
 
 
-def local_square_classes(place) -> list[SquareClassLocal]:
-    """Representatives of K_v^x/(K_v^x)^2 for v = place."""
+def local_square_classes(place) -> list[int]:
+    """Squarefree integer representatives of K_v^x/(K_v^x)^2 for v = place."""
     if place == REAL_PLACE:
-        reps = [1, -1]
-    elif place == 2:
-        reps = [1, -1, 2, -2, 5, -5, 10, -10]
-    else:
-        p = int(place)
-        u = least_nonresidue(p)
-        reps = [1, u, p, u * p]
-    return [SquareClassLocal(place, r) for r in reps]
+        return [1, -1]
+    if place == 2:
+        return [1, -1, 2, -2, 5, -5, 10, -10]
+    p = int(place)
+    u = least_nonresidue(p)
+    return [1, u, p, u * p]
 
 
 # ----------------------------------------------------------------------
@@ -255,10 +234,8 @@ def local_square_classes(place) -> list[SquareClassLocal]:
 # ----------------------------------------------------------------------
 
 
-def torsor_locally_solvable(a: int, b: int, delta, place) -> bool:
+def torsor_locally_solvable(a: int, b: int, delta: int, place) -> bool:
     """Whether the descent torsor for the class of delta has a point over K_place."""
-    if isinstance(delta, SquareClassLocal):
-        delta = delta.representative
     if b * (a * a - 4 * b) == 0:
         raise ValueError("torsor_locally_solvable: singular curve (b*(a^2-4b) = 0)")
     if delta == 0:

@@ -72,7 +72,7 @@ def enumerate_characters(field, X: int) -> list[QuadraticCharacter]:
         return [QuadraticCharacter("Q", sd) for d in squarefree for sd in (d, -d)]
     out = []
     n_units = len(qf.units_mod_squares(field))
-    for b_idx, b in enumerate(field.class_data.representatives):
+    for b_idx, b in enumerate(field.class_representatives):
         nb2 = b.norm**2
         bound = X // nb2 + (1 if X % nb2 else 0)  # Na < X/Nb^2
         for a in qf.squarefree_ideals_up_to(field, bound, class_constraint=b):

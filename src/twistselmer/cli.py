@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import ekstats, quadfield as qf, selmer
@@ -22,32 +22,40 @@ from .characters import enumerate_characters, eval_additive
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    a: int = 1
-    b: int = -1
-    field_m: object = "Q"  # "Q" or squarefree integer m
-    X: int = 10**4
-    f_name: str = "omega"
-    k_list: tuple[int, ...] = (2, 4)
-    r_list: tuple[int, ...] = (1, 2)
-    q_spec: str = ""
-    d_spec: str = ""
-    seed: int = 0
-    out: str = "out"
-    workers: int = 1
-    inject_fault: bool = False
-
-    def validate(self):
-        if self.X < 2:
-            raise ValueError("X must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+def _parse_field(text: str):
+    """'Q' or a squarefree integer m."""
+    return "Q" if text == "Q" else int(text)
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, not {text!r}")
+    return text == "true"
+
+
+# Each option once: (commands, flag, dest, type, default, help).  The dest is
+# also its --config key, read with the same type; an option whose default is
+# None must be given.  A _parse_bool option is a flag without a value.
+OPTIONS = (
+    (("scan", "ek", "audit"), "--a", "a", int, 1, "curve coefficient a"),
+    (("scan", "ek", "audit"), "--b", "b", int, -1, "curve coefficient b"),
+    (("scan", "ek", "ideal-count", "audit"), "--X", "X", int, 10**4, "bound on |d| or on the norm, >= 2"),
+    (("scan",), "--r", "r_list", _parse_int_list, (1, 2), "tail thresholds, comma separated"),
+    (("scan",), "--workers", "workers", int, 1, "worker processes, >= 1"),
+    (("ek",), "--f", "f_name", str, "omega", "additive function: omega or curve-g"),
+    (("ek",), "--k", "k_list", _parse_int_list, (2, 4), "moment orders, comma separated"),
+    (("ek",), "--field", "field_m", _parse_field, "Q", "'Q' or a squarefree integer m"),
+    (("ideal-count",), "--m", "field_m", int, None, "the squarefree integer m of Q(sqrt(m))"),
+    (("ideal-count",), "--q", "q_spec", str, "", "ideal spec: comma-separated p:idx tokens"),
+    (("ideal-count",), "--d", "d_spec", str, "", "ideal spec: comma-separated p:idx tokens"),
+    (("scan", "ek", "ideal-count"), "--out", "out", str, "out", "output directory"),
+    (("audit",), "--seed", "seed", int, 0, "seed of the twist-class sample"),
+    (("audit",), "--inject-fault", "inject_fault", _parse_bool, False, "test hook: corrupt one local table entry"),
+)
 
 
 def _load_config_file(path: str) -> dict:
@@ -94,7 +102,7 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _eligible_pair(cfg: RunConfig) -> selmer.IsogenyPair:
+def _eligible_pair(cfg: argparse.Namespace) -> selmer.IsogenyPair:
     """The curve of cfg; a ValueError (exit 2) unless it is eligible."""
     pair = selmer.make_pair(cfg.a, cfg.b)
     if not pair.eligible:
@@ -102,7 +110,7 @@ def _eligible_pair(cfg: RunConfig) -> selmer.IsogenyPair:
     return pair
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: argparse.Namespace) -> int:
     pair = _eligible_pair(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,15 +188,15 @@ def _cdf_svg(report: ekstats.DistributionReport) -> str:
     )
 
 
-def cmd_ek(cfg: RunConfig) -> int:
+def cmd_ek(cfg: argparse.Namespace) -> int:
     out = Path(cfg.out)
     if cfg.f_name == "omega":
-        base = "Q" if cfg.field_m == "Q" else qf.make_field(int(cfg.field_m))
+        base = "Q" if cfg.field_m == "Q" else qf.make_field(cfg.field_m)
         f = ekstats.omega_spec(base)
         moments = [asdict(ekstats.empirical_moment(f, cfg.X, k)) for k in cfg.k_list]
         # distribution of f over C(base, X) against the Gaussian
         if base == "Q":
-            values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X).primes)
+            values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X))
         else:
             values = [eval_additive(f, chi) for chi in enumerate_characters(base, cfg.X)]
         center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
@@ -215,13 +223,13 @@ def cmd_ek(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ideal_count(cfg: RunConfig) -> int:
-    fieldK = qf.make_field(int(cfg.field_m))
+def cmd_ideal_count(cfg: argparse.Namespace) -> int:
+    fieldK = qf.make_field(cfg.field_m)
     q = _parse_ideal_spec(fieldK, cfg.q_spec)
     d = _parse_ideal_spec(fieldK, cfg.d_spec)
     rows = ["X,class,q,d,brute_count,main_term,gap,normalized_gap"]
     omega_q = len(q.factorization)
-    for c_idx, c in enumerate(fieldK.class_data.representatives):
+    for c_idx, c in enumerate(fieldK.class_representatives):
         brute = qf.count_sf(fieldK, cfg.X, c, q, d)
         main = qf.mainterm_sf(fieldK, cfg.X, c, q, d)
         gap = brute - main
@@ -234,7 +242,7 @@ def cmd_ideal_count(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_audit(cfg: RunConfig) -> int:
+def cmd_audit(cfg: argparse.Namespace) -> int:
     try:
         pair = selmer.make_pair(cfg.a, cfg.b)
     except ValueError as exc:
@@ -246,77 +254,55 @@ def cmd_audit(cfg: RunConfig) -> int:
     return 0 if report["ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="twistselmer", description=__doc__)
-    ap.add_argument("--config", help="key=value config file; command-line flags override")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sc = sub.add_parser("scan", help="descent data for every squarefree twist |d| < X")
-    sc.add_argument("--a", type=int)
-    sc.add_argument("--b", type=int)
-    sc.add_argument("--X", type=int)
-    sc.add_argument("--r", dest="r_list", help="tail thresholds, comma separated")
-    sc.add_argument("--out")
-    sc.add_argument("--workers", type=int)
-
-    ek = sub.add_parser("ek", help="moment and CDF reports for an additive function")
-    ek.add_argument("--f", dest="f_name", choices=["omega", "curve-g"])
-    ek.add_argument("--X", type=int)
-    ek.add_argument("--k", dest="k_list", help="moment orders, comma separated")
-    ek.add_argument("--field", dest="field_m", help="'Q' or a squarefree integer m")
-    ek.add_argument("--a", type=int)
-    ek.add_argument("--b", type=int)
-    ek.add_argument("--out")
-
-    ic = sub.add_parser("ideal-count", help="squarefree-ideal counts against the main term")
-    ic.add_argument("--m", dest="field_m")
-    ic.add_argument("--X", type=int)
-    ic.add_argument("--q", dest="q_spec", help="ideal spec: comma-separated p:idx tokens")
-    ic.add_argument("--d", dest="d_spec", help="ideal spec: comma-separated p:idx tokens")
-    ic.add_argument("--out")
-
-    au = sub.add_parser("audit", help="exact invariant suite; exit 1 on violation")
-    au.add_argument("--a", type=int)
-    au.add_argument("--b", type=int)
-    au.add_argument("--X", type=int)
-    au.add_argument("--seed", type=int)
-    au.add_argument("--inject-fault", dest="inject_fault", action="store_true", default=None,
-                    help="test hook: corrupt one local table entry")
-
-    return ap
-
-
-_CONFIG_TYPES = {
-    "a": int,
-    "b": int,
-    "X": int,
-    "seed": int,
-    "workers": int,
-    "k_list": _parse_int_list,
-    "r_list": _parse_int_list,
+COMMANDS = {
+    "scan": "descent data for every squarefree twist |d| < X",
+    "ek": "moment and CDF reports for an additive function",
+    "ideal-count": "squarefree-ideal counts against the main term",
+    "audit": "exact invariant suite; exit 1 on violation",
 }
 
 
-def config_from_args(argv) -> RunConfig:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    if getattr(ns, "config", None):
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="twistselmer", description=__doc__)
+    ap.add_argument("--config", help="key = value file, keyed by option dest; command-line flags override")
+    sub = ap.add_subparsers(dest="command", required=True)
+    # an option not given on the command line is left out of the namespace
+    parsers = {
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, text in COMMANDS.items()
+    }
+    for commands, flag, dest, typ, _, text in OPTIONS:
+        kind = {"action": "store_true"} if typ is _parse_bool else {"type": typ}
+        for name in commands:
+            parsers[name].add_argument(flag, dest=dest, help=text, **kind)
+    return ap
+
+
+def config_from_args(argv) -> argparse.Namespace:
+    """The options of the command in argv: the defaults, overridden by the
+    --config file, overridden by the flags.  A config key of another command
+    is ignored; a key of no command is an error."""
+    ns = build_parser().parse_args(argv)
+    own = {dest: (flag, typ, default) for cmds, flag, dest, typ, default, _ in OPTIONS if ns.command in cmds}
+    values = {dest: default for dest, (_, _, default) in own.items()}
+    if ns.config:
+        known = {dest for _, _, dest, *_ in OPTIONS}
         for key, raw in _load_config_file(ns.config).items():
-            if not hasattr(cfg, key):
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            typ = _CONFIG_TYPES.get(key, str)
-            setattr(cfg, key, typ(raw))
-    for key, val in vars(ns).items():
-        if key in ("command", "config") or val is None:
-            continue
-        if key in ("k_list", "r_list") and isinstance(val, str):
-            val = _parse_int_list(val)
-        setattr(cfg, key, val)
-    if cfg.field_m != "Q" and not isinstance(cfg.field_m, int):
-        cfg.field_m = int(cfg.field_m)
-    cfg.validate()
-    return cfg
+            if key in own:
+                try:
+                    values[key] = own[key][1](raw)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
+    values.update(vars(ns))
+    for dest, (flag, _, _) in own.items():
+        if values[dest] is None:
+            raise ValueError(f"{ns.command} needs {flag}")
+    for dest, least in (("X", 2), ("workers", 1)):
+        if values.get(dest, least) < least:
+            raise ValueError(f"{dest} must be >= {least}")
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -327,12 +313,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "scan": cmd_scan,
-        "ek": cmd_ek,
-        "ideal-count": cmd_ideal_count,
-        "audit": cmd_audit,
-    }
+    # looked up when called, so that a wrapper bound over a cmd_* later
+    # (bench/tracer.py does so) is the one that runs
+    handlers = {"scan": cmd_scan, "ek": cmd_ek, "ideal-count": cmd_ideal_count, "audit": cmd_audit}
     try:
         return handlers[cfg.command](cfg)
     except selmer.DescentConsistencyError as exc:

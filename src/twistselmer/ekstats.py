@@ -97,10 +97,11 @@ class DistributionReport:
     ks: float
 
 
-def _field_primes(f: AdditiveFunctionSpec, X) -> list:
+def _field_primes(f: AdditiveFunctionSpec, X):
+    """The primes (prime ideals) of norm < X."""
     if f.base_field == "Q":
-        return [p for p in sieve_primes(int(X) + 1).primes if p < X]
-    return [P for P in qf.primes_up_to(f.base_field, int(math.ceil(X)))]
+        return sieve_primes(max(2, math.ceil(X)))
+    return qf.primes_up_to(f.base_field, math.ceil(X))
 
 
 def _norm(prime) -> int:
@@ -145,15 +146,14 @@ def _odd_moment_bound(k: int, sigma: float) -> float:
     return ck * sigma ** (k - 1) * k**1.5
 
 
-def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int, z: float | None = None) -> MomentReport:
+def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int) -> MomentReport:
     """k-th empirical moment of the centered prime sum over C(K, X), against
-    the Gaussian prediction at the prime cutoff z (default X^(1/(2k)))."""
+    the Gaussian prediction at the prime cutoff z = X^(1/(2k))."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not f.bounded_01:
         raise ValueError("empirical_moment requires a [0,1]-bounded additive function")
-    if z is None:
-        z = X ** (0.5 / k)  # the (1 - lambda)/k exponent with lambda = 1/2
+    z = X ** (0.5 / k)  # the (1 - lambda)/k exponent with lambda = 1/2
     primes = _field_primes(f, z)
     mu_t = math.fsum(f.value(p) / (_norm(p) + 1) for p in primes)
     sigma = math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in primes))
@@ -229,7 +229,7 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
     center, scale = normalize
     if scale <= 0:
         raise ValueError("scale must be positive")
-    vals = np.asarray(sorted(values), dtype=np.float64)
+    vals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
     if len(vals) == 0:
         raise ValueError("values must be nonempty")
     n = len(vals)
@@ -238,10 +238,7 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
         lo, hi = int(vals[0]), int(vals[-1])
         # half-step grid on the data's own lattice, so that the report is
         # invariant under affine renormalization of (values, center, scale)
-        step = 0
-        for v in vals:
-            step = math.gcd(step, int(v) - lo)
-        step = step or 1
+        step = int(np.gcd.reduce(vals.astype(np.int64) - lo)) or 1
         lattice = range(lo - step, hi + 1, step)
         grid = [(j + step / 2 - center) / scale for j in lattice]
         emp = [float(np.searchsorted(vals, j + step / 2)) / n for j in lattice]
@@ -270,7 +267,7 @@ def mertens_char_sum(field, c, X) -> float:
         raise ValueError("mertens_char_sum is defined over Q only")
     if c >= 0 and math.isqrt(c) ** 2 == c:
         raise ValueError("c must not be a square")
-    primes = [p for p in sieve_primes(int(X) + 2).primes if p <= X]
+    primes = [p for p in sieve_primes(int(X) + 2) if p <= X]
     period = 4 * abs(c)  # (c|.) is periodic with period 4|c| on odd arguments
     tab = {}
     acc = []
@@ -299,7 +296,7 @@ def sigma_g_exact(pair, X) -> float:
     (1 - chi(disc * disc'))/Np."""
     cls = squarefree_part(pair.b * pair.b_dual)
     acc = []
-    for p in sieve_primes(int(X) + 2).primes:
+    for p in sieve_primes(int(X) + 2):
         if p > X or p == 2 or p in pair.bad_primes:
             continue
         acc.append((1 - kronecker(cls, p)) / (2.0 * p))

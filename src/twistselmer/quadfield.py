@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import kronecker, sieve_primes, sqrt_mod_prime, squarefree_part
 
@@ -52,12 +53,6 @@ class IdealK:
 
 
 ONE_IDEAL = IdealK((), 1)
-
-
-@dataclass(frozen=True, slots=True)
-class IdealClassData:
-    h: int
-    representatives: tuple[IdealK, ...]
 
 
 def _fact_key(ideal: IdealK):
@@ -139,8 +134,6 @@ class QuadraticField:
         self._prime_cache: dict[int, list[PrimeIdealK]] = {}
         self._prime_class_cache: dict[PrimeIdealK, int] = {}
         self._zeta2_cache: dict[int, float] = {}
-        self._class_data: IdealClassData | None = None
-        self._cayley: list[list[int]] | None = None
         self._sqfree_cache: dict[int, tuple] = {}
 
     def _omega_real(self) -> float:
@@ -151,15 +144,19 @@ class QuadraticField:
 
     # --- class group -------------------------------------------------
 
-    @property
-    def class_data(self) -> IdealClassData:
-        if self._class_data is None:
-            self._init_classes()
-        return self._class_data
+    @cached_property
+    def class_representatives(self) -> tuple[IdealK, ...]:
+        """One ideal per class: the first of its class, in (norm, factorization)
+        order, among the ideals of norm at most the Minkowski bound."""
+        reps: list[IdealK] = []
+        for a in _ideals_up_to_norm(self, self.minkowski_bound):
+            if not any(self._equivalent(a, r) for r in reps):
+                reps.append(a)
+        return tuple(reps)
 
     @property
     def class_number(self) -> int:
-        return self.class_data.h
+        return len(self.class_representatives)
 
     @property
     def minkowski_bound(self) -> int:
@@ -168,14 +165,10 @@ class QuadraticField:
             return int((2.0 / math.pi) * math.sqrt(d)) + 1
         return int(0.5 * math.sqrt(d)) + 1
 
-    def _init_classes(self):
-        mb = self.minkowski_bound
-        ideals = _ideals_up_to_norm(self, mb)
-        reps: list[IdealK] = []
-        for a in ideals:  # already sorted by (norm, factorization key)
-            if not any(self._equivalent(a, r) for r in reps):
-                reps.append(a)
-        self._class_data = IdealClassData(len(reps), tuple(reps))
+    @cached_property
+    def _cayley(self) -> list[list[int]]:
+        """The class group's table: _cayley[i][j] is the class of reps[i]*reps[j]."""
+        reps = self.class_representatives
         h = len(reps)
         table = [[0] * h for _ in range(h)]
         for i in range(h):
@@ -183,21 +176,19 @@ class QuadraticField:
                 prod = ideal_mul(reps[i], reps[j])
                 k = next(t for t in range(h) if self._equivalent(prod, reps[t]))
                 table[i][j] = table[j][i] = k
-        self._cayley = table
+        return table
 
     def _equivalent(self, a: IdealK, b: IdealK) -> bool:
         return generator_if_principal(self, ideal_mul(a, ideal_conj(b))) is not None
 
     def class_compose(self, i: int, j: int) -> int:
-        self.class_data
         return self._cayley[i][j]
 
     def class_inverse(self, i: int) -> int:
-        h = self.class_data.h
-        return next(j for j in range(h) if self.class_compose(i, j) == 0)
+        return self._cayley[i].index(0)
 
     def class_of_prime(self, P: PrimeIdealK) -> int:
-        if self.class_data.h == 1:
+        if self.class_number == 1:
             return 0
         cls = self._prime_class_cache.get(P)
         if cls is None:
@@ -205,14 +196,16 @@ class QuadraticField:
                 # P * conj(P) = (p), so P is in the inverse class of its conjugate
                 cls = self.class_inverse(self.class_of_prime(PrimeIdealK(P.p, SPLIT, 0, P.norm)))
             else:
+                # a prime in none of the other classes is in the last one
                 a = IdealK(((P, 1),), P.norm)
-                cls = next(k for k, r in enumerate(self.class_data.representatives) if self._equivalent(a, r))
+                reps = self.class_representatives
+                cls = next((k for k, r in enumerate(reps[:-1]) if self._equivalent(a, r)), len(reps) - 1)
             self._prime_class_cache[P] = cls
         return cls
 
     def class_of_ideal(self, a: IdealK) -> int:
         cls = 0
-        h = self.class_data.h
+        h = self.class_number
         for P, e in a.factorization:
             cp = self.class_of_prime(P)
             # element orders divide h, so the exponent only matters mod h
@@ -390,7 +383,11 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
 
     Bounded search of the norm form 4*N(x + y*omega) = (2x + t*y)^2 - D*y^2,
     D = disc and t = trace(omega): the target n = N(a) with y^2 <= 4n/|D| when
-    D < 0, and the targets +-n with y in a unit box when D > 0.
+    D < 0, and the targets +-n with y^2 <= 4n*eps/D when D > 0.  For the
+    real bound: eps/eps' = +-eps^2, so a generator alpha times a suitable
+    +-eps^k has |alpha/alpha'| in [1/eps, eps); with |alpha*alpha'| = n,
+    |alpha| and |alpha'| are then at most sqrt(n*eps), and
+    |y| = |alpha - alpha'|/sqrt(D) <= 2*sqrt(n*eps/D).
     """
     n = a.norm
     if n == 1:
@@ -401,8 +398,7 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
         ybound = math.isqrt(4 * n // -D) + 1
         targets = (n,)
     else:
-        # real field: a generator can be normalized into a unit box
-        ybound = int((math.sqrt(n) * (field.unit_value + 1)) / math.sqrt(field.m)) + 2
+        ybound = int(2 * math.sqrt(n * field.unit_value / D)) + 2
         targets = (n, -n)
     for y in range(-ybound, ybound + 1):
         for target in targets:
@@ -426,7 +422,7 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
 def primes_up_to(field: QuadraticField, X: int) -> list[PrimeIdealK]:
     """All prime ideals of norm < X, ordered by (norm, p, conjugate_index)."""
     out = []
-    for p in sieve_primes(max(2, X)).primes:
+    for p in sieve_primes(max(2, X)):
         for P in split_prime(field, p):
             if P.norm < X:
                 out.append(P)
@@ -596,7 +592,6 @@ def mainterm_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) 
 
 def density_constant(field: QuadraticField) -> float:
     """c(K): the character count |C(K, X)| grows like c(K) * X."""
-    reps = field.class_data.representatives
-    s = sum(1.0 / (b.norm**2) for b in reps)
+    s = sum(1.0 / (b.norm**2) for b in field.class_representatives)
     u = len(units_mod_squares(field))
     return u * (1.0 / field.class_number) * (zeta_residue(field) / zeta_at_2(field)) * s

@@ -124,9 +124,7 @@ def local_image(a: int, b: int, rep: int, place) -> tuple[int, tuple[int, ...]]:
     torsor route, independent of any symbol table."""
     at, bt = a * rep, b * rep * rep
     masks = tuple(
-        _local_bits(cls.representative, place)
-        for cls in local_square_classes(place)
-        if torsor_locally_solvable(at, bt, cls.representative, place)
+        _local_bits(delta, place) for delta in local_square_classes(place) if torsor_locally_solvable(at, bt, delta, place)
     )
     dim = len(masks).bit_length() - 1
     if 1 << dim != len(masks):
@@ -534,7 +532,9 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     report["ok"] False iff an exact identity failed; each failure names its
     check ("product-formula", "ord2-decomposition", "local-image",
     "good-ramified-cross-oracle", "root-number-parity" or
-    "twist-class-invariance").
+    "twist-class-invariance").  A failure of the first three, which the
+    descent kernel raises, also carries "dims": the error's per-place dims
+    with the places as strings, or None.
     """
     rng = random.Random(seed)
     ctx = _CurveContext(pair)  # private context: fault injection stays isolated
@@ -556,7 +556,8 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
         for d, res in zip((ad, -ad), _descend_abs(ctx, ad, fact, (1, -1))):
             n_twists += 1
             if isinstance(res, DescentConsistencyError):
-                failures.append({"d": d, "check": res.check, "detail": str(res)})
+                dims = None if res.dims is None else {str(v): n for v, n in res.dims.items()}
+                failures.append({"d": d, "check": res.check, "detail": str(res), "dims": dims})
                 continue
             corrections.add(res.correction)
             for p in (p for p in fact if p not in pair.bad_primes):

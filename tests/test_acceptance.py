@@ -110,7 +110,7 @@ class TestCriterion4SquarefreeIdealCounts:
                     divisors += [qf.make_ideal(list(d.factorization) + [(P, 1)]) for d in list(divisors)]
                 for d in divisors:
                     for X in (10**3, 10**4, 10**5):
-                        for c in K.class_data.representatives:
+                        for c in K.class_representatives:
                             cnt = qf.count_sf(K, X, c, q, d)
                             main = qf.mainterm_sf(K, X, c, q, d)
                             gap = abs(cnt - main) / (math.sqrt(X) * 3 ** len(q.factorization))
@@ -142,7 +142,7 @@ class TestCriterion5Moments:
             # diagnostic: same empirical moment against the exact finite main
             # term (the sum of G(p^2) over p < z) instead of sigma_f(z)^2
             exact_var = sum(
-                mainterm_G(om, [(p, 2)]) for p in sieve_primes(max(3, int(rep.z) + 1)).primes if p < rep.z
+                mainterm_G(om, [(p, 2)]) for p in sieve_primes(max(3, int(rep.z) + 1)) if p < rep.z
             )
             alt = rep.empirical / (moment_constant(k) * exact_var ** (k / 2))
             ok = lo <= rep.ratio <= hi
@@ -220,7 +220,7 @@ class TestCriterion9AnalyticConstants:
 class TestCriterion10InvariantSuites:
     def test_compact_invariant_rerun(self, tmp_path):
         # kronecker reciprocity
-        odd_primes = [p for p in sieve_primes(200).primes if p > 2]
+        odd_primes = [p for p in sieve_primes(200) if p > 2]
         import random
 
         rng = random.Random(47)

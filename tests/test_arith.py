@@ -7,7 +7,6 @@ import twistselmer.arith as arith
 from twistselmer.arith import (
     REAL_PLACE,
     SIEVE_BLOCK,
-    PrimeTable,
     factorize,
     is_perfect_square,
     kronecker,
@@ -32,22 +31,21 @@ def trial_division_primes(bound):
 
 class TestSievePrimes:
     def test_first_primes(self):
-        assert sieve_primes(10).primes == (2, 3, 5, 7)
-        assert sieve_primes(3).primes == (2,)
+        assert sieve_primes(10) == (2, 3, 5, 7)
+        assert sieve_primes(3) == (2,)
 
     def test_against_trial_division(self):
-        table = sieve_primes(100)
-        assert len(table.primes) == 25
-        assert list(table.primes) == trial_division_primes(100)
+        primes = sieve_primes(100)
+        assert len(primes) == 25
+        assert list(primes) == trial_division_primes(100)
 
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
 
     def test_strictly_increasing_and_prime(self):
-        table = sieve_primes(500)
-        assert all(a < b for a, b in zip(table.primes, table.primes[1:]))
-        assert isinstance(table, PrimeTable)
+        primes = sieve_primes(500)
+        assert all(a < b for a, b in zip(primes, primes[1:]))
 
 
 class TestKronecker:
@@ -63,7 +61,7 @@ class TestKronecker:
             kronecker(3, 0)
 
     def test_matches_legendre_at_odd_primes(self):
-        for p in sieve_primes(60).primes:
+        for p in sieve_primes(60):
             if p == 2:
                 continue
             squares = {pow(x, 2, p) for x in range(1, p)}
@@ -80,7 +78,7 @@ class TestKronecker:
             assert kronecker(a, b * n) == kronecker(a, b) * kronecker(a, n)
 
     def test_quadratic_reciprocity(self):
-        odd_primes = [p for p in sieve_primes(500).primes if p > 2]
+        odd_primes = [p for p in sieve_primes(500) if p > 2]
         rng = random.Random(2)
         for _ in range(2000):
             p, q = rng.choice(odd_primes), rng.choice(odd_primes)
@@ -93,7 +91,7 @@ class TestKronecker:
 class TestSqrtMod:
     def test_roundtrip(self):
         rng = random.Random(3)
-        for p in [p for p in sieve_primes(200).primes if p > 2]:
+        for p in [p for p in sieve_primes(200) if p > 2]:
             for _ in range(5):
                 a = rng.randrange(p)
                 r = sqrt_mod_prime(a, p)
@@ -190,10 +188,10 @@ class TestSquarefreeSieve:
 
 class TestLocalSquareClasses:
     def test_real(self):
-        assert [c.representative for c in local_square_classes(REAL_PLACE)] == [1, -1]
+        assert local_square_classes(REAL_PLACE) == [1, -1]
 
     def test_two(self):
-        reps = [c.representative for c in local_square_classes(2)]
+        reps = local_square_classes(2)
         assert sorted(reps) == sorted([1, -1, 2, -2, 5, -5, 10, -10])
         # enumeration oracle: the 8 reps are pairwise inequivalent in Q_2
         keys = set()
@@ -209,9 +207,9 @@ class TestLocalSquareClasses:
         assert len(keys) == 8
 
     def test_odd(self):
-        assert [c.representative for c in local_square_classes(5)] == [1, 2, 5, 10]
+        assert local_square_classes(5) == [1, 2, 5, 10]
         for p in (3, 7, 11, 13):
-            reps = [c.representative for c in local_square_classes(p)]
+            reps = local_square_classes(p)
             assert len(reps) == 4
             u = reps[1]
             assert kronecker(u, p) == -1
@@ -221,8 +219,8 @@ class TestLocalSquareClasses:
 
     def test_representatives_squarefree(self):
         for place in (REAL_PLACE, 2, 3, 7, 13):
-            for c in local_square_classes(place):
-                assert squarefree_part(c.representative) == c.representative
+            for r in local_square_classes(place):
+                assert squarefree_part(r) == r
 
 
 SAMPLE_CURVES = [
@@ -262,8 +260,7 @@ class TestTorsorSolvability:
         # solvability depends only on the square class of delta
         for a, b in [(1, -1), (0, 4), (-1, 3)]:
             for v in places_of(a, b):
-                for c in local_square_classes(v):
-                    d = c.representative
+                for d in local_square_classes(v):
                     base = torsor_locally_solvable(a, b, d, v)
                     for k in (2, 3, 5):
                         assert torsor_locally_solvable(a, b, d * k * k, v) == base
@@ -273,22 +270,15 @@ class TestTorsorSolvability:
         # closure under class multiplication at every place over 2*disc*oo
         for v in places_of(a, b):
             classes = local_square_classes(v)
-            solvable = [c.representative for c in classes if torsor_locally_solvable(a, b, c.representative, v)]
-            reps = {squarefree_part(c.representative) for c in classes}
+            solvable = [c for c in classes if torsor_locally_solvable(a, b, c, v)]
             for x in solvable:
                 for y in solvable:
                     prod = squarefree_part(x * y)
                     if v != REAL_PLACE and v != 2:
                         # reduce modulo the class structure at odd v
-                        prod_class = next(
-                            c.representative
-                            for c in classes
-                            if _same_class_odd(prod, c.representative, v)
-                        )
+                        prod_class = next(c for c in classes if _same_class_odd(prod, c, v))
                     elif v == 2:
-                        prod_class = next(
-                            c.representative for c in classes if _same_class_two(prod, c.representative)
-                        )
+                        prod_class = next(c for c in classes if _same_class_two(prod, c))
                     else:
                         prod_class = 1 if prod > 0 else -1
                     assert prod_class in solvable, (a, b, v, x, y)
@@ -300,9 +290,7 @@ class TestTorsorSolvability:
             for p in (7, 11, 13, 17, 19, 23):
                 if p in bad:
                     continue
-                count = sum(
-                    1 for c in local_square_classes(p) if torsor_locally_solvable(a, b, c.representative, p)
-                )
+                count = sum(1 for c in local_square_classes(p) if torsor_locally_solvable(a, b, c, p))
                 assert count == 2, (a, b, p)
 
 
@@ -392,7 +380,7 @@ class TestOddPrimeRoutes:
     """The residue scan and the polynomial route of the odd-prime torsor
     solver, each run on its own against the other."""
 
-    @pytest.mark.parametrize("p", [p for p in sieve_primes(401).primes if p >= 31])
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(401) if p >= 31])
     def test_polynomial_route_matches_scan(self, p, monkeypatch):
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
         rng = random.Random(p)
@@ -407,7 +395,7 @@ class TestOddPrimeRoutes:
 
     def test_even_reduction_matches_scan(self):
         rng = random.Random(4)
-        primes = [p for p in sieve_primes(3000).primes if p > 400]
+        primes = [p for p in sieve_primes(3000) if p > 400]
         squares = 0
         for _ in range(40):
             p = rng.choice(primes)

@@ -247,6 +247,13 @@ class TestIdealCount:
         assert run(["ideal-count", *args, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "sfcount.csv").read_bytes()).hexdigest() == digest
 
+    def test_missing_m_exits_2(self, tmp_path, capsys):
+        # ek's default field 'Q' is not ideal-count's
+        assert run(["ideal-count", "--X", "100", "--out", str(tmp_path / "ic")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--m" in err[0]
+        assert not (tmp_path / "ic").exists()
+
     def test_field_cap_violation(self, tmp_path):
         assert run(["ideal-count", "--m", "-10007", "--X", "100", "--out", str(tmp_path)]) == 2
 
@@ -276,6 +283,9 @@ class TestAudit:
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "60", "--inject-fault"]) == 1
         record = json.loads(capsys.readouterr().out)
         assert record["ok"] is False and record["failures"]
+        # the dims at 2 read 2 where the corrupted table entry is used
+        assert record["failures"][0]["dims"] == {"oo": 0, "2": 2, "5": 2}
+        assert all({"oo", "2", "5"} <= set(f["dims"]) for f in record["failures"])
 
 
 def test_scan_and_audit_never_import_numpy(tmp_path):
@@ -314,3 +324,53 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 3\n")
         assert run(["--config", str(cfg), "scan", "--a", "1", "--b", "-1", "--X", "10"]) == 2
+
+    @pytest.mark.parametrize("value, code", [("false", 0), ("true", 1), ("yes", 2), ("False", 2)])
+    def test_inject_fault_key(self, tmp_path, value, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"inject_fault = {value}\n")
+        assert run(["--config", str(cfg), "audit", "--a", "1", "--b", "-1", "--X", "100"]) == code
+
+    @pytest.mark.parametrize("key", ["command", "config"])
+    def test_command_and_config_keys_are_fatal(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = audit\n")
+        out = tmp_path / "o"
+        assert run(["--config", str(cfg), "scan", "--a", "1", "--b", "-1", "--X", "100", "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_command_is_ignored(self, tmp_path):
+        # seed and m belong to audit and ideal-count; q_spec = x would not parse as an ideal spec
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nfield_m = -5\nq_spec = x\nworkers = 1\n")
+        out = tmp_path / "o"
+        assert run(["--config", str(cfg), "ek", "--f", "omega", "--X", "1000", "--k", "2", "--out", str(out)]) == 0
+        assert (out / "cdf.csv").exists()
+
+    def test_defaults_then_file_then_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 1\nb = -1\nX = 30\nr_list = 1\n")
+        out = tmp_path / "o"
+        assert run(["--config", str(cfg), "scan", "--X", "50", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["X"] == 50 and set(summary["tail_fractions"]) == {"1"}
+        flags = tmp_path / "f"
+        assert run(["scan", "--X", "50", "--r", "1", "--out", str(flags)]) == 0
+        assert (flags / "twists.csv").read_bytes() == (out / "twists.csv").read_bytes()
+        assert (flags / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
+
+    def test_ideal_count_field_from_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("field_m = -5\nX = 500\nq_spec = 3:0\nd_spec = 3:0\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["--config", str(cfg), "ideal-count", "--out", str(a)]) == 0
+        assert run(["ideal-count", "--m", "-5", "--X", "500", "--q", "3:0", "--d", "3:0", "--out", str(b)]) == 0
+        assert (a / "sfcount.csv").read_bytes() == (b / "sfcount.csv").read_bytes()
+
+    def test_bad_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = two\n")
+        assert run(["--config", str(cfg), "scan", "--a", "1", "--b", "-1", "--X", "10", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "workers" in err[0]

@@ -91,7 +91,7 @@ class TestCenteredG:
         X = 10**6
         pos = np.flatnonzero(np.frombuffer(squarefree_flags(1, X), dtype=np.uint8)) + 1
         n = 2 * len(pos)
-        for p in sieve_primes(72).primes[:20]:
+        for p in sieve_primes(72)[:20]:
             freq = 2 * int(np.count_nonzero(pos % p == 0)) / n
             u = 1 / (p + 1)
             se = math.sqrt(u * (1 - u) / n)
@@ -125,7 +125,7 @@ class TestEmpiricalMoment:
             warnings.simplefilter("ignore")
             rep = empirical_moment(om, X, 2)
         z = X ** 0.25
-        primes = [p for p in sieve_primes(60).primes if p < z]
+        primes = [p for p in sieve_primes(60) if p < z]
         mu_t = sum(1 / (p + 1) for p in primes)
         total = 0.0
         for chi in enumerate_characters("Q", X):
@@ -137,7 +137,7 @@ class TestEmpiricalMoment:
         from twistselmer.arith import factorize
 
         f = AdditiveFunctionSpec("Q", lambda p: 1.0 / p, bounded_01=True)
-        primes = sieve_primes(30).primes
+        primes = sieve_primes(30)
         X = 2000
         expected = []
         for d in range(1, X):
@@ -235,6 +235,21 @@ class TestDistributionReport:
         assert abs(r1.ks - r2.ks) < 1e-12
         assert all(abs(a - b) < 1e-12 for a, b in zip(r1.grid, r2.grid))
 
+    def test_lattice_against_gcd_loop(self):
+        # integer values: the grid steps by the gcd of their offsets from the minimum, as a math.gcd loop finds it
+        rng = random.Random(7)
+        for _ in range(60):
+            vals = [rng.choice((3, 6, -9, 12, 0)) * rng.randint(-5, 5) + 7 for _ in range(rng.randint(1, 30))]
+            lo, hi = min(vals), max(vals)
+            step = 0
+            for v in vals:
+                step = math.gcd(step, v - lo)
+            step = step or 1
+            rep = distribution_report(vals, (0.0, 1.0))
+            lattice = range(lo - step, hi + 1, step)
+            assert rep.grid == tuple(j + step / 2 for j in lattice), vals
+            assert rep.empirical_cdf == tuple(sum(v <= j for v in vals) / len(vals) for j in lattice), vals
+
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             distribution_report([1, 2], (0.0, 0.0))
@@ -293,7 +308,7 @@ class TestOmegaDistributionTrend:
         om = omega_spec()
         ks = []
         for X in (10**4, 10**5, 10**6):
-            values = prime_sum_values(om, X, sieve_primes(X).primes)
+            values = prime_sum_values(om, X, sieve_primes(X))
             rep = distribution_report(values, (mu_f(om, X), sigma_f(om, X)), X=X)
             ks.append(rep.ks)
         assert ks[0] >= ks[1] >= ks[2]

@@ -390,7 +390,7 @@ class TestDescend:
         for a, b in CURVES_20:
             pair = make_pair(a, b)
             kinds: dict = {}
-            for p in (p for p in sieve_primes(400).primes if p not in pair.bad_primes):
+            for p in (p for p in sieve_primes(400) if p not in pair.bad_primes):
                 kinds.setdefault((kronecker(pair.b_dual, p), kronecker(pair.b, p)), []).append(p)
             mixed = [math.prod(ps[i] for ps in kinds.values()) for i in (0, 1)]
             for d in (1, -1, 2, -3, 6, -7, 11, -21, 30, -77, *mixed, *(-m for m in mixed)):
@@ -486,6 +486,15 @@ class TestAudit:
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"product-formula"}
 
+    def test_fault_injection_reports_dims(self):
+        # the places over 2*disc*oo first, then the good primes of d; the corrupted dim at 2 shows
+        report = audit_curve(make_pair(1, -1), 100, inject_fault=True)
+        for f in report["failures"]:
+            places = list(f["dims"])
+            assert places[:3] == ["oo", "2", "5"], f
+            assert sorted(int(p) for p in places[3:]) == [p for p, _ in factorize(f["d"]) if p not in (2, 5)], f
+        assert report["failures"][0]["dims"] == {"oo": 0, "2": 2, "5": 2}
+
     def test_wrong_local_image_is_named(self, monkeypatch):
         import twistselmer.selmer as selmer
 
@@ -493,6 +502,7 @@ class TestAudit:
         report = audit_curve(make_pair(1, -1), 20)
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"local-image"}
+        assert all(f["dims"] is None for f in report["failures"])
 
     def test_local_image_failure_names_the_twist(self, monkeypatch):
         import twistselmer.selmer as selmer
@@ -527,7 +537,8 @@ class TestAudit:
         assert isinstance(plus, DescentConsistencyError) and (plus.check, plus.d) == ("product-formula", 7)
         assert minus == descend(pair, -7)
         report = audit_curve(pair, 60)
-        assert report["failures"] == [{"d": 7, "check": "product-formula", "detail": "forced"}]
+        dims = {"oo": 0, "2": 1, "5": 2, "7": 1}
+        assert report["failures"] == [{"d": 7, "check": "product-formula", "detail": "forced", "dims": dims}]
         # -7 = 1 mod 8 is coprime to 10, so its parity check shows that -7 was audited
         assert report["n_twists"] == clean["n_twists"]
         assert report["n_parity_checks"] == clean["n_parity_checks"]
