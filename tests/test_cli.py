@@ -183,6 +183,13 @@ class TestEk:
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("flag, value", [("--k", "2,x"), ("--field", "x")])
+    def test_bad_value_names_the_flag(self, tmp_path, capsys, flag, value):
+        assert run(["ek", flag, value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err and f"not '{value}'" in err
+        assert "_parse" not in err
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["ek", "--f", "omega", "--X", "1500", "--k", "2,4", "--out", str(a)])
@@ -374,3 +381,11 @@ class TestConfigFile:
         assert run(["--config", str(cfg), "scan", "--a", "1", "--b", "-1", "--X", "10", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "workers" in err[0]
+
+    @pytest.mark.parametrize("key, value", [("k_list", "2,x"), ("field_m", "x")])
+    def test_bad_list_or_field_names_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run(["--config", str(cfg), "ek", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"config key {key!r}: expected" in err[0], err

@@ -13,7 +13,6 @@ from twistselmer.quadfield import (
     _ideals_up_to_norm,
     _omega_roots_mod_p,
     count_sf,
-    density_constant,
     element_norm,
     generator_if_principal,
     hnf_contains,
@@ -28,7 +27,6 @@ from twistselmer.quadfield import (
     split_prime,
     squarefree_ideals_up_to,
     units_mod_squares,
-    zeta2_tail_bound,
     zeta_at_2,
     zeta_residue,
 )
@@ -162,6 +160,19 @@ def reference_generator_if_principal(field, a):
                 if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
                     return cand
     return None
+
+
+def zeta2_tail_bound(B: int) -> float:
+    """Upper bound for the log-tail of the zeta_K(2) Euler product cut at norm B."""
+    # split/ramified primes p >= B contribute <= 2.02/p^2 each; inert p >= sqrt(B)
+    return 2.1 / (B * math.log(B)) + 3.0 / (B ** 1.49)
+
+
+def density_constant(field) -> float:
+    """c(K): the character count |C(K, X)| grows like c(K) * X."""
+    s = sum(1.0 / (b.norm**2) for b in field.class_representatives)
+    u = len(units_mod_squares(field))
+    return u * (1.0 / field.class_number) * (zeta_residue(field) / zeta_at_2(field)) * s
 
 
 # imaginary and real, both residues of m mod 4, class groups up to Z/4 and Z/5

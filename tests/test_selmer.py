@@ -13,7 +13,6 @@ from twistselmer.arith import (
     squarefree_part,
     torsor_locally_solvable,
 )
-from twistselmer.characters import char_from_element
 from twistselmer.selmer import (
     DescentConsistencyError,
     IsogenyPair,
@@ -25,8 +24,6 @@ from twistselmer.selmer import (
     _f2_rank,
     audit_curve,
     descend,
-    g_chi,
-    g_chi_of_twist,
     g_of_primes,
     local_dim_good_ramified,
     local_image,
@@ -40,6 +37,11 @@ CURVES_20 = [
     (1, -3), (-1, -1), (2, 3), (-3, 2), (1, 5), (5, -1), (-2, -3), (4, 1),
     (-4, 3), (2, 7), (-5, -2), (3, 5),
 ]
+
+
+def g_chi_of_twist(pair, d):
+    """g at the character of Q(sqrt(d)): over the primes of odd exponent in d."""
+    return g_of_primes(pair, [p for p, e in factorize(d) if e % 2])
 
 
 class TestMakePair:
@@ -268,8 +270,10 @@ class TestGChi:
         assert g_chi_of_twist(pair, 143) == 0  # -1 at 11, +1 at 13
 
     def test_character_interface(self):
+        # d and d*k^2 cut out the same character, so they give the same g
         pair = make_pair(1, -1)
-        assert g_chi(pair, char_from_element("Q", 11)) == -1
+        assert g_chi_of_twist(pair, 11 * 9) == g_chi_of_twist(pair, -11 * 4) == -1
+        assert g_chi_of_twist(pair, 11**3) == -1 and g_chi_of_twist(pair, 11**2) == 0
 
     def test_additivity_on_coprime_twists(self):
         pair = make_pair(1, -1)
@@ -394,6 +398,19 @@ class TestDescend:
                 kinds.setdefault((kronecker(pair.b_dual, p), kronecker(pair.b, p)), []).append(p)
             mixed = [math.prod(ps[i] for ps in kinds.values()) for i in (0, 1)]
             for d in (1, -1, 2, -3, 6, -7, 11, -21, 30, -77, *mixed, *(-m for m in mixed)):
+                res = descend(pair, d)
+                assert _brute_selmer_dim(a, b, d) == res.dim_selphi, (a, b, d)
+                assert _brute_selmer_dim(pair.a_dual, pair.b_dual, d) == res.dim_selphihat, (a, b, d)
+
+    def test_wide_twists_match_brute_force_torsor_count(self):
+        # the kernel test above stops at |d| < 2000, at most four odd primes;
+        # here two seeded twists per curve are +-{1, 2} times 4 to 6 good primes
+        rng = random.Random(2024)
+        for a, b in CURVES_20:
+            pair = make_pair(a, b)
+            good = [p for p in sieve_primes(284) if p not in pair.bad_primes]
+            for _ in range(2):
+                d = rng.choice((1, -1, 2, -2)) * math.prod(rng.sample(good, rng.randint(4, 6)))
                 res = descend(pair, d)
                 assert _brute_selmer_dim(a, b, d) == res.dim_selphi, (a, b, d)
                 assert _brute_selmer_dim(pair.a_dual, pair.b_dual, d) == res.dim_selphihat, (a, b, d)
