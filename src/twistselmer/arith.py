@@ -27,6 +27,7 @@ SIEVE_BLOCK = 1 << 15
 
 __all__ = [
     "REAL_PLACE",
+    "prime_flags",
     "sieve_primes",
     "kronecker",
     "sqrt_mod_prime",
@@ -42,17 +43,22 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
-def sieve_primes(bound: int) -> tuple[int, ...]:
-    """Sieve of Eratosthenes: the primes < bound, ascending."""
+def prime_flags(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[n] is 1 if n is prime, else 0, for 0 <= n < bound."""
     if bound < 2:
-        raise ValueError("sieve_primes: bound must be >= 2")
+        raise ValueError("prime_flags: bound must be >= 2")
     flags = bytearray([1]) * bound
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(bound - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, bound, i)))
-    return tuple(compress(range(bound), flags))
+    return flags
+
+
+@lru_cache(maxsize=8)
+def sieve_primes(bound: int) -> tuple[int, ...]:
+    """The primes < bound, ascending."""
+    return tuple(compress(range(bound), prime_flags(bound)))
 
 
 def kronecker(a: int, n: int) -> int:

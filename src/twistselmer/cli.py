@@ -89,7 +89,10 @@ def _parse_ideal_spec(fieldK, spec: str) -> qf.IdealK:
         if not token:
             continue
         p_str, _, idx_str = token.partition(":")
-        p, idx = int(p_str), int(idx_str or 0)
+        try:
+            p, idx = int(p_str), int(idx_str or 0)
+        except ValueError as exc:
+            raise ValueError(f"ideal spec {token!r}: {exc}") from None
         if p < 2 or factorize(p) != ((p, 1),):
             raise ValueError(f"ideal spec {token!r}: {p} is not a prime")
         if idx < 0:

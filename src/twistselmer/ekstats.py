@@ -65,7 +65,7 @@ class MomentReport:
     k: int
     empirical: float
     predicted: float
-    ratio: float
+    ratio: float | None  # None when the prediction is 0: no prime of norm below z
     within_uniform_range: bool
 
 
@@ -147,7 +147,7 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int) -> MomentReport:
             f"moment order k={k} exceeds sigma^(2/3)={sigma ** (2/3):.3f}: outside the uniform range",
             stacklevel=2,
         )
-    ratio = empirical / predicted if predicted else math.inf
+    ratio = empirical / predicted if predicted else None
     return MomentReport(X, float(z), k, empirical, predicted, ratio, within)
 
 

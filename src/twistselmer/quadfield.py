@@ -5,10 +5,10 @@ group via Minkowski-bound enumeration with exact principality testing,
 units modulo squares, and the analytic constants (residue of zeta_K at
 s=1, zeta_K(2)) that drive squarefree-ideal counts.
 
-Ideals are kept in fully factored form; a two-generator Z-module (HNF)
-representation is derived on demand for membership and principality
-tests.  Fields are capped at |disc| <= 10^4 and real fields at a
-fundamental-unit coordinate bound of 10^7 so that every search is exact.
+Ideals are kept in fully factored form, and membership is read off the
+factorization one prime power at a time.  Fields are capped at
+|disc| <= 10^4 and real fields at a fundamental-unit coordinate bound of
+10^7 so that every search is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import kronecker, sieve_primes, sqrt_mod_prime, squarefree_part
+from .arith import kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
@@ -231,16 +231,6 @@ def element_norm(field: QuadraticField, el) -> int:
     return x * x + field.omega_trace * x * y + field.omega_norm * y * y
 
 
-def element_mul(field: QuadraticField, a, b):
-    x1, y1 = a
-    x2, y2 = b
-    # omega^2 = trace*omega - norm
-    return (
-        x1 * x2 - field.omega_norm * y1 * y2,
-        x1 * y2 + x2 * y1 + field.omega_trace * y1 * y2,
-    )
-
-
 def _fundamental_unit(field: QuadraticField):
     """Fundamental unit of a real field, as integral coordinates on (1, omega).
 
@@ -275,7 +265,7 @@ def units_mod_squares(field: QuadraticField):
             return [(1, 0), (0, 1)]  # zeta_6 = omega
         return [(1, 0), (-1, 0)]
     eps = field.fundamental_unit
-    return [(1, 0), (-1, 0), eps, element_mul(field, (-1, 0), eps)]
+    return [(1, 0), (-1, 0), eps, (-eps[0], -eps[1])]
 
 
 # --- prime ideals -----------------------------------------------------
@@ -308,74 +298,34 @@ def _omega_roots_mod_p(field: QuadraticField, p: int) -> list[int]:
     return sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
 
 
-def _prime_hnf(field: QuadraticField, P: PrimeIdealK):
-    if P.splitting == INERT:
-        return (P.p, 0, P.p)
-    roots = _omega_roots_mod_p(field, P.p)
-    r = roots[P.conjugate_index] if P.splitting == SPLIT else roots[0]
-    return (P.p, (-r) % P.p, 1)
+def ideal_contains(field: QuadraticField, a: IdealK, el) -> bool:
+    """Whether x + y*omega lies in a: v_P(el) >= e for every P^e in a.
 
-
-def _hnf_from_vectors(vecs):
-    """HNF (A, B, C) of the Z-module spanned by vecs: A*Z + (B + C*omega)*Z."""
-    gy, gx = 0, 0
-    xs = []
-    for x, y in vecs:
-        if y:
-            g, s, t = _xgcd(gy, y)
-            gx = s * gx + t * x
-            gy = g
-        else:
-            xs.append(x)
-    assert gy > 0, "module of rank < 2"
-    for x, y in vecs:
-        if y:
-            xs.append(x - (y // gy) * gx)
-    A = 0
-    for x in xs:
-        A = math.gcd(A, x)
-    assert A > 0, "module of rank < 2"
-    return (A, gx % A, gy)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _hnf_mul(field: QuadraticField, H1, H2):
-    A1, B1, C1 = H1
-    A2, B2, C2 = H2
-    w = element_mul(field, (B1, C1), (B2, C2))
-    vecs = [(A1 * A2, 0), (A1 * B2, A1 * C2), (A2 * B1, A2 * C1), w]
-    return _hnf_from_vectors(vecs)
-
-
-def ideal_hnf(field: QuadraticField, a: IdealK):
-    H = (1, 0, 1)
-    for P, e in a.factorization:
-        PH = _prime_hnf(field, P)
-        for _ in range(e):
-            H = _hnf_mul(field, H, PH)
-    assert H[0] * H[2] == a.norm, "HNF norm mismatch"
-    return H
-
-
-def hnf_contains(H, el) -> bool:
-    A, B, C = H
+    An inert P^e is (p^e).  A ramified P^(2k) is (p^k), and P^(2k+1) adds
+    el/p^k in P = (p, omega - r), r the double root of omega's minimal
+    polynomial f mod p.  A split P^e is (p^e, omega - R), R the root r of f
+    mod p that names P, lifted to a root mod p^e by Newton steps: each one
+    doubles the precision, and f'(r) = 2r - t is a unit mod p, p = 2 included.
+    """
     x, y = el
-    if y % C:
-        return False
-    return (x - (y // C) * B) % A == 0
+    t, n = field.omega_trace, field.omega_norm
+    for P, e in a.factorization:
+        p = P.p
+        if P.splitting == SPLIT:
+            q = p**e
+            R = _omega_roots_mod_p(field, p)[P.conjugate_index]
+            for _ in range((e - 1).bit_length()):
+                R = (R - (R * R - t * R + n) * pow(2 * R - t, -1, q)) % q
+            if (x + y * R) % q:
+                return False
+        else:
+            k, j = (e, 0) if P.splitting == INERT else divmod(e, 2)
+            q = p**k
+            if x % q or y % q:
+                return False
+            if j and (x // q + y // q * _omega_roots_mod_p(field, p)[0]) % p:
+                return False
+    return True
 
 
 def generator_if_principal(field: QuadraticField, a: IdealK):
@@ -392,7 +342,6 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
     n = a.norm
     if n == 1:
         return (1, 0)
-    H = ideal_hnf(field, a)
     D, t = field.disc, field.omega_trace
     if D < 0:
         ybound = math.isqrt(4 * n // -D) + 1
@@ -411,7 +360,7 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
             for v in (u, -u):
                 if (v - t * y) % 2 == 0:
                     cand = ((v - t * y) // 2, y)
-                    if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                    if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
                         return cand
     return None
 
@@ -550,14 +499,8 @@ def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
 
     absd = abs(field.disc)
     chi_table = np.array([kronecker(field.disc, r) if r else 0 for r in range(absd)], dtype=np.int8)
-    flags = np.ones(B, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(B - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    # the prime index once, and the B-entry sieve freed before the float arrays
-    index = np.nonzero(flags)[0]
-    del flags
+    # the B-entry sieve is freed as soon as the prime index is taken
+    index = np.flatnonzero(np.frombuffer(prime_flags(B), dtype=np.bool_))
     ps = index.astype(np.float64)
     chi = chi_table[index % absd]
     del index

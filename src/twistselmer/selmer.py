@@ -510,10 +510,12 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     ord_2 of the Tamagawa ratio, and agreement of the symbol-table and
     torsor routes at every good odd ramified prime encountered; plus
     twist-class invariance on a seeded sample.  The root-number parity
-    check shares no code with the descent: on the twists d = 1 mod 8
-    coprime to the bad primes, (-1)^ord2T(d) = w(E_d) = w(E) * (d | -N_odd)
-    (2-parity, with N_odd from _parity_modulus), so the product of the
-    two sides is the same on all of them.  A model that may not be minimal
+    check shares no code with the descent: on the twists d = 1 mod 4
+    coprime to the bad primes, which do not ramify at 2,
+    (-1)^ord2T(d) = w(E_d) = w(E) * (d | -N_odd) * (d | 2)^f_2 (2-parity,
+    with N_odd from _parity_modulus and f_2 the conductor exponent at 2).
+    (d | 2) depends only on d mod 8, so the product of (-1)^ord2T(d) and
+    (d | -N_odd) is the same on all such twists in one class mod 8.  A model that may not be minimal
     at an odd bad prime is refused: its family is counted in
     n_parity_skipped instead of checked.  Returns a report dict with
     report["ok"] False iff an exact identity failed; each failure names its
@@ -531,7 +533,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     n_twists = 0
     cross_cache: dict = {}
     parity_mod = _parity_modulus(pair)
-    parity_ref = None  # (d, sign) of the first twist the parity check saw
+    parity_ref: dict[int, tuple[int, int]] = {}  # d % 8 -> (d, sign) of its first checked twist
     n_parity = n_parity_skipped = 0
 
     if inject_fault:
@@ -561,21 +563,20 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
                                 "detail": f"p={p}: torsor {cross_cache[key]} != table {table}",
                             }
                         )
-            if not coprime or d % 8 != 1:
+            if not coprime or d % 4 != 1:
                 continue
             if parity_mod is None:
                 n_parity_skipped += 1
                 continue
             n_parity += 1
             sign = (1 - 2 * (res.ord2T_product & 1)) * kronecker(d, parity_mod)
-            if parity_ref is None:
-                parity_ref = (d, sign)
-            elif sign != parity_ref[1]:
+            ref_d, ref_sign = parity_ref.setdefault(d % 8, (d, sign))
+            if sign != ref_sign:
                 failures.append(
                     {
                         "d": d,
                         "check": "root-number-parity",
-                        "detail": f"(-1)^ord2T * (d | {parity_mod}) = {sign}, but {parity_ref[1]} at d={parity_ref[0]}",
+                        "detail": f"(-1)^ord2T * (d | {parity_mod}) = {sign}, but {ref_sign} at d={ref_d}",
                     }
                 )
 

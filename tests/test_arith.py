@@ -12,6 +12,7 @@ from twistselmer.arith import (
     is_perfect_square,
     kronecker,
     local_square_classes,
+    prime_flags,
     sieve_primes,
     sqrt_mod_prime,
     squarefree_factors,
@@ -42,6 +43,12 @@ class TestSievePrimes:
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
+
+    def test_prime_flags_mark_exactly_the_primes(self):
+        for bound in (2, 3, 4, 50, 101):
+            flags = prime_flags(bound)
+            assert len(flags) == bound and set(flags) <= {0, 1}
+            assert list(compress(range(bound), flags)) == trial_division_primes(bound)
 
     def test_strictly_increasing_and_prime(self):
         primes = sieve_primes(500)

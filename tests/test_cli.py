@@ -112,6 +112,20 @@ class TestEk:
         assert lines[0] == "grid,empirical,gaussian"
         assert len(lines) > 3
 
+    @pytest.mark.parametrize("args", [["--field", "-5", "--X", "200"], ["--X", "3", "--k", "2"]])
+    def test_zero_prediction_writes_null_ratio(self, tmp_path, args):
+        # the cutoff z = X^(1/(2k)) lies below every prime norm for some k,
+        # so the prediction is 0; strict JSON has no token for its ratio
+        out = tmp_path / "ek"
+        assert run(["ek", *args, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        moments = json.loads((out / "moments.json").read_text(), parse_constant=reject)["moments"]
+        assert any(m["ratio"] is None for m in moments)
+        assert all((m["ratio"] is None) == (m["predicted"] == 0) for m in moments)
+
     def test_svg_schema(self, tmp_path):
         out = tmp_path / "ek"
         run(["ek", "--f", "omega", "--X", "1000", "--k", "2", "--out", str(out)])
@@ -271,6 +285,13 @@ class TestIdealCount:
         assert run(["ideal-count", "--m", "-5", "--X", "100", "--q", spec, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and spec in err[0]
+        assert not out.exists()
+
+    def test_bad_token_is_named(self, tmp_path, capsys):
+        out = tmp_path / "ic"
+        assert run(["ideal-count", "--m", "-5", "--X", "100", "--q", "3:0,3:x", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("ideal spec '3:x': invalid literal for int() with base 10: 'x'")
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from twistselmer.arith import kronecker, sieve_primes, squarefree_part
 from twistselmer.quadfield import (
+    INERT,
     ONE_IDEAL,
     SPLIT,
     FieldTooLargeError,
@@ -15,9 +16,8 @@ from twistselmer.quadfield import (
     count_sf,
     element_norm,
     generator_if_principal,
-    hnf_contains,
     ideal_conj,
-    ideal_hnf,
+    ideal_contains,
     ideal_mul,
     make_field,
     make_ideal,
@@ -103,7 +103,6 @@ def reference_generator_if_principal(field, a):
     n = a.norm
     if n == 1:
         return (1, 0)
-    H = ideal_hnf(field, a)
     m = field.m
     if m < 0:
         # 4*N(x + y*omega) = (2x + t*y)^2 + |m'| y^2 with m' = -m*(1 or 4)
@@ -119,7 +118,7 @@ def reference_generator_if_principal(field, a):
                 for uv in {u, -u}:
                     if (uv - y) % 2 == 0:
                         cand = ((uv - y) // 2, y)
-                        if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                        if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
                             return cand
         else:
             ybound = math.isqrt(n // abs(m)) + 1
@@ -131,7 +130,7 @@ def reference_generator_if_principal(field, a):
                 if x * x != xx:
                     continue
                 for cand in {(x, y), (-x, y)}:
-                    if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                    if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
                         return cand
         return None
     # real field: a generator can be normalized into a unit box
@@ -157,9 +156,33 @@ def reference_generator_if_principal(field, a):
                     continue
                 cands = [(x, y), (-x, y)]
             for cand in cands:
-                if hnf_contains(H, cand) and abs(element_norm(field, cand)) == n:
+                if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
                     return cand
     return None
+
+
+def ideal_mod_norm(field, a) -> set:
+    """The Z-span mod N(a) of g and g*omega, g over the products of the
+    generators of a's primes: p for an inert P, and p and omega - r for
+    the others, r the root of omega's minimal polynomial mod p that names
+    P, found by a residue scan.  As N(a) lies in a, this is a mod N(a)."""
+    N, t, n = a.norm, field.omega_trace, field.omega_norm
+
+    def mul(u, v):  # omega^2 = t*omega - n
+        return (u[0] * v[0] - n * u[1] * v[1], u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
+
+    gens = [(1, 0)]
+    for P, e in a.factorization:
+        roots = [r for r in range(P.p) if (r * r - t * r + n) % P.p == 0]
+        pgens = [(P.p, 0)] if P.splitting == INERT else [(P.p, 0), (-roots[P.conjugate_index], 1)]
+        for _ in range(e):
+            gens = [mul(g, h) for g in gens for h in pgens]
+    span = {(0, 0)}
+    for g in gens:
+        for x, y in (g, mul(g, (0, 1))):
+            if (x % N, y % N) not in span:
+                span = {((u + k * x) % N, (v + k * y) % N) for u, v in span for k in range(N)}
+    return span
 
 
 def zeta2_tail_bound(B: int) -> float:
@@ -450,8 +473,19 @@ class TestPrincipalitySearch:
                 gen = generator_if_principal(K, a)
                 assert (gen is None) == (reference_generator_if_principal(K, a) is None), (m, a)
                 if gen is not None:
-                    assert hnf_contains(ideal_hnf(K, a), gen), (m, a, gen)
+                    assert ideal_contains(K, a, gen), (m, a, gen)
                     assert abs(element_norm(K, gen)) == a.norm, (m, a, gen)
+
+    def test_membership_against_generator_span(self):
+        # P5^2 in Q(i) needs the Newton lift, and both split slots, the
+        # ramified primes and their odd powers all occur below norm 30
+        for m in SEARCH_FIELDS:
+            K = make_field(m)
+            for a in _ideals_up_to_norm(K, 30):
+                N = a.norm
+                members = {(x, y) for x in range(N) for y in range(N) if ideal_contains(K, a, (x, y))}
+                assert len(members) == N, (m, a)
+                assert members == ideal_mod_norm(K, a), (m, a)
 
     def test_real_generator_of_negative_norm(self):
         # the prime above 3 in Q(sqrt(3)) is (sqrt(3)); every generator has norm -3

@@ -576,6 +576,23 @@ class TestAudit:
         report = audit_curve(make_pair(1, -1), 60)
         assert [(f["d"], f["check"]) for f in report["failures"]] == [(17, "root-number-parity")]
 
+    def test_flipped_ord2t_fires_root_number_parity_at_5_mod_8(self, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        real = selmer._descend_abs
+
+        def flip_13(ctx, ad, primes, signs):
+            out = real(ctx, ad, primes, signs)
+            if ad == 13:
+                out[0] = out[0]._replace(ord2T_product=out[0].ord2T_product + 1)
+            return out
+
+        monkeypatch.setattr(selmer, "_descend_abs", flip_13)
+        report = audit_curve(make_pair(1, -1), 60)
+        # d = -3 is the first twist of its class mod 8, so 13 is measured against it
+        assert [(f["d"], f["check"]) for f in report["failures"]] == [(13, "root-number-parity")]
+        assert report["failures"][0]["detail"].endswith("at d=-3")
+
     @pytest.mark.parametrize("a, b", [(1, -1), (0, 4), (-1, 3), (0, -2), (7, -11), (2, 3), (3, -5), (5, 2), (-3, 7)])
     def test_root_number_parity_holds(self, a, b):
         report = audit_curve(make_pair(a, b), 1500)
