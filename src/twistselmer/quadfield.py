@@ -438,18 +438,33 @@ def _squarefree_with_classes(field: QuadraticField, X: int):
 
 
 def count_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) -> int:
-    """Exact count of squarefree ideals a, norm < X, class of c, gcd(a, q) = d."""
+    """Exact count of squarefree ideals a, norm < X, class of c, gcd(a, q) = d.
+
+    Such an a is d*b with b squarefree and prime to q, so only b is walked,
+    over the primes prime to q, and no ideal is built: N(d)*N(b) < X iff
+    N(b) < B = ceil(X / N(d)).  The walk starts at the class of d.
+    """
     _validate_qd(q, d)
+    if d.norm >= X:  # not even b = (1) fits
+        return 0
     target = field.class_of_ideal(c)
+    B = -(-X // d.norm)
     qprimes = {P for P, _ in q.factorization}
-    dprimes = {P for P, _ in d.factorization}
+    primes = [P for P in primes_up_to(field, B) if P not in qprimes]
+    norms = [P.norm for P in primes]
+    pcls = [field.class_of_prime(P) for P in primes]
+    table = field._cayley
     count = 0
-    for a, cls in _squarefree_with_classes(field, X):
-        if cls != target:
-            continue
-        common = {P for P, _ in a.factorization if P in qprimes}
-        if common == dprimes:
-            count += 1
+    stack = [(0, 1, field.class_of_ideal(d))]
+    while stack:
+        i, norm, cls = stack.pop()
+        count += cls == target
+        row = table[cls]
+        for j in range(i, len(primes)):
+            nn = norm * norms[j]
+            if nn >= B:
+                break
+            stack.append((j + 1, nn, row[pcls[j]]))
     return count
 
 

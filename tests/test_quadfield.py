@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from twistselmer.quadfield import (
     SPLIT,
     FieldTooLargeError,
     IdealK,
+    QuadraticField,
     _ideals_up_to_norm,
     _omega_roots_mod_p,
     count_sf,
@@ -350,7 +352,59 @@ class TestSquarefreeIdeals:
                     assert principal == (a in constrained), (m, b, a)
 
 
+def brute_count_sf(field, X, c, q, d) -> int:
+    """count_sf by filtering the list of every squarefree ideal of norm < X."""
+    target = field.class_of_ideal(c)
+    qset = {P for P, _ in q.factorization}
+    dset = {P for P, _ in d.factorization}
+    return sum(
+        1
+        for a in squarefree_ideals_up_to(field, X)
+        if field.class_of_ideal(a) == target and {P for P, _ in a.factorization} & qset == dset
+    )
+
+
+# q per field as (p, conjugate index) pairs, mixing split primes (with both
+# conjugates in one q), inert primes and ramified primes
+COUNT_SF_MODULI = {
+    -1: [[(5, 0), (5, 1), (3, 0)], [(2, 0), (13, 1)]],
+    -5: [[(3, 0), (3, 1), (2, 0)], [(3, 0), (7, 0)], [(7, 1), (11, 0)]],
+    -14: [[(3, 0), (3, 1), (2, 0)], [(5, 1), (11, 0)], [(3, 0), (5, 0), (7, 0)]],
+    -21: [[(5, 0), (5, 1), (3, 0)], [(2, 0), (13, 0)], [(11, 1), (7, 0)]],
+    -23: [[(2, 0), (2, 1), (5, 0)], [(3, 1), (2, 0)], [(3, 0), (7, 0), (13, 1)]],
+    10: [[(3, 0), (3, 1), (2, 0)], [(5, 0), (7, 0)], [(13, 1), (11, 0)]],
+}
+
+
 class TestCountSf:
+    @pytest.mark.parametrize("m", sorted(COUNT_SF_MODULI))
+    def test_matches_brute_filter_for_every_d_and_class(self, m):
+        # every divisor d of q, every class c, and X on both sides of N(d):
+        # the empty b counts only when N(d) < X, and N(b) < ceil(X / N(d))
+        K = make_field(m)
+        for spec in COUNT_SF_MODULI[m]:
+            primes = [split_prime(K, p)[i] for p, i in spec]
+            q = make_ideal([(P, 1) for P in primes])
+            for r in range(len(primes) + 1):
+                for sub in itertools.combinations(primes, r):
+                    d = make_ideal([(P, 1) for P in sub])
+                    for X in sorted({2, d.norm - 1, d.norm, d.norm + 1, 3 * d.norm, 200}):
+                        for c in K.class_representatives:
+                            assert count_sf(K, X, c, q, d) == brute_count_sf(K, X, c, q, d), (m, spec, sub, X, c)
+
+    def test_builds_no_ideal_list(self):
+        def counts(K):
+            P3, P5 = split_prime(K, 3)[0], split_prime(K, 5)[0]
+            q, d = make_ideal([(P3, 1), (P5, 1)]), make_ideal([(P5, 1)])
+            return [count_sf(K, 5000, c, q, d) for c in K.class_representatives]
+
+        K = QuadraticField(-14)
+        fresh = counts(K)
+        assert K._sqfree_cache == {}
+        listed = QuadraticField(-14)
+        squarefree_ideals_up_to(listed, 5000)
+        assert counts(listed) == fresh
+
     def test_reduces_to_plain_count(self):
         K = make_field(-1)
         for X in (10, 60, 200):
