@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -127,36 +128,29 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # rows go to a side file that replaces twists.csv only once the scan is complete
     part = out / "twists.csv.part"
-    ord2t_values = []
+    hist: Counter[int] = Counter()  # ord2T -> number of twists
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("d,g_chi,correction,ord2T,dim_selphi,dim_selphihat,d2_lower_bound\n")
-            for res in selmer.scan_twists(pair, cfg.X, workers=cfg.workers):
-                fh.write(
-                    f"{res.d},{res.g_chi},{res.correction},{res.ord2T_product},"
-                    f"{res.dim_selphi},{res.dim_selphihat},{selmer.selmer2_lower_bound(res)}\n"
-                )
-                ord2t_values.append(res.ord2T_product)
+            for text, ord2t in selmer._scan_chunks(pair, cfg.X, cfg.workers):
+                fh.write(text)
+                hist.update(ord2t)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
     part.replace(out / "twists.csv")
 
-    counts: dict[str, int] = {}
-    for v in ord2t_values:
-        counts[str(v)] = counts.get(str(v), 0) + 1
-    mean = sum(ord2t_values) / len(ord2t_values)
+    # exact integer sums, so the fractions and the mean are those of the full list of values
+    n_twists = sum(hist.values())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "curve": {"a": cfg.a, "b": cfg.b},
         "X": cfg.X,
-        "n_twists": len(ord2t_values),
-        "ord2T_counts": counts,
-        "tail_fractions": {
-            str(r): ekstats.tail_fraction(ord2t_values, r) for r in cfg.r_list
-        },
+        "n_twists": n_twists,
+        "ord2T_counts": {str(v): n for v, n in hist.items()},
+        "tail_fractions": {str(r): sum(n for v, n in hist.items() if v >= r) / n_twists for r in cfg.r_list},
         "normalization": {
-            "center": mean,
+            "center": sum(v * n for v, n in hist.items()) / n_twists,
             "scale": ekstats.sigma_g_predicted(cfg.X) if cfg.X >= 3 else None,
         },
     }

@@ -12,6 +12,7 @@ by two independent routes whose agreement is asserted on every twist.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -238,12 +239,14 @@ class _CurveContext:
         self.columns = (-1, *pair.bad_primes)
         self.column_of = {p: i for i, p in enumerate(self.columns)}
         self.residue_bits = {q: _Lazy(partial(_local_bits, place=q)) for q in pair.bad_primes}
+        # (q, the modulus that fixes the unit bits at q, its residue table), per bad prime
+        self.class_tables = [(q, 8 if q == 2 else q, table) for q, table in self.residue_bits.items()]
         # the unit bits of the classes at the bad primes, numbered from 1; 0 is a bit no class has
         unit_bits = [(q, k) for q in pair.bad_primes for k in range(1, 3 if q == 2 else 2)]
         self.unit_bit = {qk: i for i, qk in enumerate(unit_bits, 1)}
         self.images = {v: _Lazy(partial(self._local_images, v)) for v in self.bad_places}
         self.blocks = _Lazy(self._bad_block)
-        self._goodram_cache: dict = {}
+        self._goodram_cache = _Lazy(self.goodram_syms)
 
     def _local_images(self, place, bits: int):
         """((dim, rows), (dim, rows)) for the two sides at a place over
@@ -288,25 +291,21 @@ class _CurveContext:
     def goodram_syms(self, p: int):
         """(s, s', nonres bit of a+2*sqrt(b), nonres bit of -2a+2*sqrt(a^2-4b),
         nonresidue mask of p over the fixed columns, the unit_bit of each unit
-        bit of p at the bad primes) at a good odd prime p."""
-        data = self._goodram_cache.get(p)
-        if data is None:
-            a = self.pair.a
-            s = kronecker(self.pair.b_dual, p)
-            sp = kronecker(self.pair.b, p)
-            kb_phi = kb_dual = 0
-            if s == 1 and sp == 1:
-                r = sqrt_mod_prime(self.pair.b % p, p)
-                kb_phi = (1 - kronecker(a + 2 * r, p)) // 2
-                rp = sqrt_mod_prime(self.pair.b_dual % p, p)
-                kb_dual = (1 - kronecker(-2 * a + 2 * rp, p)) // 2
-            fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate(self.columns))
-            units = tuple(
-                i for (q, k), i in self.unit_bit.items() if self.residue_bits[q][p % (8 if q == 2 else q)] >> k & 1
-            )
-            data = (s, sp, kb_phi, kb_dual, fixed, units)
-            self._goodram_cache[p] = data
-        return data
+        bit of p at the bad primes) at a good odd prime p; the kernel reads
+        them from _goodram_cache."""
+        a = self.pair.a
+        s = kronecker(self.pair.b_dual, p)
+        sp = kronecker(self.pair.b, p)
+        kb_phi = kb_dual = 0
+        if s == 1 and sp == 1:
+            r = sqrt_mod_prime(self.pair.b % p, p)
+            kb_phi = (1 - kronecker(a + 2 * r, p)) // 2
+            rp = sqrt_mod_prime(self.pair.b_dual % p, p)
+            kb_dual = (1 - kronecker(-2 * a + 2 * rp, p)) // 2
+        fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate(self.columns))
+        bits = {q: table[p % m] for q, m, table in self.class_tables}
+        units = tuple(i for (q, k), i in self.unit_bit.items() if bits[q] >> k & 1)
+        return s, sp, kb_phi, kb_dual, fixed, units
 
 
 @lru_cache(maxsize=8)
@@ -318,43 +317,44 @@ def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> 
     """Full local-global descent data for the twist of `pair` by d."""
     d0 = squarefree_part(d)
     ctx = _ctx if _ctx is not None else _context(pair)
-    (res,) = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)), (1 if d0 > 0 else -1,))
-    return _raise_failed(res)
-
-
-def _raise_failed(res):
-    if isinstance(res, DescentConsistencyError):
-        raise res
-    return res
+    (row,) = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)), (1 if d0 > 0 else -1,))
+    if isinstance(row, DescentConsistencyError):
+        raise row
+    return SelmerDescentResult._make(row)
 
 
 def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) -> list:
     """The descent of the twist by sign*ad for each sign in `signs`, where
-    ad > 0 is squarefree with these primes: per sign its SelmerDescentResult,
-    or the DescentConsistencyError that its checks raised.  What depends only
-    on ad (good-prime symbols, residue bits, single-column rows) is computed
-    once for all signs."""
-    column_of = ctx.column_of
+    ad > 0 is squarefree with these primes: per sign its row, the seven ints
+    of a SelmerDescentResult as a plain tuple, or the
+    DescentConsistencyError that its checks raised.  What depends only on ad
+    (good-prime symbols, residue bits, single-column rows) is computed once
+    for all signs."""
+    column = ctx.column_of.get
     nfix = len(ctx.columns)
     good = []
     dmask = 0  # +ad over the columns: its bad primes, then all of its good primes
     for p in primes:
-        if p in column_of:
-            dmask |= 1 << column_of[p]
-        else:
+        i = column(p)
+        if i is None:
             good.append(p)
+        else:
+            dmask |= 1 << i
     ngens = nfix + len(good)
     dmask |= ((1 << len(good)) - 1) << nfix
-    syms = [ctx.goodram_syms(p) for p in good]
+    goodram = ctx._goodram_cache
+    syms = [goodram[p] for p in good]
 
     # the class bits of +ad and -ad at the places over 2*disc*oo
-    classes = ([0], [1])
-    for q, table in ctx.residue_bits.items():
-        m = 8 if q == 2 else q
-        val = ad % q == 0
-        u = ad // q if val else ad
-        classes[0].append(val | table[u % m])
-        classes[1].append(val | table[-u % m])
+    plus, minus = [0], [1]
+    for q, m, table in ctx.class_tables:
+        if ad % q:
+            plus.append(table[ad % m])
+            minus.append(table[-ad % m])
+        else:
+            u = ad // q
+            plus.append(1 | table[u % m])
+            minus.append(1 | table[-u % m])
 
     # at a good prime p: the nonresidue mask of p over all columns
     nonres = [sym[4] for sym in syms]
@@ -366,72 +366,82 @@ def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) ->
             nonres[i] |= (nij ^ (pi & pj & 2 != 0)) << (nfix + j)  # reciprocity
 
     units = [0] * (len(ctx.unit_bit) + 1)  # per unit bit at a bad prime, the good columns that have it
-    killed = [0, 0]  # per side, the columns of its single-column rows
-    grows = (([], []), ([], []))  # per sign and side, the other good-prime rows
+    killed0 = killed1 = 0  # per side, the columns of its single-column rows
+    plus0, plus1, minus0, minus1 = [], [], [], []  # per sign and side, the other good-prime rows
     g_val = excess = 0  # excess: the sum of (dim H^1_phi - 1) over the good primes
-    for j, ((s, sp, kb_phi, kb_dual, _, ubits), n) in enumerate(zip(syms, nonres)):
+    col = 1 << nfix
+    for (s, sp, kb_phi, kb_dual, _, ubits), n in zip(syms, nonres):
         g_val += (sp - s) // 2
         excess += _good_dim(s, sp) - 1
-        col = 1 << (nfix + j)
         for i in ubits:
             units[i] |= col
-        if s == sp == -1:
-            killed[0] |= col
-            killed[1] |= col
-        elif s == sp:
+        if s != sp:
+            # the side with (s, s') = (1, -1) has the trivial image, the other all classes
+            if s == 1:
+                killed0 |= col
+                plus0.append(n)
+                minus0.append(n)
+            else:
+                killed1 |= col
+                plus1.append(n)
+                minus1.append(n)
+        elif s == 1:
             # image = {1, p*c}; the unit class of d/p folds into c, and -1 moves it when p = 3 mod 4
             c = (n & dmask).bit_count() & 1
-            r0, r1, flip = n | col * (kb_phi ^ c), n | col * (kb_dual ^ c), col * (n & 1)
-            grows[0][0].append(r0)
-            grows[0][1].append(r1)
-            grows[1][0].append(r0 ^ flip)
-            grows[1][1].append(r1 ^ flip)
+            r0, r1 = n | col * (kb_phi ^ c), n | col * (kb_dual ^ c)
+            plus0.append(r0)
+            plus1.append(r1)
+            if n & 1:
+                r0 ^= col
+                r1 ^= col
+            minus0.append(r0)
+            minus1.append(r1)
         else:
-            # the side with (s, s') = (1, -1) has the trivial image, the other all classes
-            side = 0 if s == 1 else 1
-            killed[side] |= col
-            grows[0][side].append(n)
-            grows[1][side].append(n)
+            killed0 |= col
+            killed1 |= col
+        col <<= 1
     # a single-column row adds 1 to the rank and clears its column from the other rows
-    keep = (~killed[0], ~killed[1])
-    base = (ngens - killed[0].bit_count(), ngens - killed[1].bit_count())
+    keep0, keep1 = ~killed0, ~killed1
+    base0, base1 = ngens - killed0.bit_count(), ngens - killed1.bit_count()
 
-    results = []
+    rows = []
     for sign in signs:
-        neg = sign < 0
-        d = -ad if neg else ad
+        if sign > 0:
+            d, classes, good0, good1 = ad, plus, plus0, plus1
+        else:
+            d, classes, good0, good1 = -ad, minus, minus0, minus1
         block = None
         try:
-            block = ctx.blocks[tuple(classes[neg])]
-            _, correction, frows = block
-            sel = []
-            for side in (0, 1):
-                rows = [fixed | units[u1] ^ units[u2] for fixed, u1, u2 in frows[side]]
-                sel.append(base[side] - _f2_rank(rows + grows[neg][side], keep[side]))
+            block = ctx.blocks[tuple(classes)]
+            _, correction, (fixed0, fixed1) = block
+            sel0 = base0 - _f2_rank([f | units[u1] ^ units[u2] for f, u1, u2 in fixed0] + good0, keep0)
+            sel1 = base1 - _f2_rank([f | units[u1] ^ units[u2] for f, u1, u2 in fixed1] + good1, keep1)
             # the local product: correction is the sum of (dim - 1) over the places over 2*disc*oo
-            res = SelmerDescentResult(d, sel[0], sel[1], correction + excess, sel[0] - sel[1], g_val, correction)
-            _check_identities(res)
+            row = (d, sel0, sel1, correction + excess, sel0 - sel1, g_val, correction)
+            _check_identities(row)
         except DescentConsistencyError as exc:
             exc.d = d
             if block is not None:
                 exc.dims = {**block[0], **{p: _good_dim(sym[0], sym[1]) for p, sym in zip(good, syms)}}
-            res = exc
-        results.append(res)
-    return results
+            row = exc
+        rows.append(row)
+    return rows
 
 
-def _check_identities(res: SelmerDescentResult):
-    if res.ord2T_product != res.ord2T_ratio:
+def _check_identities(row: tuple):
+    """Raise a DescentConsistencyError naming d unless the row (the fields
+    of a SelmerDescentResult) satisfies product == ratio == g + correction."""
+    d, _, _, product, ratio, g_chi, correction = row
+    if product != ratio:
         check = "product-formula"
-    elif res.ord2T_product != res.g_chi + res.correction:
+    elif product != g_chi + correction:
         check = "ord2-decomposition"
     else:
         return
     raise DescentConsistencyError(
-        f"{check} fails for d={res.d}: product={res.ord2T_product}, ratio={res.ord2T_ratio}, "
-        f"g={res.g_chi}, correction={res.correction}",
+        f"{check} fails for d={d}: product={product}, ratio={ratio}, g={g_chi}, correction={correction}",
         check,
-        res.d,
+        d,
     )
 
 
@@ -444,47 +454,93 @@ def g_of_primes(pair: IsogenyPair, primes) -> int:
     return total
 
 
+# the 2-Selmer rank of a twist is at least ord2T - _SELMER2_SLACK
+_SELMER2_SLACK = 2
+
+
 def selmer2_lower_bound(result: SelmerDescentResult) -> int:
     """Proven lower bound for the 2-Selmer rank of the twist (may be vacuous)."""
-    return result.ord2T_product - 2
+    return result.ord2T_product - _SELMER2_SLACK
 
 
-def _scan_range(pair: IsogenyPair, lo: int, hi: int):
-    """The descent of +d, then of -d, for every squarefree lo <= d < hi."""
-    ctx = _context(pair)
-    for d, primes in squarefree_factors(lo, hi):
-        for res in _descend_abs(ctx, d, primes, (1, -1)):
-            yield _raise_failed(res)
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _scan_batch(a: int, b: int, bounds: tuple[int, int]) -> list[SelmerDescentResult]:
-    return list(_scan_range(make_pair(a, b), *bounds))
+def _chunks(pair: IsogenyPair, X: int, workers: int) -> tuple[list[tuple[int, int]], int]:
+    """The chunks [lo, hi) of [1, X) and the number of processes to scan them.
 
-
-def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
-    """Yield descent results for every squarefree 0 < |d| < X, ordered by
-    (|d|, sign) with the positive twist first.
-
-    [1, X) is split into chunks of at most one sieve block.  With one worker
-    they run lazily in this process; with more, a pool of at most one
-    process per chunk runs them and the results are merged in order."""
+    Workers beyond the CPUs available count as absent: they would only
+    shrink the chunks and share the CPUs."""
     if not pair.eligible:
         raise ValueError("scan_twists requires an eligible pair")
     if X < 2:
         raise ValueError("scan_twists: X must be >= 2")
     if workers < 1:
         raise ValueError("scan_twists: workers must be >= 1")
+    workers = min(workers, _available_cpus())
     size = min(max(64, (X - 1) // (workers * 8)), SIEVE_BLOCK)
     chunks = [(lo, min(lo + size, X)) for lo in range(1, X, size)]
-    if workers == 1:
-        for lo, hi in chunks:
-            yield from _scan_range(pair, lo, hi)
+    return chunks, min(workers, len(chunks))
+
+
+def _scan_range(ctx: _CurveContext, lo: int, hi: int):
+    """The rows of +d, then of -d, for every squarefree lo <= d < hi; a
+    failed check is raised."""
+    for ad, primes in squarefree_factors(lo, hi):
+        for row in _descend_abs(ctx, ad, primes, (1, -1)):
+            if type(row) is not tuple:
+                raise row
+            yield row
+
+
+def _scan_chunk(a: int, b: int, bounds: tuple[int, int]):
+    """The twists.csv rows of the chunk [lo, hi) = bounds as text, and an
+    array('b') of their ord2T."""
+    from array import array  # here, like numpy elsewhere, so that the other commands never load it
+
+    lines = []
+    ord2t = array("b")
+    for d, sel, sel_dual, product, _, g_chi, correction in _scan_range(_context(make_pair(a, b)), *bounds):
+        lines.append(f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n")
+        ord2t.append(product)
+    return "".join(lines), ord2t
+
+
+def _scan_chunks(pair: IsogenyPair, X: int, workers: int):
+    """Yield _scan_chunk of each chunk of [1, X), in order: lazily in this
+    process when one process suffices, else from a pool."""
+    chunks, processes = _chunks(pair, X, workers)
+    scan = partial(_scan_chunk, pair.a, pair.b)
+    if processes == 1:
+        yield from map(scan, chunks)
         return
     import multiprocessing as mp
 
-    with mp.Pool(min(workers, len(chunks))) as pool:
-        for batch in pool.imap(partial(_scan_batch, pair.a, pair.b), chunks):
-            yield from batch
+    with mp.Pool(processes) as pool:
+        yield from pool.imap(scan, chunks)
+
+
+def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
+    """Yield descent results for every squarefree 0 < |d| < X, ordered by
+    (|d|, sign) with the positive twist first.
+
+    With one process (one worker, one CPU or one chunk) they are computed
+    lazily in this process.  Otherwise a pool of at most one process per
+    chunk of [1, X) and per available CPU runs _scan_chunk, and the results
+    are read back from its rows in order.  A row has no ratio column: the
+    ratio equals ord2T, which the kernel checked."""
+    _, processes = _chunks(pair, X, workers)
+    if processes == 1:
+        yield from map(SelmerDescentResult._make, _scan_range(_context(pair), 1, X))
+        return
+    for text, _ in _scan_chunks(pair, X, workers):
+        for line in text.splitlines():
+            d, g_chi, correction, product, sel, sel_dual, _ = map(int, line.split(","))
+            yield SelmerDescentResult(d, sel, sel_dual, product, product, g_chi, correction)
 
 
 def _parity_modulus(pair: IsogenyPair) -> int | None:
@@ -542,13 +598,14 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
 
     for ad, fact in squarefree_factors(1, X):
         coprime = not any(p in pair.bad_primes for p in fact)  # 2 is a bad prime, so ad is odd
-        for d, res in zip((ad, -ad), _descend_abs(ctx, ad, fact, (1, -1))):
+        for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact, (1, -1))):
             n_twists += 1
-            if isinstance(res, DescentConsistencyError):
-                dims = None if res.dims is None else {str(v): n for v, n in res.dims.items()}
-                failures.append({"d": d, "check": res.check, "detail": str(res), "dims": dims})
+            if isinstance(row, DescentConsistencyError):
+                dims = None if row.dims is None else {str(v): n for v, n in row.dims.items()}
+                failures.append({"d": d, "check": row.check, "detail": str(row), "dims": dims})
                 continue
-            corrections.add(res.correction)
+            ord2t, correction = row[3], row[6]
+            corrections.add(correction)
             for p in (p for p in fact if p not in pair.bad_primes):
                 key = (p, kronecker(d // p, p))
                 if key not in cross_cache:
@@ -569,7 +626,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
                 n_parity_skipped += 1
                 continue
             n_parity += 1
-            sign = (1 - 2 * (res.ord2T_product & 1)) * kronecker(d, parity_mod)
+            sign = (1 - 2 * (ord2t & 1)) * kronecker(d, parity_mod)
             ref_d, ref_sign = parity_ref.setdefault(d % 8, (d, sign))
             if sign != ref_sign:
                 failures.append(

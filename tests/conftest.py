@@ -36,3 +36,30 @@ def scan_million():
     scan, so merely building this fixture re-verifies them 1.2M times.
     """
     return TwistScanData(10**6)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """multiprocessing.Pool replaced by a pool that maps in this process and
+    starts none; the list of (processes, tasks) of every pool opened."""
+    import multiprocessing
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            self.tasks = []
+            pools.append((processes, self.tasks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            self.tasks.extend(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    return pools

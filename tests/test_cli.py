@@ -87,10 +87,10 @@ class TestScan:
 
         real = selmer._check_identities
 
-        def fail_at_minus_15(res):
-            if res.d == -15:
-                raise selmer.DescentConsistencyError("forced", "product-formula", res.d)
-            real(res)
+        def fail_at_minus_15(row):
+            if row[0] == -15:
+                raise selmer.DescentConsistencyError("forced", "product-formula", -15)
+            real(row)
 
         monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_15)
         out = tmp_path / "s"
@@ -99,6 +99,63 @@ class TestScan:
         assert len(err) == 1 and "product-formula" in err[0] and "d=-15" in err[0]
         assert list(out.iterdir()) == []
 
+
+    def test_failed_check_in_a_pool_worker_exits_1_without_partial_output(self, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+
+        import twistselmer.selmer as selmer
+
+        real = selmer._check_identities
+
+        def fail_at_minus_201(row):
+            if row[0] == -201:
+                raise selmer.DescentConsistencyError("forced", "ord2-decomposition", -201)
+            real(row)
+
+        # forked workers inherit the patched check; -201 lies in the fourth of five chunks
+        fork = multiprocessing.get_context("fork")
+        pools = []
+
+        def fork_pool(processes):
+            pools.append(processes)
+            return fork.Pool(processes)
+
+        monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_201)
+        monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", fork_pool)
+        out = tmp_path / "s"
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "300", "--workers", "2", "--out", str(out)]) == 1
+        assert pools == [2]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "ord2-decomposition" in err[0] and "d=-201" in err[0]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("a, b", [(0, 4), (-1, 3), (7, -11)])
+    def test_rows_are_the_library_results(self, tmp_path, monkeypatch, a, b):
+        # the CLI formats its own chunks; X = 300 is five chunks, serially and with two workers
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
+        rows = [
+            f"{r.d},{r.g_chi},{r.correction},{r.ord2T_product},{r.dim_selphi},{r.dim_selphihat},"
+            f"{selmer.selmer2_lower_bound(r)}"
+            for r in selmer.scan_twists(selmer.make_pair(a, b), 300)
+        ]
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run(["scan", "--a", str(a), "--b", str(b), "--X", "300", "--workers", workers, "--out", str(out)]) == 0
+            assert (out / "twists.csv").read_text().splitlines()[1:] == rows, workers
+
+    def test_workers_beyond_the_cpus_are_not_started(self, tmp_path, monkeypatch, inline_pool):
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "3000", "--out", str(a)]) == 0
+        assert run(["scan", "--a", "1", "--b", "-1", "--X", "3000", "--workers", "500", "--out", str(b)]) == 0
+        assert [processes for processes, _ in inline_pool] == [2]
+        for name in ("twists.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 class TestEk:
     def test_omega_outputs(self, tmp_path):

@@ -258,8 +258,29 @@ def _parent_descend(
     return result
 
 
-def _always_fail(res):
-    raise DescentConsistencyError("forced", "product-formula", res.d)
+def _always_fail(row):
+    raise DescentConsistencyError("forced", "product-formula", row[0])
+
+
+class TestCheckIdentities:
+    def test_consistent_row_passes(self):
+        row = descend(make_pair(1, -1), 11)
+        assert row.ord2T_product == row.ord2T_ratio == row.g_chi + row.correction
+        _check_identities(tuple(row))
+
+    @pytest.mark.parametrize(
+        "row, check",
+        [
+            ((-35, 2, 1, 1, 2, 0, 1), "product-formula"),  # ratio != product
+            ((-35, 2, 1, 1, 1, 1, 1), "ord2-decomposition"),  # product != g + correction
+            ((-35, 2, 1, 1, 2, 1, 1), "product-formula"),  # both: the product formula is checked first
+        ],
+    )
+    def test_each_check_fires_and_names_d(self, row, check):
+        with pytest.raises(DescentConsistencyError) as info:
+            _check_identities(row)
+        assert (info.value.check, info.value.d) == (check, -35)
+        assert str(info.value).startswith(f"{check} fails for d=-35:")
 
 
 class TestGChi:
@@ -379,7 +400,8 @@ class TestDescend:
             pair = make_pair(a, b)
             ctx = _CurveContext(pair)
             for ad, primes in squarefree_factors(1, 2000):
-                for res in _descend_abs(ctx, ad, primes, (1, -1)):
+                for row in _descend_abs(ctx, ad, primes, (1, -1)):
+                    res = SelmerDescentResult._make(row)
                     ref = _parent_descend(pair, res.d, _ctx=ctx, _dprimes=primes)
                     assert res == ref, (a, b, res.d)
                     if ad % 97 == 1:
@@ -452,30 +474,40 @@ class TestScanTwists:
         parallel = list(scan_twists(make_pair(1, -1), 120, workers=2))
         assert serial == parallel
 
-    def test_pool_size_is_capped_by_the_chunk_count(self, monkeypatch):
-        import multiprocessing
+    def test_pool_size_is_capped_by_the_chunk_count(self, monkeypatch, inline_pool):
+        import twistselmer.selmer as selmer
 
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(selmer, "_available_cpus", lambda: 64)
         pair = make_pair(1, -1)
         # X = 200 gives chunks of the minimum width 64: [1, 65), [65, 129), [129, 193), [193, 200)
         assert list(scan_twists(pair, 200, workers=64)) == list(scan_twists(pair, 200))
         assert list(scan_twists(pair, 200, workers=3)) == list(scan_twists(pair, 200))
-        assert sizes == [4, 3]
+        assert [processes for processes, _ in inline_pool] == [4, 3]
+
+    def test_pool_and_chunks_are_capped_by_the_cpus(self, monkeypatch, inline_pool):
+        import twistselmer.selmer as selmer
+
+        monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
+        pair = make_pair(1, -1)
+        serial = list(scan_twists(pair, 3000))
+        assert list(scan_twists(pair, 3000, workers=500)) == serial
+        assert list(scan_twists(pair, 3000, workers=2)) == serial
+        (many, many_chunks), (two, two_chunks) = inline_pool
+        assert many == two == 2
+        assert many_chunks == two_chunks == [(lo, min(lo + 187, 3000)) for lo in range(1, 3000, 187)]
+
+    def test_available_cpus(self, monkeypatch):
+        import os
+
+        import twistselmer.selmer as selmer
+
+        if hasattr(os, "sched_getaffinity"):
+            assert selmer._available_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert selmer._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert selmer._available_cpus() == 1
 
     def test_rejects_no_workers(self):
         for workers in (0, -1):
@@ -544,10 +576,10 @@ class TestAudit:
         pair = make_pair(1, -1)
         clean = audit_curve(pair, 60)
 
-        def fail_at_7(res):
-            if res.d == 7:
-                raise DescentConsistencyError("forced", "product-formula", res.d)
-            _check_identities(res)
+        def fail_at_7(row):
+            if row[0] == 7:
+                raise DescentConsistencyError("forced", "product-formula", 7)
+            _check_identities(row)
 
         monkeypatch.setattr(selmer, "_check_identities", fail_at_7)
         plus, minus = _descend_abs(_CurveContext(pair), 7, (7,), (1, -1))
@@ -569,7 +601,8 @@ class TestAudit:
         def flip_17(ctx, ad, primes, signs):
             out = real(ctx, ad, primes, signs)
             if ad == 17:
-                out[0] = out[0]._replace(ord2T_product=out[0].ord2T_product + 1)
+                d, sel, sel_dual, product, *rest = out[0]
+                out[0] = (d, sel, sel_dual, product + 1, *rest)
             return out
 
         monkeypatch.setattr(selmer, "_descend_abs", flip_17)
@@ -584,7 +617,8 @@ class TestAudit:
         def flip_13(ctx, ad, primes, signs):
             out = real(ctx, ad, primes, signs)
             if ad == 13:
-                out[0] = out[0]._replace(ord2T_product=out[0].ord2T_product + 1)
+                d, sel, sel_dual, product, *rest = out[0]
+                out[0] = (d, sel, sel_dual, product + 1, *rest)
             return out
 
         monkeypatch.setattr(selmer, "_descend_abs", flip_13)
@@ -612,13 +646,13 @@ class TestAudit:
     def test_wrong_additive_part_is_named(self, monkeypatch):
         import twistselmer.selmer as selmer
 
-        real = selmer.SelmerDescentResult
+        real = selmer._check_identities
 
-        def off_by_one_g(*args, **fields):
-            res = real(*args, **fields)
-            return res._replace(g_chi=res.g_chi + 1)
+        def off_by_one_g(row):
+            d, sel, sel_dual, product, ratio, g_chi, correction = row
+            real((d, sel, sel_dual, product, ratio, g_chi + 1, correction))
 
-        monkeypatch.setattr(selmer, "SelmerDescentResult", off_by_one_g)
+        monkeypatch.setattr(selmer, "_check_identities", off_by_one_g)
         report = audit_curve(make_pair(1, -1), 20)
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"ord2-decomposition"}
