@@ -193,18 +193,27 @@ def _cdf_svg(report: ekstats.DistributionReport) -> str:
     )
 
 
+def _cdf_csv(report: ekstats.DistributionReport) -> str:
+    rows = ["grid,empirical,gaussian"]
+    for z, e, gau in zip(report.grid, report.empirical_cdf, report.gaussian_cdf):
+        rows.append(f"{z!r},{e!r},{gau!r}")
+    return "\n".join(rows) + "\n"
+
+
 def cmd_ek(cfg: argparse.Namespace) -> int:
     out = Path(cfg.out)
     if cfg.f_name == "omega":
         base = "Q" if cfg.field_m == "Q" else qf.make_field(cfg.field_m)
         f = ekstats.omega_spec(base)
-        moments = [asdict(ekstats.empirical_moment(f, cfg.X, k)) for k in cfg.k_list]
-        # distribution of f over C(base, X) against the Gaussian
+        table = ekstats.prime_values(f, cfg.X)  # f at each prime of norm < X, read by every sum below
+        conductors = None if base == "Q" else enumerate_characters(base, cfg.X)
+        moments = [asdict(ekstats.empirical_moment(f, cfg.X, k, table, conductors)) for k in cfg.k_list]
+        # the distribution of f over C(base, X) against the Gaussian
         if base == "Q":
-            values = ekstats.prime_sum_values(f, cfg.X, ekstats.sieve_primes(cfg.X))
+            values = ekstats.prime_sum_values(f, cfg.X, table)
         else:
-            values = [sum(f.value(P) for P, _ in a.factorization) for a in enumerate_characters(base, cfg.X)]
-        center, scale = ekstats.mu_f(f, cfg.X), ekstats.sigma_f(f, cfg.X)
+            values = ekstats.conductor_sums(table, conductors)
+        center, scale = ekstats.mu_f(f, cfg.X, table), ekstats.sigma_f(f, cfg.X, table)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
         pair = _eligible_pair(cfg)
@@ -220,10 +229,7 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         raise ValueError(f"unknown additive function {cfg.f_name!r}")
 
     _write_text(out / "moments.json", _json_dumps({"schema_version": SCHEMA_VERSION, "moments": moments}))
-    rows = ["grid,empirical,gaussian"]
-    for z, e, gau in zip(report.grid, report.empirical_cdf, report.gaussian_cdf):
-        rows.append(f"{z!r},{e!r},{gau!r}")
-    _write_text(out / "cdf.csv", "\n".join(rows) + "\n")
+    _write_text(out / "cdf.csv", _cdf_csv(report))
     _write_text(out / "cdf.svg", _cdf_svg(report))
     return 0
 

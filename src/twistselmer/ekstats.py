@@ -9,8 +9,11 @@ predicted spread of the curve twist statistic.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import TYPE_CHECKING
 
 from . import quadfield as qf
@@ -25,10 +28,12 @@ __all__ = [
     "MomentReport",
     "DistributionReport",
     "omega_spec",
+    "prime_values",
     "mu_f",
     "sigma_f",
     "moment_constant",
     "empirical_moment",
+    "conductor_sums",
     "prime_sum_values",
     "gaussian_cdf",
     "distribution_report",
@@ -89,14 +94,32 @@ def _norm(prime) -> int:
     return prime if isinstance(prime, int) else prime.norm
 
 
-def mu_f(f: AdditiveFunctionSpec, X) -> float:
-    """Sum of f(p)/Np over primes of norm < X."""
-    return math.fsum(f.value(p) / _norm(p) for p in _field_primes(f, X))
+def _norms(f: AdditiveFunctionSpec, values: dict):
+    """The norms of the primes of a prime_values table of f, in its order."""
+    return values.keys() if f.base_field == "Q" else [P.norm for P in values]
 
 
-def sigma_f(f: AdditiveFunctionSpec, X) -> float:
-    """Square root of the sum of f(p)^2/Np over primes of norm < X."""
-    return math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in _field_primes(f, X)))
+def prime_values(f: AdditiveFunctionSpec, X) -> dict:
+    """f at each prime (prime ideal) of norm < X, in order of norm.
+
+    The one place where f is evaluated: mu_f, sigma_f, empirical_moment and
+    prime_sum_values read such a table, the caller's or one of their own."""
+    return {P: f.value(P) for P in _field_primes(f, X)}
+
+
+def mu_f(f: AdditiveFunctionSpec, X, values: dict | None = None) -> float:
+    """Sum of f(p)/Np over primes of norm < X; `values` is prime_values(f, X)."""
+    if values is None:
+        values = prime_values(f, X)
+    return math.fsum(map(operator.truediv, values.values(), _norms(f, values)))
+
+
+def sigma_f(f: AdditiveFunctionSpec, X, values: dict | None = None) -> float:
+    """Square root of the sum of f(p)^2/Np over primes of norm < X; `values`
+    is prime_values(f, X)."""
+    if values is None:
+        values = prime_values(f, X)
+    return math.sqrt(math.fsum(v**2 / n for v, n in zip(values.values(), _norms(f, values))))
 
 
 def moment_constant(k: int) -> int:
@@ -111,30 +134,36 @@ def _odd_moment_bound(k: int, sigma: float) -> float:
     return ck * sigma ** (k - 1) * k**1.5
 
 
-def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int) -> MomentReport:
+def empirical_moment(
+    f: AdditiveFunctionSpec, X: int, k: int, values: dict | None = None, conductors: list | None = None
+) -> MomentReport:
     """k-th empirical moment of the centered prime sum over C(K, X), against
-    the Gaussian prediction at the prime cutoff z = X^(1/(2k))."""
+    the Gaussian prediction at the prime cutoff z = X^(1/(2k)).
+
+    A caller that holds prime_values(f, X), or over a field K the conductors
+    enumerate_characters(K, X), passes them in; only the primes of norm < z
+    are read."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not f.bounded_01:
         raise ValueError("empirical_moment requires a [0,1]-bounded additive function")
     z = X ** (0.5 / k)  # the (1 - lambda)/k exponent with lambda = 1/2
-    primes = _field_primes(f, z)
-    mu_t = math.fsum(f.value(p) / (_norm(p) + 1) for p in primes)
-    sigma = math.sqrt(math.fsum(f.value(p) ** 2 / _norm(p) for p in primes))
+    if values is None:
+        values = prime_values(f, z)
+    else:  # the table is in order of norm, so the primes of norm < z are a prefix
+        values = dict(takewhile(lambda item: _norm(item[0]) < z, values.items()))
+    mu_t = math.fsum(v / (n + 1) for v, n in zip(values.values(), _norms(f, values)))
+    sigma = sigma_f(f, z, values)
     if f.base_field == "Q":
         import numpy as np
 
-        vals = prime_sum_values(f, X, primes) - mu_t
+        vals = prime_sum_values(f, X, values) - mu_t
         empirical = float(np.mean(vals**k))
     else:
-        conductors = enumerate_characters(f.base_field, X)
+        if conductors is None:
+            conductors = enumerate_characters(f.base_field, X)
         total = 0.0
-        for a in conductors:
-            s = -mu_t
-            for P, _ in a.factorization:
-                if P.norm < z:
-                    s += f.value(P)
+        for s in conductor_sums(values, conductors, -mu_t, z):
             total += s**k
         empirical = total / len(conductors)
     if k % 2 == 0:
@@ -151,16 +180,53 @@ def empirical_moment(f: AdditiveFunctionSpec, X: int, k: int) -> MomentReport:
     return MomentReport(X, float(z), k, empirical, predicted, ratio, within)
 
 
-def prime_sum_values(f: AdditiveFunctionSpec, X: int, primes) -> np.ndarray:
+def conductor_sums(values: dict, conductors: list, start: float = 0.0, z: float = math.inf) -> list[float]:
+    """For each conductor over K: start plus values[P], added in order of
+    norm, over its primes P of norm < z (`values` a prime_values table that
+    covers them).
+
+    A conductor comes once per unit class, side by side, so its sum is
+    taken once and repeated."""
+    out = []
+    prev = None
+    for a in conductors:
+        if a is not prev:
+            prev, s = a, start
+            for P, _ in a.factorization:  # sorted by norm
+                if P.norm >= z:
+                    break
+                s += values[P]
+        out.append(s)
+    return out
+
+
+def prime_sum_values(f: AdditiveFunctionSpec, X: int, values: dict | None = None) -> np.ndarray:
     """For each squarefree 0 < d < X, ascending: the sum of f(p) over the
-    rational primes p in `primes` that divide d, added in the order of `primes`."""
+    rational primes p of `values` (a prime_values table of f, by default that
+    of X) that divide d.
+
+    Each d receives its f(p) in ascending p.  A prime p with p^2 < X is added
+    at its multiples, one slice each.  A d < X has at most one prime p with
+    p^2 >= X, its largest, so those primes come last, one vector operation
+    per squarefree multiplier k < X/p: about sqrt(X) operations, not pi(X)."""
     import numpy as np
 
+    if values is None:
+        values = prime_values(f, X)
+    flags = squarefree_flags(1, X)
     sums = np.zeros(X, dtype=np.float64)
-    for p in primes:
-        sums[p::p] += f.value(p)
-    flags = np.frombuffer(squarefree_flags(1, X), dtype=np.uint8).astype(bool)
-    return sums[1:][flags]
+    ps = np.fromiter(values, dtype=np.int64, count=len(values))
+    vs = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+    n_small = int(np.searchsorted(ps, math.isqrt(X - 1), side="right"))  # p^2 < X
+    for p, v in zip(ps[:n_small].tolist(), vs[:n_small].tolist()):
+        sums[p::p] += v
+    big, big_vs = ps[n_small:], vs[n_small:]
+    if len(big):
+        for k in range(1, (X - 1) // int(big[0]) + 1):
+            if flags[k - 1]:
+                n = int(np.searchsorted(big, (X - 1) // k, side="right"))  # k*p < X
+                sums[k * big[:n]] += big_vs[:n]
+    return sums[1:][np.frombuffer(flags, dtype=np.bool_)]
 
 
 def gaussian_cdf(z: float) -> float:
@@ -173,41 +239,51 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
 
     Integer-valued inputs are compared on a half-integer-shifted grid
     (continuity correction); otherwise the jump points themselves are used
-    and both one-sided gaps enter the KS distance.
+    and both one-sided gaps enter the KS distance.  The report is built from
+    the sorted distinct values and their counts, which numpy takes for an
+    ndarray and collections.Counter for any other iterable.
     """
-    import numpy as np
-
-    center, scale = normalize
+    center, scale = float(normalize[0]), float(normalize[1])
     if scale <= 0:
         raise ValueError("scale must be positive")
-    vals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
-    if len(vals) == 0:
+    if hasattr(values, "dtype"):
+        import numpy as np
+
+        distinct, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+        distinct, counts = distinct.tolist(), counts.tolist()
+    else:
+        tally: Counter[float] = Counter()
+        for v, c in Counter(values).items():
+            tally[float(v)] += c
+        distinct = sorted(tally)
+        counts = [tally[v] for v in distinct]
+    if not distinct:
         raise ValueError("values must be nonempty")
-    n = len(vals)
-    integral = bool(np.all(vals == np.round(vals)))
-    if integral:
-        lo, hi = int(vals[0]), int(vals[-1])
+    n = sum(counts)
+    if all(v.is_integer() for v in distinct):
+        lo, hi = int(distinct[0]), int(distinct[-1])
         # half-step grid on the data's own lattice, so that the report is
         # invariant under affine renormalization of (values, center, scale)
-        step = int(np.gcd.reduce(vals.astype(np.int64) - lo)) or 1
+        step = math.gcd(*(int(v) - lo for v in distinct)) or 1
         lattice = range(lo - step, hi + 1, step)
         grid = [(j + step / 2 - center) / scale for j in lattice]
-        emp = [float(np.searchsorted(vals, j + step / 2)) / n for j in lattice]
+        emp = []
+        below = i = 0  # the number of values below j + step/2, and of distinct ones
+        for j in lattice:
+            while i < len(distinct) and distinct[i] < j + step / 2:
+                below += counts[i]
+                i += 1
+            emp.append(below / n)
         gauss = [gaussian_cdf(z) for z in grid]
         ks = max(abs(e - g) for e, g in zip(emp, gauss))
     else:
-        zs = (vals - center) / scale
-        grid = list(zs)
+        grid = []
+        for v, c in zip(distinct, counts):
+            grid += [(v - center) / scale] * c
         emp = [(i + 1) / n for i in range(n)]
         gauss = [gaussian_cdf(z) for z in grid]
         ks = max(max(abs(e - g), abs(e - 1.0 / n - g)) for e, g in zip(emp, gauss))
-    return DistributionReport(
-        X if X is not None else n,
-        tuple(grid),
-        tuple(emp),
-        tuple(gauss),
-        float(ks),
-    )
+    return DistributionReport(X if X is not None else n, tuple(grid), tuple(emp), tuple(gauss), ks)
 
 
 def sigma_g_predicted(X) -> float:

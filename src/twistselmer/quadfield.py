@@ -14,6 +14,7 @@ factorization one prime power at a time.  Fields are capped at
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -413,26 +414,43 @@ def squarefree_ideals_up_to(field: QuadraticField, X: int, class_constraint: Ide
 
 
 def _squarefree_with_classes(field: QuadraticField, X: int):
-    """Cached list of (squarefree ideal of norm < X, class index), sorted."""
+    """Cached tuple of (squarefree ideal of norm < X, class index), sorted by
+    (norm, factorization).
+
+    A stack walk, like count_sf's, adds primes in primes_up_to order.  Each
+    ideal carries its sort key: its norm, then the indices of its primes in
+    that order, ascending, from which its factorization is read after the
+    sort.  For ideals of one norm the indices compare as the
+    factorizations' (p, conjugate_index) tuples do.  Where two such ideals
+    first differ, in P and Q with NP < NQ, p(P) > p(Q) would make Q inert
+    and NP = p(P); as p(P) divides the norm of the second ideal, a later
+    prime of it would lie above p(P), of norm p(P) < NQ, out of order.  The
+    list of a larger bound, once cached, gives that of X as its prefix."""
     cached = field._sqfree_cache.get(X)
     if cached is not None:
         return cached
+    larger = [Y for Y in field._sqfree_cache if Y > X]
+    if larger:
+        whole = field._sqfree_cache[min(larger)]
+        return whole[: bisect_left(whole, X, key=lambda t: t[0].norm)]
     primes = primes_up_to(field, X)
+    norms = [P.norm for P in primes]
     pcls = [field.class_of_prime(P) for P in primes]
+    table = field._cayley
     out = []
-
-    def rec(i, factors, norm, cls):
-        if norm < X:
-            out.append((IdealK(factors, norm), cls))
+    stack = [(0, 1, (), 0)] if X > 1 else []  # (next prime, norm, prime indices, class)
+    while stack:
+        i, norm, key, cls = stack.pop()
+        out.append((norm, key, cls))
+        row = table[cls]
         for j in range(i, len(primes)):
-            nn = norm * primes[j].norm
+            nn = norm * norms[j]
             if nn >= X:
                 break
-            rec(j + 1, factors + ((primes[j], 1),), nn, field.class_compose(cls, pcls[j]))
-
-    rec(0, (), 1, 0)
-    out.sort(key=lambda t: (t[0].norm, _fact_key(t[0])))
-    result = tuple(out)
+            stack.append((j + 1, nn, key + (j,), row[pcls[j]]))
+    out.sort()  # (norm, key) is distinct, so the sort compares nothing else
+    factor = [(P, 1) for P in primes].__getitem__
+    result = tuple((IdealK(tuple(map(factor, key)), norm), cls) for norm, key, cls in out)
     field._sqfree_cache[X] = result
     return result
 

@@ -4,7 +4,7 @@ import warnings
 from itertools import compress, cycle
 
 from twistselmer import quadfield as qf
-from twistselmer.arith import sieve_primes, squarefree_factors, squarefree_flags
+from twistselmer.arith import squarefree_factors, squarefree_flags
 from twistselmer.characters import enumerate_characters
 from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
 from twistselmer.selmer import g_of_primes, make_pair
@@ -14,8 +14,8 @@ class TestEnumerate:
     def test_rational_small(self):
         # C(Q, X) is the signed squarefree d with 0 < |d| < X; ek reads one
         # value per |d| off squarefree_flags, here omega at 1, 2, 3, 5, 6, 7
-        assert prime_sum_values(omega_spec(), 10, sieve_primes(10)).tolist() == [0, 1, 1, 1, 2, 1]
-        assert prime_sum_values(omega_spec(), 2, sieve_primes(2)).tolist() == [0]
+        assert prime_sum_values(omega_spec(), 10).tolist() == [0, 1, 1, 1, 2, 1]
+        assert prime_sum_values(omega_spec(), 2).tolist() == [0]
 
     def test_no_duplicates_and_stable(self):
         # h = 1: each conductor comes once per unit class, side by side, and no conductor twice
@@ -79,7 +79,7 @@ class TestEnumerate:
 
 def _omega_by_d(X):
     """omega at each squarefree 0 < d < X, as ek reads it off C(Q, X)."""
-    values = prime_sum_values(omega_spec(), X, sieve_primes(X))
+    values = prime_sum_values(omega_spec(), X)
     return dict(zip(compress(range(1, X), squarefree_flags(1, X)), values))
 
 

@@ -381,11 +381,28 @@ assert cli.main(["scan", "--a", "1", "--b", "-1", "--X", "200", "--out", {str(tm
 assert cli.main(["audit", "--a", "1", "--b", "-1", "--X", "200"]) == 0
 print("numpy loaded:", "numpy" in sys.modules)
 """
-    src = str(Path(twistselmer.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this twistselmer."""
+    src = str(Path(twistselmer.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("field, loads_numpy", [("-5", False), ("Q", True)])
+def test_ek_imports_numpy_only_over_q(tmp_path, field, loads_numpy):
+    # the import log of the whole process, as the CI step reads it; over Q
+    # the prime sums are numpy arrays, which shows the log names numpy
+    argv = ["-X", "importtime", "-m", "twistselmer.cli", "ek", "--f", "omega", "--field", field, "--X", "2000"]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--out", str(tmp_path)], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "twistselmer.ekstats" in proc.stderr
+    assert ("numpy" in proc.stderr) == loads_numpy
 
 
 class TestConfigFile:

@@ -8,10 +8,13 @@ import pytest
 
 from twistselmer import quadfield as qf
 from twistselmer.arith import kronecker, sieve_primes, squarefree_flags, squarefree_part
+from twistselmer.characters import enumerate_characters
+from twistselmer.cli import _cdf_csv
 from twistselmer.ekstats import (
     AdditiveFunctionSpec,
     _field_primes,
     _norm,
+    conductor_sums,
     distribution_report,
     empirical_moment,
     gaussian_cdf,
@@ -19,6 +22,7 @@ from twistselmer.ekstats import (
     mu_f,
     omega_spec,
     prime_sum_values,
+    prime_values,
     sigma_f,
     sigma_g_predicted,
     tail_fraction,
@@ -95,6 +99,37 @@ def sigma_g_exact(pair, X) -> float:
             continue
         acc.append((1 - kronecker(cls, p)) / (2.0 * p))
     return math.sqrt(math.fsum(acc))
+
+
+def slice_loop_prime_sums(values, X):
+    """prime_sum_values as one slice per prime, in the table's order, with a
+    uint8 -> bool mask: the loop it replaced, kept as its reference."""
+    sums = np.zeros(X, dtype=np.float64)
+    for p, v in values.items():
+        sums[p::p] += v
+    return sums[1:][np.frombuffer(squarefree_flags(1, X), dtype=np.uint8).astype(bool)]
+
+
+def numpy_distribution_report(values, normalize, X=None):
+    """distribution_report on a sorted float64 array, as it was computed
+    before it was built from distinct values and counts: the reference."""
+    center, scale = normalize
+    vals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    n = len(vals)
+    if bool(np.all(vals == np.round(vals))):
+        lo, hi = int(vals[0]), int(vals[-1])
+        step = int(np.gcd.reduce(vals.astype(np.int64) - lo)) or 1
+        lattice = range(lo - step, hi + 1, step)
+        grid = [(j + step / 2 - center) / scale for j in lattice]
+        emp = [float(np.searchsorted(vals, j + step / 2)) / n for j in lattice]
+        gauss = [gaussian_cdf(z) for z in grid]
+        ks = max(abs(e - g) for e, g in zip(emp, gauss))
+    else:
+        grid = list((vals - center) / scale)
+        emp = [(i + 1) / n for i in range(n)]
+        gauss = [gaussian_cdf(z) for z in grid]
+        ks = max(max(abs(e - g), abs(e - 1.0 / n - g)) for e, g in zip(emp, gauss))
+    return (X if X is not None else n, tuple(grid), tuple(emp), tuple(gauss), float(ks))
 
 
 class TestMuSigma:
@@ -195,7 +230,7 @@ class TestEmpiricalMoment:
                     if p in primes:
                         total += 1.0 / p
                 expected.append(total)
-        assert prime_sum_values(f, X, primes).tolist() == expected
+        assert prime_sum_values(f, X, prime_values(f, 30)).tolist() == expected
 
     def test_zero_function_gives_zero(self):
         zero = AdditiveFunctionSpec("Q", lambda p: 0.0, bounded_01=True)
@@ -213,6 +248,75 @@ class TestEmpiricalMoment:
         g = AdditiveFunctionSpec("Q", lambda p: -1.0, name="g")
         with pytest.raises(ValueError):
             empirical_moment(g, 100, 2)
+
+
+class TestPrimeSumValues:
+    # f(p) = 1/p has a full mantissa, so its sums depend on the order of addition
+    F = AdditiveFunctionSpec("Q", lambda p: 1.0 / p, bounded_01=True, name="1/p")
+    R = 97  # a prime: at X = R^2 it is the first prime added by multiplier
+
+    def test_sums_depend_on_the_order(self):
+        X = self.R**2
+        table = prime_values(self.F, X)
+        backwards = dict(reversed(table.items()))
+        assert slice_loop_prime_sums(backwards, X).tobytes() != slice_loop_prime_sums(table, X).tobytes()
+
+    @pytest.mark.parametrize("X", [2, 3, 4, R**2 - 1, R**2, R**2 + 1])
+    def test_matches_slice_loop_bitwise(self, X):
+        table = prime_values(self.F, X)
+        assert prime_sum_values(self.F, X, table).tobytes() == slice_loop_prime_sums(table, X).tobytes()
+        assert prime_sum_values(self.F, X).tobytes() == slice_loop_prime_sums(table, X).tobytes()
+        # the primes below a moment's cutoff only: no prime is added by multiplier below sqrt(X)
+        small = {p: v for p, v in table.items() if p < 30}
+        assert prime_sum_values(self.F, X, small).tobytes() == slice_loop_prime_sums(small, X).tobytes()
+
+
+class TestValueTable:
+    @staticmethod
+    def counting(base):
+        calls = []
+        return AdditiveFunctionSpec(base, lambda p: calls.append(p) or 0.5, bounded_01=True), calls
+
+    def test_f_is_evaluated_once_per_prime_over_q(self):
+        f, calls = self.counting("Q")
+        X = 5000
+        table = prime_values(f, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            moments = [empirical_moment(f, X, k, table) for k in (1, 2)]
+        prime_sum_values(f, X, table)
+        mu, sigma = mu_f(f, X, table), sigma_f(f, X, table)
+        assert sorted(calls) == list(sieve_primes(X))
+        # the same numbers as when each function evaluates f itself
+        fresh, _ = self.counting("Q")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert moments == [empirical_moment(fresh, X, k) for k in (1, 2)]
+        assert (mu, sigma) == (mu_f(fresh, X), sigma_f(fresh, X))
+
+    def test_f_is_evaluated_once_per_prime_over_k(self):
+        K = qf.make_field(-5)
+        f, calls = self.counting(K)
+        X = 3000
+        table = prime_values(f, X)
+        conductors = enumerate_characters(K, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            moment = empirical_moment(f, X, 2, table, conductors)
+        sums = conductor_sums(table, conductors)
+        assert len(calls) == len(set(calls)) == len(qf.primes_up_to(K, X))
+        fresh, _ = self.counting(K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert moment == empirical_moment(fresh, X, 2)
+        assert sums == [sum(0.5 for _ in a.factorization) for a in conductors]
+
+    def test_conductor_sums_below_a_cutoff(self):
+        K = qf.make_field(-1)
+        table = prime_values(omega_spec(K), 200)
+        conductors = enumerate_characters(K, 200)
+        got = conductor_sums(table, conductors, -0.25, 10)
+        assert got == [-0.25 + sum(1 for P, _ in a.factorization if P.norm < 10) for a in conductors]
 
 
 class TestMaintermG:
@@ -297,6 +401,38 @@ class TestDistributionReport:
             assert rep.grid == tuple(j + step / 2 for j in lattice), vals
             assert rep.empirical_cdf == tuple(sum(v <= j for v in vals) / len(vals) for j in lattice), vals
 
+    def test_grid_entries_are_plain_floats(self):
+        # numpy scalars print as np.float64(...) under numpy 2, which cdf.csv would write
+        for values in ([0.5, 1.25, 2.0], np.array([0.5, 1.25, 2.0]), [1, 2, 2], np.array([1, 2, 2])):
+            rep = distribution_report(values, (np.float64(1.0), np.float64(0.5)))
+            for seq in (rep.grid, rep.empirical_cdf, rep.gaussian_cdf):
+                assert all(type(v) is float for v in seq), (values, seq)
+            assert type(rep.ks) is float
+        rep = distribution_report(np.array([0.5, 1.25, 2.0]), (1.0, 0.5))
+        assert _cdf_csv(rep).splitlines()[1] == "-1.0,0.3333333333333333,0.15865525393145707"
+
+    def test_matches_sorted_array_report(self):
+        rng = random.Random(5)
+        samples = [
+            [rng.randint(-4, 9) for _ in range(200)],
+            [3 * rng.randint(-3, 3) + 1 for _ in range(50)],
+            [rng.choice((0.5, 1.25, 2.0, -3.75)) for _ in range(40)],
+            [rng.random() for _ in range(30)],
+            [7] * 5,
+            [0, 0.0, 1, 2.0],
+        ]
+        for vals in samples:
+            for values in (vals, np.array(vals, dtype=np.float64)):
+                rep = distribution_report(values, (1.5, 0.75), X=99)
+                assert (rep.X, rep.grid, rep.empirical_cdf, rep.gaussian_cdf, rep.ks) == numpy_distribution_report(
+                    vals, (1.5, 0.75), X=99
+                ), vals
+
+    def test_rejects_empty(self):
+        for values in ([], np.array([])):
+            with pytest.raises(ValueError, match="nonempty"):
+                distribution_report(values, (0.0, 1.0))
+
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             distribution_report([1, 2], (0.0, 0.0))
@@ -355,7 +491,7 @@ class TestOmegaDistributionTrend:
         om = omega_spec()
         ks = []
         for X in (10**4, 10**5, 10**6):
-            values = prime_sum_values(om, X, sieve_primes(X))
+            values = prime_sum_values(om, X)
             rep = distribution_report(values, (mu_f(om, X), sigma_f(om, X)), X=X)
             ks.append(rep.ks)
         assert ks[0] >= ks[1] >= ks[2]

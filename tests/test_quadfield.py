@@ -13,8 +13,10 @@ from twistselmer.quadfield import (
     FieldTooLargeError,
     IdealK,
     QuadraticField,
+    _fact_key,
     _ideals_up_to_norm,
     _omega_roots_mod_p,
+    _squarefree_with_classes,
     count_sf,
     element_norm,
     generator_if_principal,
@@ -350,6 +352,49 @@ class TestSquarefreeIdeals:
                 for a in ideals:
                     principal = generator_if_principal(K, ideal_mul(a, b2)) is not None
                     assert principal == (a in constrained), (m, b, a)
+
+
+def recursive_squarefree_with_classes(field, X):
+    """The recursive walk and (norm, _fact_key) sort that the presorted
+    stack walk of _squarefree_with_classes replaced, kept as its reference."""
+    primes = primes_up_to(field, X)
+    pcls = [field.class_of_prime(P) for P in primes]
+    out = []
+
+    def rec(i, factors, norm, cls):
+        if norm < X:
+            out.append((IdealK(factors, norm), cls))
+        for j in range(i, len(primes)):
+            nn = norm * primes[j].norm
+            if nn >= X:
+                break
+            rec(j + 1, factors + ((primes[j], 1),), nn, field.class_compose(cls, pcls[j]))
+
+    rec(0, (), 1, 0)
+    out.sort(key=lambda t: (t[0].norm, _fact_key(t[0])))
+    return tuple(out)
+
+
+class TestSquarefreeWalk:
+    # h = 1, 2 and 4, and a real field with h = 2; X at the edges, around the
+    # first split norm N > 10 and its square N(P * conj(P)), and one larger X
+    @pytest.mark.parametrize("m, h", [(-1, 1), (-5, 2), (-14, 4), (10, 2)])
+    def test_matches_recursive_walk(self, m, h):
+        walked, prefixed = QuadraticField(m), QuadraticField(m)
+        assert walked.class_number == h
+        N = next(P.norm for P in primes_up_to(walked, 100) if P.splitting == SPLIT and P.norm > 10)
+        bounds = (1, 2, 3, N - 1, N, N + 1, N * N - 1, N * N, N * N + 1, 2000)
+        # in ascending order each bound is walked; below a cached bound, a prefix is taken
+        _squarefree_with_classes(prefixed, max(bounds) + 1)
+        for X in bounds:
+            reference = recursive_squarefree_with_classes(walked, X)
+            assert _squarefree_with_classes(walked, X) == reference, (m, X)
+            assert _squarefree_with_classes(prefixed, X) == reference, (m, X)
+            assert squarefree_ideals_up_to(walked, X) == [a for a, _ in reference]
+        assert sorted(walked._sqfree_cache) == sorted(set(bounds))
+        assert sorted(prefixed._sqfree_cache) == [max(bounds) + 1]
+        assert squarefree_ideals_up_to(walked, 1) == []
+        assert squarefree_ideals_up_to(walked, 2) == [ONE_IDEAL]
 
 
 def brute_count_sf(field, X, c, q, d) -> int:
