@@ -25,9 +25,14 @@ _SMALL_PRIME_SCAN = 29
 # squarefree_factors keeps one list (about 100 bytes) per integer of a block
 SIEVE_BLOCK = 1 << 15
 
+# zeta_K(2) reads the primes below its cutoff from prime_flags segments of
+# this many integers, 512 KB of flags each
+PRIME_SEGMENT = 1 << 19
+
 __all__ = [
     "REAL_PLACE",
     "prime_flags",
+    "PRIME_SEGMENT",
     "sieve_primes",
     "kronecker",
     "sqrt_mod_prime",
@@ -43,22 +48,37 @@ __all__ = [
 ]
 
 
-def prime_flags(bound: int) -> bytearray:
-    """Sieve of Eratosthenes: flags[n] is 1 if n is prime, else 0, for 0 <= n < bound."""
-    if bound < 2:
-        raise ValueError("prime_flags: bound must be >= 2")
-    flags = bytearray([1]) * bound
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, bound, i)))
+def prime_flags(lo: int, hi: int) -> bytearray:
+    """flags[i] = 1 iff lo + i is prime, for 0 <= lo <= lo + i < hi.
+
+    Segmented sieve of Eratosthenes over [lo, hi) by the primes
+    p <= isqrt(hi - 1).  From lo = 0 it reads them off its own flags, each
+    final by the time the loop reaches it; otherwise off the sieve of
+    [0, isqrt(hi - 1)].
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError("prime_flags: need 0 <= lo <= hi")
+    width = hi - lo
+    flags = bytearray([1]) * width
+    units = min(width, max(0, 2 - lo))  # 0 and 1 are not prime
+    flags[:units] = bytes(units)
+    root = math.isqrt(hi - 1) if width else 0
+    small = flags if lo == 0 else prime_flags(0, root + 1)
+    for p in range(2, root + 1):
+        if small[p]:
+            start = p * p - lo
+            if start < 0:  # the first multiple of p from lo on
+                start %= p
+            flags[start::p] = bytearray(len(range(start, width, p)))
     return flags
 
 
 @lru_cache(maxsize=8)
 def sieve_primes(bound: int) -> tuple[int, ...]:
     """The primes < bound, ascending."""
-    return tuple(compress(range(bound), prime_flags(bound)))
+    if bound < 2:
+        raise ValueError("sieve_primes: bound must be >= 2")
+    return tuple(compress(range(bound), prime_flags(0, bound)))
 
 
 def kronecker(a: int, n: int) -> int:

@@ -218,13 +218,13 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
     elif cfg.f_name == "curve-g":
         pair = _eligible_pair(cfg)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
-        values = []
+        g_at = selmer.g_table(pair, cfg.X).__getitem__
+        hist: Counter[int] = Counter()  # g -> number of twists
         for _, primes in squarefree_factors(1, cfg.X):
-            g = selmer.g_of_primes(pair, primes)
-            values += (g, g)  # +d, then -d: g does not see the sign
-        center = sum(values) / len(values)
+            hist[sum(map(g_at, primes))] += 2  # +d and -d: g does not see the sign
+        center = sum(g * n for g, n in hist.items()) / sum(hist.values())
         scale = ekstats.sigma_g_predicted(cfg.X)
-        report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
+        report = ekstats.distribution_report(hist, (center, scale), X=cfg.X)
     else:
         raise ValueError(f"unknown additive function {cfg.f_name!r}")
 

@@ -186,7 +186,10 @@ def conductor_sums(values: dict, conductors: list, start: float = 0.0, z: float 
     covers them).
 
     A conductor comes once per unit class, side by side, so its sum is
-    taken once and repeated."""
+    taken once and repeated.  The values are looked up by (p, conjugate
+    index), which names a prime of K as its fields do, so that the lookups
+    hash tuples of ints, not PrimeIdealK through the dataclass's __hash__."""
+    by_slot = {(P.p, P.conjugate_index): v for P, v in values.items()}
     out = []
     prev = None
     for a in conductors:
@@ -195,7 +198,7 @@ def conductor_sums(values: dict, conductors: list, start: float = 0.0, z: float 
             for P, _ in a.factorization:  # sorted by norm
                 if P.norm >= z:
                     break
-                s += values[P]
+                s += by_slot[P.p, P.conjugate_index]
         out.append(s)
     return out
 
@@ -241,7 +244,8 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
     (continuity correction); otherwise the jump points themselves are used
     and both one-sided gaps enter the KS distance.  The report is built from
     the sorted distinct values and their counts, which numpy takes for an
-    ndarray and collections.Counter for any other iterable.
+    ndarray and collections.Counter for any other iterable; a Counter is
+    read as those counts.
     """
     center, scale = float(normalize[0]), float(normalize[1])
     if scale <= 0:
@@ -253,7 +257,7 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
         distinct, counts = distinct.tolist(), counts.tolist()
     else:
         tally: Counter[float] = Counter()
-        for v, c in Counter(values).items():
+        for v, c in (values if isinstance(values, Counter) else Counter(values)).items():
             tally[float(v)] += c
         distinct = sorted(tally)
         counts = [tally[v] for v in distinct]

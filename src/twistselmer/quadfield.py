@@ -2,8 +2,9 @@
 
 Prime splitting, squarefree-ideal enumeration by ideal class, the class
 group via Minkowski-bound enumeration with exact principality testing,
-units modulo squares, and the analytic constants (residue of zeta_K at
-s=1, zeta_K(2)) that drive squarefree-ideal counts.
+the class of a prime of an imaginary field by Gauss reduction of its
+binary quadratic form, units modulo squares, and the analytic constants
+(residue of zeta_K at s=1, zeta_K(2)) that drive squarefree-ideal counts.
 
 Ideals are kept in fully factored form, and membership is read off the
 factorization one prime power at a time.  Fields are capped at
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
+from .arith import PRIME_SEGMENT, factorize, kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
@@ -196,6 +197,10 @@ class QuadraticField:
             if P.conjugate_index == 1:
                 # P * conj(P) = (p), so P is in the inverse class of its conjugate
                 cls = self.class_inverse(self.class_of_prime(PrimeIdealK(P.p, SPLIT, 0, P.norm)))
+            elif P.splitting == INERT:
+                cls = 0  # (p) is principal
+            elif self.m < 0:
+                cls = self._form_classes[_reduced_form(*_prime_form(self, P.p))]
             else:
                 # a prime in none of the other classes is in the last one
                 a = IdealK(((P, 1),), P.norm)
@@ -203,6 +208,34 @@ class QuadraticField:
                 cls = next((k for k, r in enumerate(reps[:-1]) if self._equivalent(a, r)), len(reps) - 1)
             self._prime_class_cache[P] = cls
         return cls
+
+    @cached_property
+    def _form_classes(self) -> dict[tuple[int, int, int], int]:
+        """For D < 0, the class index of each reduced form (a, b, c) of
+        discriminant D (Cohen, GTM 138, Alg. 5.3.5): that of the ideal
+        [a, (-b + sqrt(D))/2] = (a, omega - r), r = (t + b)/2, found by the
+        norm-form search against class_representatives.  The h reduced
+        forms must meet the h classes once each."""
+        D, t = self.disc, self.omega_trace
+        reps = self.class_representatives
+        out = {}
+        for a in range(1, math.isqrt(-D // 3) + 1):  # |b| <= a <= c gives 3a^2 <= |D|
+            for b in range(1 - a, a + 1):
+                c, rem = divmod(b * b - D, 4 * a)
+                if rem or _reduced_form(a, b, c) != (a, b, c):
+                    continue
+                r = (t + b) // 2
+                factors = []
+                for p, e in factorize(a):
+                    primes = split_prime(self, p)
+                    # a primitive ideal: a split prime's slot is read off r, a ramified one has e = 1
+                    P = primes[_omega_roots_mod_p(self, p).index(r % p)] if len(primes) == 2 else primes[0]
+                    factors.append((P, e))
+                J = make_ideal(factors)
+                out[(a, b, c)] = next((k for k, rep in enumerate(reps) if self._equivalent(J, rep)), None)
+        if len(out) != len(reps) or set(out.values()) != set(range(len(reps))):
+            raise ArithmeticError(f"the reduced forms of discriminant {D} do not match the class group")
+        return out
 
     def class_of_ideal(self, a: IdealK) -> int:
         cls = 0
@@ -366,6 +399,33 @@ def generator_if_principal(field: QuadraticField, a: IdealK):
     return None
 
 
+def _prime_form(field: QuadraticField, p: int) -> tuple[int, int, int]:
+    """The form (p, b, c) of the prime P = (p, omega - R) above p of
+    conjugate index 0, split or ramified: P = [p, (-b + sqrt(D))/2] with
+    b = 2R - t, and b^2 - D = 4(R^2 - t*R + N(omega)) = 0 mod 4p."""
+    b = 2 * _omega_roots_mod_p(field, p)[0] - field.omega_trace
+    return p, b, (b * b - field.disc) // (4 * p)
+
+
+def _reduced_form(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced form properly equivalent to a positive definite (a, b, c):
+    |b| <= a <= c, and b >= 0 if |b| = a or a = c (Cohen, GTM 138, Alg. 5.4.2)."""
+    while True:
+        if not -a < b <= a:  # b -> b - 2aq in (-a, a], by (x, y) -> (x - qy, y)
+            q, r = divmod(b, 2 * a)
+            if r > a:
+                r -= 2 * a
+                q += 1
+            c -= (b + r) * q // 2
+            b = r
+        if a <= c:
+            break
+        a, b, c = c, -b, a  # (x, y) -> (-y, x)
+    if a == c and b < 0:
+        b = -b
+    return a, b, c
+
+
 # --- enumeration ------------------------------------------------------
 
 
@@ -523,27 +583,41 @@ def zeta_residue(field: QuadraticField) -> float:
 
 
 def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
-    """zeta_K(2) via the Euler product over prime ideals of norm < B."""
+    """zeta_K(2) via the Euler product over prime ideals of norm < B.
+
+    The primes below B are read one PRIME_SEGMENT of the sieve at a time,
+    and only the split and ramified ones, and the inert ones below sqrt(B),
+    are kept.  Each log-factor array holds the same elements in the same
+    order as over one sieve of [0, B), so its pairwise sum, and the value,
+    has the same bits."""
     if B is None:
         B = ZETA2_DEFAULT_CUTOFF
+    if B < 2:
+        raise ValueError("zeta_at_2: B must be >= 2")
     if B in field._zeta2_cache:
         return field._zeta2_cache[B]
     import numpy as np
 
     absd = abs(field.disc)
     chi_table = np.array([kronecker(field.disc, r) if r else 0 for r in range(absd)], dtype=np.int8)
-    # the B-entry sieve is freed as soon as the prime index is taken
-    index = np.flatnonzero(np.frombuffer(prime_flags(B), dtype=np.bool_))
-    ps = index.astype(np.float64)
-    chi = chi_table[index % absd]
-    del index
-    inv2 = 1.0 / (ps * ps)
-    log_split = -2.0 * np.log1p(-inv2[chi == 1])
-    log_ram = -np.log1p(-inv2[chi == 0])
-    small = ps[ps * ps < B]
-    chi_small = chi[: len(small)]
-    inert_small = small[chi_small == -1]
-    log_inert = -np.log1p(-1.0 / inert_small**4)
+    split, ram, inert = [], [], []
+    for lo in range(0, B, PRIME_SEGMENT):
+        index = np.flatnonzero(np.frombuffer(prime_flags(lo, min(lo + PRIME_SEGMENT, B)), dtype=np.bool_)) + lo
+        ps = index.astype(np.float64)
+        chi = chi_table[index % absd]
+        split.append(ps[chi == 1])
+        ram.append(ps[chi == 0])
+        inert.append(ps[(chi == -1) & (ps * ps < B)])
+    # -2 log(1 - p^-2) over the split p, in place: one array of them at a time
+    log_split = np.concatenate(split)
+    del split
+    np.multiply(log_split, log_split, out=log_split)
+    np.divide(1.0, log_split, out=log_split)
+    np.log1p(np.negative(log_split, out=log_split), out=log_split)
+    log_split *= -2.0
+    ps = np.concatenate(ram)
+    log_ram = -np.log1p(-(1.0 / (ps * ps)))
+    log_inert = -np.log1p(-1.0 / np.concatenate(inert) ** 4)
     val = math.exp(float(log_split.sum() + log_ram.sum() + log_inert.sum()))
     field._zeta2_cache[B] = val
     return val

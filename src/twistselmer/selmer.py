@@ -26,6 +26,7 @@ from .arith import (
     kronecker,
     least_nonresidue,
     local_square_classes,
+    sieve_primes,
     sqrt_mod_prime,
     squarefree_factors,
     squarefree_part,
@@ -40,6 +41,7 @@ __all__ = [
     "local_dim_good_ramified",
     "local_image",
     "g_of_primes",
+    "g_table",
     "descend",
     "selmer2_lower_bound",
     "scan_twists",
@@ -452,6 +454,11 @@ def g_of_primes(pair: IsogenyPair, primes) -> int:
         if p != 2 and p not in pair.bad_primes:
             total += (kronecker(pair.b, p) - kronecker(pair.b_dual, p)) // 2
     return total
+
+
+def g_table(pair: IsogenyPair, X: int) -> dict[int, int]:
+    """g at each prime p < X, so that g at a twist is the sum over its primes."""
+    return {p: g_of_primes(pair, (p,)) for p in sieve_primes(max(2, X))}
 
 
 # the 2-Selmer rank of a twist is at least ord2T - _SELMER2_SLACK

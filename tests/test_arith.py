@@ -6,6 +6,7 @@ import pytest
 
 import twistselmer.arith as arith
 from twistselmer.arith import (
+    PRIME_SEGMENT,
     REAL_PLACE,
     SIEVE_BLOCK,
     factorize,
@@ -30,6 +31,16 @@ def trial_division_primes(bound):
     return out
 
 
+def whole_sieve(bound):
+    """Eratosthenes over all of [0, bound) in one array, each prime read off the flags."""
+    flags = bytearray([1]) * bound
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return flags
+
+
 class TestSievePrimes:
     def test_first_primes(self):
         assert sieve_primes(10) == (2, 3, 5, 7)
@@ -46,9 +57,34 @@ class TestSievePrimes:
 
     def test_prime_flags_mark_exactly_the_primes(self):
         for bound in (2, 3, 4, 50, 101):
-            flags = prime_flags(bound)
+            flags = prime_flags(0, bound)
             assert len(flags) == bound and set(flags) <= {0, 1}
             assert list(compress(range(bound), flags)) == trial_division_primes(bound)
+
+    def test_prime_flags_segments_against_the_whole_sieve(self):
+        # every [lo, hi) is the slice of one sieve from 0: lo = 0 and 2, the
+        # width 0, hi = p^2 and p^2 +- 1 around the last sieving prime, and
+        # ranges across the segment ends that zeta_K(2) reads
+        seg = PRIME_SEGMENT
+        whole = whole_sieve(2 * seg + 200)
+        ranges = [(0, 0), (0, 1), (0, 2), (1, 3), (2, 2), (2, 3), (2, 1000), (7, 7), (seg, seg)]
+        for p in (2, 3, 7, 31, 719):
+            ranges += [(lo, p * p + dh) for lo in (0, 2, p * p - 3) for dh in (-1, 0, 1)]
+        ranges += [(seg - 5, seg + 7), (seg - 1, seg + 1), (1000, 2 * seg + 3), (seg + 3, 2 * seg + 200)]
+        for lo, hi in ranges:
+            assert prime_flags(lo, hi) == whole[lo:hi], (lo, hi)
+        rng = random.Random(3)
+        for _ in range(40):
+            lo = rng.randrange(len(whole))
+            hi = rng.randrange(lo, min(len(whole), lo + 3 * SIEVE_BLOCK) + 1)
+            assert prime_flags(lo, hi) == whole[lo:hi], (lo, hi)
+        assert list(compress(range(3000), whole)) == trial_division_primes(3000)
+        assert prime_flags(0, len(whole)) == whole
+
+    def test_prime_flags_rejects_a_bad_range(self):
+        for lo, hi in ((-1, 5), (5, 4)):
+            with pytest.raises(ValueError):
+                prime_flags(lo, hi)
 
     def test_strictly_increasing_and_prime(self):
         primes = sieve_primes(500)

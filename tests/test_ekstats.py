@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from collections import Counter
 from itertools import compress
 
 import numpy as np
@@ -422,7 +423,7 @@ class TestDistributionReport:
             [0, 0.0, 1, 2.0],
         ]
         for vals in samples:
-            for values in (vals, np.array(vals, dtype=np.float64)):
+            for values in (vals, np.array(vals, dtype=np.float64), Counter(vals)):
                 rep = distribution_report(values, (1.5, 0.75), X=99)
                 assert (rep.X, rep.grid, rep.empirical_cdf, rep.gaussian_cdf, rep.ks) == numpy_distribution_report(
                     vals, (1.5, 0.75), X=99

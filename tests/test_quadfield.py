@@ -1,15 +1,19 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twistselmer.arith import kronecker, sieve_primes, squarefree_part
+import twistselmer.quadfield as qf
+from twistselmer.arith import PRIME_SEGMENT, kronecker, prime_flags, sieve_primes, squarefree_part
 from twistselmer.quadfield import (
     INERT,
     ONE_IDEAL,
     SPLIT,
+    ZETA2_DEFAULT_CUTOFF,
     FieldTooLargeError,
     IdealK,
     QuadraticField,
@@ -195,12 +199,33 @@ def zeta2_tail_bound(B: int) -> float:
     return 2.1 / (B * math.log(B)) + 3.0 / (B ** 1.49)
 
 
+def whole_array_zeta_at_2(field, B: int) -> float:
+    """The Euler product of zeta_K(2) over norm < B from one sieve of [0, B)
+    and arrays over all of its primes, as zeta_at_2 computed it before it
+    read the sieve in segments."""
+    absd = abs(field.disc)
+    chi_table = np.array([kronecker(field.disc, r) if r else 0 for r in range(absd)], dtype=np.int8)
+    index = np.flatnonzero(np.frombuffer(prime_flags(0, B), dtype=np.bool_))
+    ps = index.astype(np.float64)
+    chi = chi_table[index % absd]
+    inv2 = 1.0 / (ps * ps)
+    log_split = -2.0 * np.log1p(-inv2[chi == 1])
+    log_ram = -np.log1p(-inv2[chi == 0])
+    small = ps[ps * ps < B]
+    inert_small = small[chi[: len(small)] == -1]
+    log_inert = -np.log1p(-1.0 / inert_small**4)
+    return math.exp(float(log_split.sum() + log_ram.sum() + log_inert.sum()))
+
+
 def density_constant(field) -> float:
     """c(K): the character count |C(K, X)| grows like c(K) * X."""
     s = sum(1.0 / (b.norm**2) for b in field.class_representatives)
     u = len(units_mod_squares(field))
     return u * (1.0 / field.class_number) * (zeta_residue(field) / zeta_at_2(field)) * s
 
+
+# zeta_K(2) fields: both residues of m mod 4, h = 1 and h > 1, imaginary and real
+ZETA2_FIELDS = (-1, -3, -5, -14, -23, -163, 5, 10, 13)
 
 # imaginary and real, both residues of m mod 4, class groups up to Z/4 and Z/5
 SEARCH_FIELDS = (-1, -2, -3, -5, -6, -7, -14, -15, -23, -47, 2, 3, 5, 6, 7, 10, 13, 15, 21, 79, 82)
@@ -534,6 +559,30 @@ class TestAnalyticConstants:
         b = zeta_at_2(K, B=10**4)
         assert abs(math.log(a) - math.log(b)) < zeta2_tail_bound(100)
 
+    @pytest.mark.parametrize("m", ZETA2_FIELDS)
+    def test_zeta2_segments_keep_the_bits_of_one_sieve(self, m):
+        # below, at and above one segment, across two, and the default cutoff
+        seg = PRIME_SEGMENT
+        for B in (100, seg - 1, seg, seg + 1, 2 * seg + 3, ZETA2_DEFAULT_CUTOFF):
+            got = zeta_at_2(QuadraticField(m), None if B == ZETA2_DEFAULT_CUTOFF else B)
+            assert got.hex() == whole_array_zeta_at_2(QuadraticField(m), B).hex(), (m, B)
+
+    def test_zeta2_peak_memory(self):
+        # tracemalloc sees numpy's buffers: one sieve of [0, 1.5e7) and arrays
+        # over all of its primes peaked at 29.1 MB, the segments at 8.1 MB
+        K = QuadraticField(-5)
+        tracemalloc.start()
+        try:
+            zeta_at_2(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10**6
+
+    def test_zeta2_rejects_a_cutoff_below_two(self):
+        with pytest.raises(ValueError):
+            zeta_at_2(QuadraticField(-1), B=1)
+
     def test_mainterm_gaussian(self):
         K = make_field(-1)
         mt = mainterm_sf(K, 10**5, ONE_IDEAL, ONE_IDEAL, ONE_IDEAL)
@@ -613,6 +662,40 @@ class TestClassOfPrime:
                 a = IdealK(((P, 1),), P.norm)
                 full = next(k for k in range(h) if K._equivalent(a, reps[k]))
                 assert K.class_of_prime(P) == full, (m, P)
+
+    def test_by_reduced_form_against_the_norm_form_search(self):
+        # every imaginary field with |m| < 120 and h > 1: its h reduced forms
+        # meet the h classes once each, and the norm-form search puts every
+        # prime above p < 1e4 in the class read off its reduced form ((p) is
+        # principal, so an inert prime is in class 0 with no search)
+        fields = [make_field(m) for m in range(-119, 0) if squarefree_part(m) == m]
+        fields = [K for K in fields if K.class_number > 1]
+        assert len(fields) == 67
+        for K in fields:
+            assert sorted(K._form_classes.values()) == list(range(K.class_number))
+            reps = K.class_representatives
+            for p in sieve_primes(10**4):
+                for P in split_prime(K, p):
+                    cls = K.class_of_prime(P)
+                    if P.splitting == INERT:
+                        assert cls == 0, (K.m, P)
+                    else:
+                        assert K._equivalent(IdealK(((P, 1),), P.norm), reps[cls]), (K.m, P)
+
+    def test_a_conjugate_form_fails_the_search(self, monkeypatch):
+        # b -> -b is the form of the conjugate prime, in the inverse class
+        prime_form = qf._prime_form
+
+        def conjugate_form(K, p):
+            a, b, c = prime_form(K, p)
+            return a, -b, c
+
+        monkeypatch.setattr(qf, "_prime_form", conjugate_form)
+        for m in (-14, -23, -47):
+            K = QuadraticField(m)  # not make_field's: its class cache outlives the patch
+            reps = K.class_representatives
+            primes = primes_up_to(K, 300)
+            assert any(not K._equivalent(IdealK(((P, 1),), P.norm), reps[K.class_of_prime(P)]) for P in primes), m
 
 
 class TestMinkowskiPartition:

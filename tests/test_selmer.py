@@ -25,6 +25,7 @@ from twistselmer.selmer import (
     audit_curve,
     descend,
     g_of_primes,
+    g_table,
     local_dim_good_ramified,
     local_image,
     make_pair,
@@ -315,6 +316,15 @@ class TestGChi:
         for d, primes in squarefree_factors(1, 2000):
             g = g_of_primes(pair, primes)
             assert g == g_chi_of_twist(pair, d) == g_chi_of_twist(pair, -d * 4) == descend(pair, -d).g_chi, d
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3), (7, -11)])
+    def test_g_table_sums_to_g_of_primes(self, a, b):
+        # ek --f curve-g adds g_table's values over the primes of each |d|
+        pair = make_pair(a, b)
+        table = g_table(pair, 5000)
+        assert list(table) == list(sieve_primes(5000))
+        for d, primes in squarefree_factors(1, 5000):
+            assert sum(table[p] for p in primes) == g_of_primes(pair, primes), d
 
 
 class TestDescend:
