@@ -51,7 +51,6 @@ from .selmer import (
     local_image,
     make_pair,
     scan_twists,
-    selmer2_lower_bound,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import ekstats, quadfield as qf, selmer
-from .arith import factorize, squarefree_factors
+from .arith import factorize
 from .characters import enumerate_characters
 
 SCHEMA_VERSION = 1
@@ -132,7 +132,7 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("d,g_chi,correction,ord2T,dim_selphi,dim_selphihat,d2_lower_bound\n")
-            for text, ord2t in selmer._scan_chunks(pair, cfg.X, cfg.workers):
+            for text, ord2t in selmer.scan_twists(pair, cfg.X, cfg.workers):
                 fh.write(text)
                 hist.update(ord2t)
     except BaseException:
@@ -148,7 +148,7 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
         "X": cfg.X,
         "n_twists": n_twists,
         "ord2T_counts": {str(v): n for v, n in hist.items()},
-        "tail_fractions": {str(r): sum(n for v, n in hist.items() if v >= r) / n_twists for r in cfg.r_list},
+        "tail_fractions": {str(r): ekstats.tail_fraction(hist, r) for r in cfg.r_list},
         "normalization": {
             "center": sum(v * n for v, n in hist.items()) / n_twists,
             "scale": ekstats.sigma_g_predicted(cfg.X) if cfg.X >= 3 else None,
@@ -216,15 +216,16 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         center, scale = ekstats.mu_f(f, cfg.X, table), ekstats.sigma_f(f, cfg.X, table)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
+        if cfg.field_m != "Q":
+            raise ValueError(f"--field {cfg.field_m}: curve-g is a statistic over Q; leave --field at Q")
         pair = _eligible_pair(cfg)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
-        g_at = selmer.g_table(pair, cfg.X).__getitem__
-        hist: Counter[int] = Counter()  # g -> number of twists
-        for _, primes in squarefree_factors(1, cfg.X):
-            hist[sum(map(g_at, primes))] += 2  # +d and -d: g does not see the sign
-        center = sum(g * n for g, n in hist.items()) / sum(hist.values())
+        f = ekstats.AdditiveFunctionSpec("Q", lambda p: selmer.g_of_primes(pair, (p,)))
+        # g at each squarefree 0 < d < X; -d has the same g, so the distribution is that of the twists
+        values = ekstats.prime_sum_values(f, cfg.X)
+        center = float(values.sum()) / len(values)  # exact: the values are integers
         scale = ekstats.sigma_g_predicted(cfg.X)
-        report = ekstats.distribution_report(hist, (center, scale), X=cfg.X)
+        report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     else:
         raise ValueError(f"unknown additive function {cfg.f_name!r}")
 

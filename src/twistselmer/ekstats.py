@@ -257,7 +257,7 @@ def distribution_report(values, normalize, X: int | None = None) -> Distribution
         distinct, counts = distinct.tolist(), counts.tolist()
     else:
         tally: Counter[float] = Counter()
-        for v, c in (values if isinstance(values, Counter) else Counter(values)).items():
+        for v, c in Counter(values).items():
             tally[float(v)] += c
         distinct = sorted(tally)
         counts = [tally[v] for v in distinct]
@@ -297,8 +297,9 @@ def sigma_g_predicted(X) -> float:
     return math.sqrt(0.5 * math.log(math.log(X)))
 
 
-def tail_fraction(values, r: int) -> float:
-    """Fraction of the ord2T values with ord2T >= r."""
-    if len(values) == 0:
-        raise ValueError("tail_fraction of an empty result set")
-    return sum(1 for v in values if v >= r) / len(values)
+def tail_fraction(hist: Counter, r: int) -> float:
+    """Fraction of the twists with ord2T >= r, from the histogram ord2T -> number of twists."""
+    n = sum(hist.values())
+    if n == 0:
+        raise ValueError("tail_fraction of an empty histogram")
+    return sum(c for v, c in hist.items() if v >= r) / n

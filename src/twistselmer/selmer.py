@@ -26,7 +26,6 @@ from .arith import (
     kronecker,
     least_nonresidue,
     local_square_classes,
-    sieve_primes,
     sqrt_mod_prime,
     squarefree_factors,
     squarefree_part,
@@ -41,9 +40,7 @@ __all__ = [
     "local_dim_good_ramified",
     "local_image",
     "g_of_primes",
-    "g_table",
     "descend",
-    "selmer2_lower_bound",
     "scan_twists",
     "audit_curve",
 ]
@@ -319,19 +316,19 @@ def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> 
     """Full local-global descent data for the twist of `pair` by d."""
     d0 = squarefree_part(d)
     ctx = _ctx if _ctx is not None else _context(pair)
-    (row,) = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)), (1 if d0 > 0 else -1,))
+    row = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)))[d0 < 0]
     if isinstance(row, DescentConsistencyError):
         raise row
     return SelmerDescentResult._make(row)
 
 
-def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) -> list:
-    """The descent of the twist by sign*ad for each sign in `signs`, where
-    ad > 0 is squarefree with these primes: per sign its row, the seven ints
-    of a SelmerDescentResult as a plain tuple, or the
+def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...]) -> list:
+    """The descents of the twists by +ad and by -ad, in that order, where
+    ad > 0 is squarefree with these primes: per twist its row, the seven
+    ints of a SelmerDescentResult as a plain tuple, or the
     DescentConsistencyError that its checks raised.  What depends only on ad
     (good-prime symbols, residue bits, single-column rows) is computed once
-    for all signs."""
+    for both."""
     column = ctx.column_of.get
     nfix = len(ctx.columns)
     good = []
@@ -407,11 +404,7 @@ def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...], signs) ->
     base0, base1 = ngens - killed0.bit_count(), ngens - killed1.bit_count()
 
     rows = []
-    for sign in signs:
-        if sign > 0:
-            d, classes, good0, good1 = ad, plus, plus0, plus1
-        else:
-            d, classes, good0, good1 = -ad, minus, minus0, minus1
+    for d, classes, good0, good1 in ((ad, plus, plus0, plus1), (-ad, minus, minus0, minus1)):
         block = None
         try:
             block = ctx.blocks[tuple(classes)]
@@ -456,18 +449,8 @@ def g_of_primes(pair: IsogenyPair, primes) -> int:
     return total
 
 
-def g_table(pair: IsogenyPair, X: int) -> dict[int, int]:
-    """g at each prime p < X, so that g at a twist is the sum over its primes."""
-    return {p: g_of_primes(pair, (p,)) for p in sieve_primes(max(2, X))}
-
-
 # the 2-Selmer rank of a twist is at least ord2T - _SELMER2_SLACK
 _SELMER2_SLACK = 2
-
-
-def selmer2_lower_bound(result: SelmerDescentResult) -> int:
-    """Proven lower bound for the 2-Selmer rank of the twist (may be vacuous)."""
-    return result.ord2T_product - _SELMER2_SLACK
 
 
 def _available_cpus() -> int:
@@ -494,32 +477,33 @@ def _chunks(pair: IsogenyPair, X: int, workers: int) -> tuple[list[tuple[int, in
     return chunks, min(workers, len(chunks))
 
 
-def _scan_range(ctx: _CurveContext, lo: int, hi: int):
-    """The rows of +d, then of -d, for every squarefree lo <= d < hi; a
-    failed check is raised."""
-    for ad, primes in squarefree_factors(lo, hi):
-        for row in _descend_abs(ctx, ad, primes, (1, -1)):
-            if type(row) is not tuple:
-                raise row
-            yield row
-
-
 def _scan_chunk(a: int, b: int, bounds: tuple[int, int]):
-    """The twists.csv rows of the chunk [lo, hi) = bounds as text, and an
-    array('b') of their ord2T."""
+    """The twists.csv rows of +d, then of -d, for every squarefree d in the
+    chunk [lo, hi) = bounds as text, and an array('b') of their ord2T; a
+    failed check is raised."""
     from array import array  # here, like numpy elsewhere, so that the other commands never load it
 
+    ctx = _context(make_pair(a, b))
     lines = []
     ord2t = array("b")
-    for d, sel, sel_dual, product, _, g_chi, correction in _scan_range(_context(make_pair(a, b)), *bounds):
-        lines.append(f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n")
-        ord2t.append(product)
+    for ad, primes in squarefree_factors(*bounds):
+        for row in _descend_abs(ctx, ad, primes):
+            if type(row) is not tuple:
+                raise row
+            d, sel, sel_dual, product, _, g_chi, correction = row  # no ratio column: it equals ord2T
+            lines.append(f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n")
+            ord2t.append(product)
     return "".join(lines), ord2t
 
 
-def _scan_chunks(pair: IsogenyPair, X: int, workers: int):
-    """Yield _scan_chunk of each chunk of [1, X), in order: lazily in this
-    process when one process suffices, else from a pool."""
+def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
+    """Yield, for each chunk of [1, X) in order, the twists.csv rows of its
+    squarefree twists (by |d|, then +d before -d) as text, and an
+    array('b') of their ord2T.
+
+    One process (one worker, one CPU or one chunk) computes the chunks
+    lazily in this process; otherwise a pool of at most one process per
+    chunk and per available CPU does."""
     chunks, processes = _chunks(pair, X, workers)
     scan = partial(_scan_chunk, pair.a, pair.b)
     if processes == 1:
@@ -529,25 +513,6 @@ def _scan_chunks(pair: IsogenyPair, X: int, workers: int):
 
     with mp.Pool(processes) as pool:
         yield from pool.imap(scan, chunks)
-
-
-def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
-    """Yield descent results for every squarefree 0 < |d| < X, ordered by
-    (|d|, sign) with the positive twist first.
-
-    With one process (one worker, one CPU or one chunk) they are computed
-    lazily in this process.  Otherwise a pool of at most one process per
-    chunk of [1, X) and per available CPU runs _scan_chunk, and the results
-    are read back from its rows in order.  A row has no ratio column: the
-    ratio equals ord2T, which the kernel checked."""
-    _, processes = _chunks(pair, X, workers)
-    if processes == 1:
-        yield from map(SelmerDescentResult._make, _scan_range(_context(pair), 1, X))
-        return
-    for text, _ in _scan_chunks(pair, X, workers):
-        for line in text.splitlines():
-            d, g_chi, correction, product, sel, sel_dual, _ = map(int, line.split(","))
-            yield SelmerDescentResult(d, sel, sel_dual, product, product, g_chi, correction)
 
 
 def _parity_modulus(pair: IsogenyPair) -> int | None:
@@ -605,7 +570,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
 
     for ad, fact in squarefree_factors(1, X):
         coprime = not any(p in pair.bad_primes for p in fact)  # 2 is a bad prime, so ad is odd
-        for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact, (1, -1))):
+        for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact)):
             n_twists += 1
             if isinstance(row, DescentConsistencyError):
                 dims = None if row.dims is None else {str(v): n for v, n in row.dims.items()}

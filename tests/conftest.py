@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from twistselmer.selmer import _scan_chunks, make_pair
+from twistselmer.selmer import make_pair, scan_twists
 
 
 class TwistScanData:
@@ -19,7 +19,7 @@ class TwistScanData:
         self.neg = np.zeros(X, dtype=np.int8)
         self.flags = np.zeros(X, dtype=bool)
         self.corrections = set()
-        for text, ord2t in _scan_chunks(make_pair(1, -1), X, 2):
+        for text, ord2t in scan_twists(make_pair(1, -1), X, 2):
             rows = re.findall(r"^(-?\d+),-?\d+,(-?\d+),", text, re.M)  # d and the correction
             d = np.array([int(text_d) for text_d, _ in rows], dtype=np.int64)
             values = np.frombuffer(ord2t, dtype=np.int8)

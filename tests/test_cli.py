@@ -132,14 +132,17 @@ class TestScan:
 
     @pytest.mark.parametrize("a, b", [(0, 4), (-1, 3), (7, -11)])
     def test_rows_are_the_library_results(self, tmp_path, monkeypatch, a, b):
-        # the CLI formats its own chunks; X = 300 is five chunks, serially and with two workers
+        # the chunks' rows against descend on every squarefree 0 < |d| < 300, formatted
+        # here; X = 300 is five chunks, serially and with two workers
         import twistselmer.selmer as selmer
+        from twistselmer.arith import squarefree_part
 
         monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
+        pair = selmer.make_pair(a, b)
+        results = [selmer.descend(pair, d) for ad in range(1, 300) if squarefree_part(ad) == ad for d in (ad, -ad)]
         rows = [
-            f"{r.d},{r.g_chi},{r.correction},{r.ord2T_product},{r.dim_selphi},{r.dim_selphihat},"
-            f"{selmer.selmer2_lower_bound(r)}"
-            for r in selmer.scan_twists(selmer.make_pair(a, b), 300)
+            f"{r.d},{r.g_chi},{r.correction},{r.ord2T_product},{r.dim_selphi},{r.dim_selphihat},{r.ord2T_product - 2}"
+            for r in results
         ]
         for workers in ("1", "2"):
             out = tmp_path / workers
@@ -206,6 +209,25 @@ class TestEk:
         moments = json.loads((out / "moments.json").read_text())
         assert moments["moments"] == []
         assert (out / "cdf.svg").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_curve_g_rejects_a_field(self, tmp_path, capsys, source):
+        # curve-g is a statistic over Q: a field other than Q exits 2 and writes nothing
+        out = tmp_path / "ekg"
+        argv = ["ek", "--f", "curve-g", "--a", "1", "--b", "-1", "--X", "1000", "--out", str(out)]
+        if source == "flag":
+            argv += ["--field", "-5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("field_m = -5\n")
+            argv = ["--config", str(cfg), *argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--field" in err[0], err
+        assert not out.exists()
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("field_m = Q\n")
+        assert run(["--config", str(cfg), "ek", "--f", "curve-g", "--field", "Q", "--X", "1000", "--out", str(out)]) == 0
 
     def test_curve_g_bytes(self, tmp_path):
         # the files as written when g was computed from a factorization of each signed d

@@ -500,19 +500,22 @@ class TestOmegaDistributionTrend:
 
 class TestTailFraction:
     def test_extremes(self):
-        assert tail_fraction([0, 1, -2], -10**9) == 1.0
-        assert tail_fraction([0, 1, -2], 10**9) == 0.0
+        assert tail_fraction(Counter([0, 1, -2]), -10**9) == 1.0
+        assert tail_fraction(Counter([0, 1, -2]), 10**9) == 0.0
 
     def test_scan_ord2t_values(self):
-        vals = [r.ord2T_product for r in _small_scan()]
-        assert tail_fraction(vals, 1) == sum(v >= 1 for v in vals) / len(vals)
+        # the histogram that scan builds from its chunks, against descend's ord2T of each twist
+        from twistselmer.selmer import descend, scan_twists
+
+        pair = make_pair(1, -1)
+        hist = Counter()
+        for _, ord2t in scan_twists(pair, 30):
+            hist.update(ord2t)
+        vals = [descend(pair, d).ord2T_product for n in range(1, 30) if squarefree_part(n) == n for d in (n, -n)]
+        assert hist == Counter(vals)
+        for r in (0, 1, 2):
+            assert tail_fraction(hist, r) == sum(v >= r for v in vals) / len(vals)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            tail_fraction([], 0)
-
-
-def _small_scan():
-    from twistselmer.selmer import scan_twists
-
-    return scan_twists(make_pair(1, -1), 30)
+            tail_fraction(Counter(), 0)

@@ -25,12 +25,10 @@ from twistselmer.selmer import (
     audit_curve,
     descend,
     g_of_primes,
-    g_table,
     local_dim_good_ramified,
     local_image,
     make_pair,
     scan_twists,
-    selmer2_lower_bound,
 )
 
 CURVES_20 = [
@@ -318,13 +316,14 @@ class TestGChi:
             assert g == g_chi_of_twist(pair, d) == g_chi_of_twist(pair, -d * 4) == descend(pair, -d).g_chi, d
 
     @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3), (7, -11)])
-    def test_g_table_sums_to_g_of_primes(self, a, b):
-        # ek --f curve-g adds g_table's values over the primes of each |d|
+    def test_prime_sums_are_g_of_primes(self, a, b):
+        # ek --f curve-g reads g as an additive function: its value at p, summed over the primes of d
+        from twistselmer.ekstats import AdditiveFunctionSpec, prime_sum_values
+
         pair = make_pair(a, b)
-        table = g_table(pair, 5000)
-        assert list(table) == list(sieve_primes(5000))
-        for d, primes in squarefree_factors(1, 5000):
-            assert sum(table[p] for p in primes) == g_of_primes(pair, primes), d
+        values = prime_sum_values(AdditiveFunctionSpec("Q", lambda p: g_of_primes(pair, (p,))), 5000)
+        want = [g_of_primes(pair, primes) for _, primes in squarefree_factors(1, 5000)]
+        assert values.tolist() == want
 
 
 class TestDescend:
@@ -362,11 +361,11 @@ class TestDescend:
         import twistselmer.selmer as selmer
 
         pair = make_pair(a, b)
-        clean = list(scan_twists(pair, 300))
+        clean = [descend(pair, d) for ad, _ in squarefree_factors(1, 300) for d in (ad, -ad)]
 
         monkeypatch.setattr(selmer, "_check_identities", _always_fail)
         ctx = _CurveContext(pair)
-        failed = [exc for ad, primes in squarefree_factors(1, 300) for exc in _descend_abs(ctx, ad, primes, (1, -1))]
+        failed = [exc for ad, primes in squarefree_factors(1, 300) for exc in _descend_abs(ctx, ad, primes)]
         for res, exc in zip(clean, failed, strict=True):
             assert exc.d == res.d
             good = [p for p, _ in factorize(res.d) if p not in pair.bad_primes]
@@ -374,6 +373,17 @@ class TestDescend:
             want.update((p, local_dim_good_ramified(pair, p)) for p in good)
             assert list(exc.dims.items()) == list(want.items()), res.d
             assert sum(exc.dims.values()) - len(exc.dims) == res.ord2T_product, res.d
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (0, 4), (7, -11)])
+    def test_kernel_returns_both_signs(self, a, b):
+        # the kernel's rows of +|d| and -|d|, in that order, are what descend gives each sign
+        pair = make_pair(a, b)
+        ctx = _CurveContext(pair)
+        for ad, primes in squarefree_factors(1, 500):
+            rows = _descend_abs(ctx, ad, primes)
+            assert [row[0] for row in rows] == [ad, -ad]
+            plus, minus = map(SelmerDescentResult._make, rows)
+            assert descend(pair, ad) == plus and descend(pair, -ad) == minus, ad
 
     def test_twist_class_invariance(self):
         pair = make_pair(1, -1)
@@ -410,7 +420,7 @@ class TestDescend:
             pair = make_pair(a, b)
             ctx = _CurveContext(pair)
             for ad, primes in squarefree_factors(1, 2000):
-                for row in _descend_abs(ctx, ad, primes, (1, -1)):
+                for row in _descend_abs(ctx, ad, primes):
                     res = SelmerDescentResult._make(row)
                     ref = _parent_descend(pair, res.d, _ctx=ctx, _dprimes=primes)
                     assert res == ref, (a, b, res.d)
@@ -448,41 +458,40 @@ class TestDescend:
                 assert _brute_selmer_dim(pair.a_dual, pair.b_dual, d) == res.dim_selphihat, (a, b, d)
 
 
-class TestSelmer2LowerBound:
-    def test_values(self):
-        res = descend(make_pair(1, -1), 1)
-        assert selmer2_lower_bound(res) == res.ord2T_product - 2
+def _scan(pair, X, workers=1):
+    """The text and the ord2T of the chunks that scan_twists yields, each
+    joined: the chunks depend on the workers, their concatenation does not."""
+    texts, arrays = zip(*scan_twists(pair, X, workers))
+    return "".join(texts), [v for ord2t in arrays for v in ord2t]
 
-    def test_spec_arithmetic(self):
-        class Fake:
-            ord2T_product = 5
 
-        assert selmer2_lower_bound(Fake()) == 3
-        Fake.ord2T_product = 0
-        assert selmer2_lower_bound(Fake()) == -2
-        Fake.ord2T_product = 2
-        assert selmer2_lower_bound(Fake()) == 0
+def _scan_rows(pair, X):
+    """The twists.csv rows of the serial scan, as lists of ints, and their ord2T."""
+    text, ord2t = _scan(pair, X)
+    return [list(map(int, line.split(","))) for line in text.splitlines()], ord2t
 
 
 class TestScanTwists:
     def test_small_scan(self):
-        res = list(scan_twists(make_pair(1, -1), 10))
-        assert len(res) == 12
-        assert [r.d for r in res] == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
+        rows, ord2t = _scan_rows(make_pair(1, -1), 10)
+        assert [r[0] for r in rows] == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
+        assert ord2t == [r[3] for r in rows]
+        # each row is d, g, correction, ord2T, the two Selmer dims and ord2T - 2
+        for d, g_chi, correction, product, sel, sel_dual, bound in rows:
+            assert (d, sel, sel_dual, product, product, g_chi, correction) == descend(make_pair(1, -1), d)
+            assert bound == product - 2
 
     def test_rejects_ineligible(self):
         with pytest.raises(ValueError):
             list(scan_twists(make_pair(6, 5), 10))
 
     def test_deterministic(self):
-        a = list(scan_twists(make_pair(0, -2), 60))
-        b = list(scan_twists(make_pair(0, -2), 60))
-        assert a == b
+        assert _scan(make_pair(0, -2), 60) == _scan(make_pair(0, -2), 60)
 
     def test_parallel_matches_serial(self):
-        serial = list(scan_twists(make_pair(1, -1), 120))
-        parallel = list(scan_twists(make_pair(1, -1), 120, workers=2))
-        assert serial == parallel
+        serial = _scan(make_pair(1, -1), 3000)
+        assert _scan(make_pair(1, -1), 3000, workers=2) == serial
+        assert len(serial[1]) == 2 * squarefree_flags(1, 3000).count(1)
 
     def test_pool_size_is_capped_by_the_chunk_count(self, monkeypatch, inline_pool):
         import twistselmer.selmer as selmer
@@ -490,8 +499,8 @@ class TestScanTwists:
         monkeypatch.setattr(selmer, "_available_cpus", lambda: 64)
         pair = make_pair(1, -1)
         # X = 200 gives chunks of the minimum width 64: [1, 65), [65, 129), [129, 193), [193, 200)
-        assert list(scan_twists(pair, 200, workers=64)) == list(scan_twists(pair, 200))
-        assert list(scan_twists(pair, 200, workers=3)) == list(scan_twists(pair, 200))
+        assert _scan(pair, 200, workers=64) == _scan(pair, 200)
+        assert _scan(pair, 200, workers=3) == _scan(pair, 200)
         assert [processes for processes, _ in inline_pool] == [4, 3]
 
     def test_pool_and_chunks_are_capped_by_the_cpus(self, monkeypatch, inline_pool):
@@ -499,9 +508,9 @@ class TestScanTwists:
 
         monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
         pair = make_pair(1, -1)
-        serial = list(scan_twists(pair, 3000))
-        assert list(scan_twists(pair, 3000, workers=500)) == serial
-        assert list(scan_twists(pair, 3000, workers=2)) == serial
+        serial = _scan(pair, 3000)
+        assert _scan(pair, 3000, workers=500) == serial
+        assert _scan(pair, 3000, workers=2) == serial
         (many, many_chunks), (two, two_chunks) = inline_pool
         assert many == two == 2
         assert many_chunks == two_chunks == [(lo, min(lo + 187, 3000)) for lo in range(1, 3000, 187)]
@@ -525,12 +534,9 @@ class TestScanTwists:
                 list(scan_twists(make_pair(1, -1), 10, workers=workers))
 
     def test_histogram_totals(self):
-        res = list(scan_twists(make_pair(1, -1), 10**3))
-        assert len(res) == 2 * squarefree_flags(1, 10**3).count(1)
-        counts = {}
-        for r in res:
-            counts[r.ord2T_product] = counts.get(r.ord2T_product, 0) + 1
-        assert sum(counts.values()) == len(res)
+        rows, ord2t = _scan_rows(make_pair(1, -1), 10**3)
+        assert len(rows) == len(ord2t) == 2 * squarefree_flags(1, 10**3).count(1)
+        assert [abs(r[0]) for r in rows[::2]] == [d for d in range(1, 10**3) if squarefree_part(d) == d]
 
 
 class TestAudit:
@@ -592,7 +598,7 @@ class TestAudit:
             _check_identities(row)
 
         monkeypatch.setattr(selmer, "_check_identities", fail_at_7)
-        plus, minus = _descend_abs(_CurveContext(pair), 7, (7,), (1, -1))
+        plus, minus = _descend_abs(_CurveContext(pair), 7, (7,))
         assert isinstance(plus, DescentConsistencyError) and (plus.check, plus.d) == ("product-formula", 7)
         assert minus == descend(pair, -7)
         report = audit_curve(pair, 60)
@@ -608,8 +614,8 @@ class TestAudit:
 
         real = selmer._descend_abs
 
-        def flip_17(ctx, ad, primes, signs):
-            out = real(ctx, ad, primes, signs)
+        def flip_17(ctx, ad, primes):
+            out = real(ctx, ad, primes)
             if ad == 17:
                 d, sel, sel_dual, product, *rest = out[0]
                 out[0] = (d, sel, sel_dual, product + 1, *rest)
@@ -624,8 +630,8 @@ class TestAudit:
 
         real = selmer._descend_abs
 
-        def flip_13(ctx, ad, primes, signs):
-            out = real(ctx, ad, primes, signs)
+        def flip_13(ctx, ad, primes):
+            out = real(ctx, ad, primes)
             if ad == 13:
                 d, sel, sel_dual, product, *rest = out[0]
                 out[0] = (d, sel, sel_dual, product + 1, *rest)
