@@ -1,15 +1,14 @@
 """Ideal arithmetic in quadratic number fields K = Q(sqrt(m)).
 
 Prime splitting, squarefree-ideal enumeration by ideal class, the class
-group via Minkowski-bound enumeration with exact principality testing,
-the class of a prime of an imaginary field by Gauss reduction of its
-binary quadratic form, units modulo squares, and the analytic constants
-(residue of zeta_K at s=1, zeta_K(2)) that drive squarefree-ideal counts.
+group with the class of every ideal read off the reduced binary quadratic
+form of its primitive part, units modulo squares, and the analytic
+constants (residue of zeta_K at s=1, zeta_K(2)) that drive
+squarefree-ideal counts.
 
-Ideals are kept in fully factored form, and membership is read off the
-factorization one prime power at a time.  Fields are capped at
+Ideals are kept in fully factored form.  Fields are capped at
 |disc| <= 10^4 and real fields at a fundamental-unit coordinate bound of
-10^7 so that every search is exact.
+10^7, which bounds the regulator.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import PRIME_SEGMENT, factorize, kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
+from .arith import PRIME_SEGMENT, kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
 
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
@@ -82,15 +81,6 @@ def ideal_mul(a: IdealK, b: IdealK) -> IdealK:
     return make_ideal(a.factorization + b.factorization)
 
 
-def ideal_conj(a: IdealK) -> IdealK:
-    out = []
-    for P, e in a.factorization:
-        if P.splitting == SPLIT:
-            P = PrimeIdealK(P.p, SPLIT, 1 - P.conjugate_index, P.norm)
-        out.append((P, e))
-    return make_ideal(out)
-
-
 def ideal_is_squarefree(a: IdealK) -> bool:
     return all(e == 1 for _, e in a.factorization)
 
@@ -147,14 +137,35 @@ class QuadraticField:
     # --- class group -------------------------------------------------
 
     @cached_property
-    def class_representatives(self) -> tuple[IdealK, ...]:
-        """One ideal per class: the first of its class, in (norm, factorization)
-        order, among the ideals of norm at most the Minkowski bound."""
+    def _class_group(self) -> tuple[tuple[IdealK, ...], dict[tuple[int, int, int], int]]:
+        """The class representatives, and the class index of every reduced
+        form of discriminant D in their classes.
+
+        The class of an ideal is read off a reduced form of its primitive
+        part (_ideal_form, _reduced).  For D < 0 a class holds one reduced
+        form (Cohen, GTM 138, Alg. 5.4.2).  For D > 0 the reduced forms of a
+        narrow class are one rho-cycle (section 5.6), and an element of
+        negative norm takes the form (a, b, c) of an ideal to the narrow
+        class of (-a, b, -c); the wide class is the union of both cycles.
+        A representative is the first ideal of its class, in (norm,
+        factorization) order, among those of norm at most the Minkowski
+        bound; as every class has one, every reduced form is indexed."""
+        D = self.disc
         reps: list[IdealK] = []
+        index: dict[tuple[int, int, int], int] = {}
         for a in _ideals_up_to_norm(self, self.minkowski_bound):
-            if not any(self._equivalent(a, r) for r in reps):
+            form = _reduced(D, *_ideal_form(self, a))
+            if form not in index:
+                n, b, c = form
+                forms = [form] if D < 0 else _cycle(D, form) + _cycle(D, _reduced(D, -n, b, -c))
+                index.update(dict.fromkeys(forms, len(reps)))
                 reps.append(a)
-        return tuple(reps)
+        return tuple(reps), index
+
+    @cached_property
+    def class_representatives(self) -> tuple[IdealK, ...]:
+        """One ideal per class, the first of its class (see _class_group)."""
+        return self._class_group[0]
 
     @property
     def class_number(self) -> int:
@@ -171,17 +182,7 @@ class QuadraticField:
     def _cayley(self) -> list[list[int]]:
         """The class group's table: _cayley[i][j] is the class of reps[i]*reps[j]."""
         reps = self.class_representatives
-        h = len(reps)
-        table = [[0] * h for _ in range(h)]
-        for i in range(h):
-            for j in range(i, h):
-                prod = ideal_mul(reps[i], reps[j])
-                k = next(t for t in range(h) if self._equivalent(prod, reps[t]))
-                table[i][j] = table[j][i] = k
-        return table
-
-    def _equivalent(self, a: IdealK, b: IdealK) -> bool:
-        return generator_if_principal(self, ideal_mul(a, ideal_conj(b))) is not None
+        return [[self.class_of_ideal(ideal_mul(r, s)) for s in reps] for r in reps]
 
     def class_compose(self, i: int, j: int) -> int:
         return self._cayley[i][j]
@@ -197,55 +198,13 @@ class QuadraticField:
             if P.conjugate_index == 1:
                 # P * conj(P) = (p), so P is in the inverse class of its conjugate
                 cls = self.class_inverse(self.class_of_prime(PrimeIdealK(P.p, SPLIT, 0, P.norm)))
-            elif P.splitting == INERT:
-                cls = 0  # (p) is principal
-            elif self.m < 0:
-                cls = self._form_classes[_reduced_form(*_prime_form(self, P.p))]
             else:
-                # a prime in none of the other classes is in the last one
-                a = IdealK(((P, 1),), P.norm)
-                reps = self.class_representatives
-                cls = next((k for k, r in enumerate(reps[:-1]) if self._equivalent(a, r)), len(reps) - 1)
+                cls = self.class_of_ideal(IdealK(((P, 1),), P.norm))
             self._prime_class_cache[P] = cls
         return cls
 
-    @cached_property
-    def _form_classes(self) -> dict[tuple[int, int, int], int]:
-        """For D < 0, the class index of each reduced form (a, b, c) of
-        discriminant D (Cohen, GTM 138, Alg. 5.3.5): that of the ideal
-        [a, (-b + sqrt(D))/2] = (a, omega - r), r = (t + b)/2, found by the
-        norm-form search against class_representatives.  The h reduced
-        forms must meet the h classes once each."""
-        D, t = self.disc, self.omega_trace
-        reps = self.class_representatives
-        out = {}
-        for a in range(1, math.isqrt(-D // 3) + 1):  # |b| <= a <= c gives 3a^2 <= |D|
-            for b in range(1 - a, a + 1):
-                c, rem = divmod(b * b - D, 4 * a)
-                if rem or _reduced_form(a, b, c) != (a, b, c):
-                    continue
-                r = (t + b) // 2
-                factors = []
-                for p, e in factorize(a):
-                    primes = split_prime(self, p)
-                    # a primitive ideal: a split prime's slot is read off r, a ramified one has e = 1
-                    P = primes[_omega_roots_mod_p(self, p).index(r % p)] if len(primes) == 2 else primes[0]
-                    factors.append((P, e))
-                J = make_ideal(factors)
-                out[(a, b, c)] = next((k for k, rep in enumerate(reps) if self._equivalent(J, rep)), None)
-        if len(out) != len(reps) or set(out.values()) != set(range(len(reps))):
-            raise ArithmeticError(f"the reduced forms of discriminant {D} do not match the class group")
-        return out
-
     def class_of_ideal(self, a: IdealK) -> int:
-        cls = 0
-        h = self.class_number
-        for P, e in a.factorization:
-            cp = self.class_of_prime(P)
-            # element orders divide h, so the exponent only matters mod h
-            for _ in range(e % h):
-                cls = self.class_compose(cls, cp)
-        return cls
+        return self._class_group[1][_reduced(self.disc, *_ideal_form(self, a))]
 
 
 _FIELD_CACHE: dict[int, QuadraticField] = {}
@@ -258,11 +217,6 @@ def make_field(m: int) -> QuadraticField:
 
 
 # --- elements: (x, y) means x + y*omega ------------------------------
-
-
-def element_norm(field: QuadraticField, el) -> int:
-    x, y = el
-    return x * x + field.omega_trace * x * y + field.omega_norm * y * y
 
 
 def _fundamental_unit(field: QuadraticField):
@@ -332,79 +286,72 @@ def _omega_roots_mod_p(field: QuadraticField, p: int) -> list[int]:
     return sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
 
 
-def ideal_contains(field: QuadraticField, a: IdealK, el) -> bool:
-    """Whether x + y*omega lies in a: v_P(el) >= e for every P^e in a.
+def _ideal_form(field: QuadraticField, a: IdealK) -> tuple[int, int, int]:
+    """The form (N, b, c) of the primitive part J of a: J = (N, omega - R) is
+    the lattice [N, (-b + sqrt(D))/2] with b = 2R - t.
 
-    An inert P^e is (p^e).  A ramified P^(2k) is (p^k), and P^(2k+1) adds
-    el/p^k in P = (p, omega - r), r the double root of omega's minimal
-    polynomial f mod p.  A split P^e is (p^e, omega - R), R the root r of f
-    mod p that names P, lifted to a root mod p^e by Newton steps: each one
-    doubles the precision, and f'(r) = 2r - t is a unit mod p, p = 2 included.
-    """
-    x, y = el
+    (p) is principal, so J drops the inert primes, P^2 at a ramified p and
+    P*conj(P) at a split p.  At each prime power P^e left, R is the root r of
+    omega's minimal polynomial f mod p that names P, lifted to a root mod p^e
+    by Newton steps: each one doubles the precision, and f'(r) = 2r - t is a
+    unit mod p, p = 2 included.  The CRT joins the roots, and then
+    b^2 - D = 4 f(R) = 0 mod 4N."""
     t, n = field.omega_trace, field.omega_norm
+    net: dict[int, int] = {}  # p -> exponent of its conjugate index 0, less that of index 1
     for P, e in a.factorization:
-        p = P.p
         if P.splitting == SPLIT:
-            q = p**e
-            R = _omega_roots_mod_p(field, p)[P.conjugate_index]
-            for _ in range((e - 1).bit_length()):
-                R = (R - (R * R - t * R + n) * pow(2 * R - t, -1, q)) % q
-            if (x + y * R) % q:
-                return False
-        else:
-            k, j = (e, 0) if P.splitting == INERT else divmod(e, 2)
-            q = p**k
-            if x % q or y % q:
-                return False
-            if j and (x // q + y // q * _omega_roots_mod_p(field, p)[0]) % p:
-                return False
-    return True
+            net[P.p] = net.get(P.p, 0) + (-e if P.conjugate_index else e)
+        elif P.splitting == RAMIFIED:
+            net[P.p] = e % 2
+    N, R = 1, 0
+    for p, e in net.items():
+        if e:
+            q = p ** abs(e)
+            r = _omega_roots_mod_p(field, p)[e < 0]
+            for _ in range((abs(e) - 1).bit_length()):
+                r = (r - (r * r - t * r + n) * pow(2 * r - t, -1, q)) % q
+            R += N * ((r - R) * pow(N, -1, q) % q)
+            N *= q
+    b = 2 * R - t
+    return N, b, (b * b - field.disc) // (4 * N)
 
 
-def generator_if_principal(field: QuadraticField, a: IdealK):
-    """A generator of a if principal, else None.
-
-    Bounded search of the norm form 4*N(x + y*omega) = (2x + t*y)^2 - D*y^2,
-    D = disc and t = trace(omega): the target n = N(a) with y^2 <= 4n/|D| when
-    D < 0, and the targets +-n with y^2 <= 4n*eps/D when D > 0.  For the
-    real bound: eps/eps' = +-eps^2, so a generator alpha times a suitable
-    +-eps^k has |alpha/alpha'| in [1/eps, eps); with |alpha*alpha'| = n,
-    |alpha| and |alpha'| are then at most sqrt(n*eps), and
-    |y| = |alpha - alpha'|/sqrt(D) <= 2*sqrt(n*eps/D).
-    """
-    n = a.norm
-    if n == 1:
-        return (1, 0)
-    D, t = field.disc, field.omega_trace
+def _reduced(D: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """A reduced form properly equivalent to (a, b, c) of discriminant D: the
+    one of its class for D < 0, the first that rho reaches for D > 0, where
+    reduced means |sqrt(D) - 2|a|| < b < sqrt(D) (Cohen, GTM 138, 5.6.2).
+    D is not a square, so with s = isqrt(D) that is s - b < 2|a| <= s + b
+    and 0 < b <= s."""
     if D < 0:
-        ybound = math.isqrt(4 * n // -D) + 1
-        targets = (n,)
+        return _reduced_form(a, b, c)
+    s = math.isqrt(D)
+    while not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
+        a, b, c = _rho(D, a, b, c)
+    return a, b, c
+
+
+def _rho(D: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduction step rho(a, b, c) = (c, r, (r^2 - D)/4c) of an indefinite
+    form, with r = -b mod 2c in (-|c|, |c|] if |c| > sqrt(D) and in
+    (sqrt(D) - 2|c|, sqrt(D)) otherwise (Cohen, GTM 138, 5.6.4).  It takes
+    a reduced form to the next one of its cycle."""
+    s, m = math.isqrt(D), 2 * abs(c)
+    if m > 2 * s:
+        r = -b % m
+        if 2 * r > m:
+            r -= m
     else:
-        ybound = int(2 * math.sqrt(n * field.unit_value / D)) + 2
-        targets = (n, -n)
-    for y in range(-ybound, ybound + 1):
-        for target in targets:
-            uu = 4 * target + D * y * y
-            if uu < 0:
-                continue
-            u = math.isqrt(uu)
-            if u * u != uu:
-                continue
-            for v in (u, -u):
-                if (v - t * y) % 2 == 0:
-                    cand = ((v - t * y) // 2, y)
-                    if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
-                        return cand
-    return None
+        r = s - (s + b) % m  # the r = -b mod m in [s - m + 1, s]
+    return c, r, (r * r - D) // (4 * c)
 
 
-def _prime_form(field: QuadraticField, p: int) -> tuple[int, int, int]:
-    """The form (p, b, c) of the prime P = (p, omega - R) above p of
-    conjugate index 0, split or ramified: P = [p, (-b + sqrt(D))/2] with
-    b = 2R - t, and b^2 - D = 4(R^2 - t*R + N(omega)) = 0 mod 4p."""
-    b = 2 * _omega_roots_mod_p(field, p)[0] - field.omega_trace
-    return p, b, (b * b - field.disc) // (4 * p)
+def _cycle(D: int, form: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """The rho-cycle of a reduced indefinite form: the reduced forms of its
+    narrow class."""
+    out = [form]
+    while (form := _rho(D, *form)) != out[0]:
+        out.append(form)
+    return out
 
 
 def _reduced_form(a: int, b: int, c: int) -> tuple[int, int, int]:

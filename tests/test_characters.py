@@ -9,6 +9,9 @@ from twistselmer.characters import enumerate_characters
 from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
 from twistselmer.selmer import g_of_primes, make_pair
 
+# the norm-form search, the class lookups' oracle, is tested in its own module
+from test_quadfield import generator_if_principal
+
 
 class TestEnumerate:
     def test_rational_small(self):
@@ -71,7 +74,7 @@ class TestEnumerate:
         # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a);
         # each conductor a comes once per unit class, in unit order
         unit_index = cycle(range(len(units)))
-        elements = [mul(units[next(unit_index)], qf.generator_if_principal(K, a)) for a in conductors]
+        elements = [mul(units[next(unit_index)], generator_if_principal(K, a)) for a in conductors]
         assert len(classes) == len(conductors)
         for alpha in classes:
             assert sum(1 for e in elements if mul(alpha, e) in squares) == 1

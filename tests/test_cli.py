@@ -266,8 +266,17 @@ class TestEk:
                     "moments.json": "a5fc9023f9266f64010762b6af5f34744e004bcce1a32b7951fa3b47a6805a7f",
                 },
             ),
+            # h = 2 with a fundamental unit of norm +1, written when classes came from the norm-form search
+            (
+                "34",
+                {
+                    "cdf.csv": "6a3ad7fb94073791b34f4469b228e4be6b6daedb12b373893ed7d9ef5539a588",
+                    "cdf.svg": "beb434efeb5729a0a4562bbd6add7c7a98bad99b7bd762904fb9a976ed843c8a",
+                    "moments.json": "666b994f761cb8714148f5f70827a87f31f4682b8a7403fcaf94bd0c62c7aac8",
+                },
+            ),
         ],
-        ids=["-23", "10"],
+        ids=["-23", "10", "34"],
     )
     def test_field_bytes(self, tmp_path, m, digests):
         # the files as written when each field type had its own principality search
@@ -338,8 +347,13 @@ class TestIdealCount:
                 ["--m", "-14", "--X", "20000", "--q", "3:1"],
                 "7854b35d962384f7ce9263e02919bb82811c5a00e71effeca55f79138a3053e4",
             ),
+            # h = 2, real, with a fundamental unit of norm +1, written when classes came from the norm-form search
+            (
+                ["--m", "34", "--X", "20000", "--q", "3:0", "--d", "3:0"],
+                "7d206575f9d1cd20fdf41cb561df0cb4f39e2f3abc298af701be78b57150aee0",
+            ),
         ],
-        ids=["79", "-14"],
+        ids=["79", "-14", "34"],
     )
     def test_sfcount_bytes(self, tmp_path, args, digest):
         # the files as written when each field type had its own principality search

@@ -22,10 +22,6 @@ from twistselmer.quadfield import (
     _omega_roots_mod_p,
     _squarefree_with_classes,
     count_sf,
-    element_norm,
-    generator_if_principal,
-    ideal_conj,
-    ideal_contains,
     ideal_mul,
     make_field,
     make_ideal,
@@ -68,11 +64,11 @@ def ideal_count_up_to(field, X: int) -> int:
     return sum(arr)
 
 
-def reduced_form_count(D):
-    """Class number of the imaginary quadratic order of discriminant D via
-    reduced binary quadratic forms: |b| <= a <= c, b^2-4ac = D, b >= 0 when
-    |b| = a or a = c."""
-    count = 0
+def reduced_forms(D):
+    """The reduced binary quadratic forms of discriminant D < 0, one per
+    class of the imaginary quadratic order: |b| <= a <= c, b^2-4ac = D,
+    b >= 0 when |b| = a or a = c."""
+    forms = []
     a = 1
     while a * a <= abs(D) / 3 + 1:
         for b in range(-a, a + 1):
@@ -84,9 +80,9 @@ def reduced_form_count(D):
                 continue
             if (abs(b) == a or a == c) and b < 0:
                 continue
-            count += 1
+            forms.append((a, b, c))
         a += 1
-    return count
+    return forms
 
 
 def brute_pell_unit(m, cap=10**5):
@@ -103,6 +99,96 @@ def brute_pell_unit(m, cap=10**5):
                 if x % 2 == 0 and y % 2 == 0:
                     return (x // 2, y // 2)
     raise AssertionError("no unit found")
+
+
+# --- the norm-form principality search, the oracle of every class lookup ---
+# (x, y) means x + y*omega
+
+
+def element_norm(field, el) -> int:
+    x, y = el
+    return x * x + field.omega_trace * x * y + field.omega_norm * y * y
+
+
+def ideal_conj(a):
+    out = []
+    for P, e in a.factorization:
+        if P.splitting == SPLIT:
+            P = qf.PrimeIdealK(P.p, SPLIT, 1 - P.conjugate_index, P.norm)
+        out.append((P, e))
+    return make_ideal(out)
+
+
+def ideal_contains(field, a, el) -> bool:
+    """Whether x + y*omega lies in a: v_P(el) >= e for every P^e in a.
+
+    An inert P^e is (p^e).  A ramified P^(2k) is (p^k), and P^(2k+1) adds
+    el/p^k in P = (p, omega - r), r the double root of omega's minimal
+    polynomial f mod p.  A split P^e is (p^e, omega - R), R the root r of f
+    mod p that names P, lifted to a root mod p^e by Newton steps: each one
+    doubles the precision, and f'(r) = 2r - t is a unit mod p, p = 2 included.
+    """
+    x, y = el
+    t, n = field.omega_trace, field.omega_norm
+    for P, e in a.factorization:
+        p = P.p
+        if P.splitting == SPLIT:
+            q = p**e
+            R = _omega_roots_mod_p(field, p)[P.conjugate_index]
+            for _ in range((e - 1).bit_length()):
+                R = (R - (R * R - t * R + n) * pow(2 * R - t, -1, q)) % q
+            if (x + y * R) % q:
+                return False
+        else:
+            k, j = (e, 0) if P.splitting == INERT else divmod(e, 2)
+            q = p**k
+            if x % q or y % q:
+                return False
+            if j and (x // q + y // q * _omega_roots_mod_p(field, p)[0]) % p:
+                return False
+    return True
+
+
+def generator_if_principal(field, a):
+    """A generator of a if principal, else None.
+
+    Bounded search of the norm form 4*N(x + y*omega) = (2x + t*y)^2 - D*y^2,
+    D = disc and t = trace(omega): the target n = N(a) with y^2 <= 4n/|D| when
+    D < 0, and the targets +-n with y^2 <= 4n*eps/D when D > 0.  For the
+    real bound: eps/eps' = +-eps^2, so a generator alpha times a suitable
+    +-eps^k has |alpha/alpha'| in [1/eps, eps); with |alpha*alpha'| = n,
+    |alpha| and |alpha'| are then at most sqrt(n*eps), and
+    |y| = |alpha - alpha'|/sqrt(D) <= 2*sqrt(n*eps/D).
+    """
+    n = a.norm
+    if n == 1:
+        return (1, 0)
+    D, t = field.disc, field.omega_trace
+    if D < 0:
+        ybound = math.isqrt(4 * n // -D) + 1
+        targets = (n,)
+    else:
+        ybound = int(2 * math.sqrt(n * field.unit_value / D)) + 2
+        targets = (n, -n)
+    for y in range(-ybound, ybound + 1):
+        for target in targets:
+            uu = 4 * target + D * y * y
+            if uu < 0:
+                continue
+            u = math.isqrt(uu)
+            if u * u != uu:
+                continue
+            for v in (u, -u):
+                if (v - t * y) % 2 == 0:
+                    cand = ((v - t * y) // 2, y)
+                    if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
+                        return cand
+    return None
+
+
+def equivalent(field, a, b) -> bool:
+    """Whether a and b are in one ideal class: a*conj(b) is principal."""
+    return generator_if_principal(field, ideal_mul(a, ideal_conj(b))) is not None
 
 
 def reference_generator_if_principal(field, a):
@@ -241,12 +327,12 @@ class TestMakeField:
     def test_m_minus5_class_number(self):
         K = make_field(-5)
         assert K.disc == -20
-        assert K.class_number == reduced_form_count(-20) == 2
+        assert K.class_number == len(reduced_forms(-20)) == 2
 
     def test_more_class_numbers_against_forms(self):
         for m in (-2, -6, -7, -10, -13, -14, -15):
             K = make_field(m)
-            assert K.class_number == reduced_form_count(K.disc), m
+            assert K.class_number == len(reduced_forms(K.disc)), m
 
     def test_real_field(self):
         K = make_field(2)
@@ -650,29 +736,57 @@ class TestPrincipalitySearch:
                 assert _omega_roots_mod_p(K, p) == brute, (m, p)
 
 
+def search_class_group(field):
+    """The class representatives and the Cayley table by the norm-form
+    search: the first ideal of each class, in (norm, factorization) order,
+    among those of norm at most the Minkowski bound, and the class of each
+    product of two of them."""
+    reps = []
+    for a in _ideals_up_to_norm(field, field.minkowski_bound):
+        if not any(equivalent(field, a, r) for r in reps):
+            reps.append(a)
+    table = [[next(k for k, r in enumerate(reps) if equivalent(field, ideal_mul(a, b), r)) for b in reps] for a in reps]
+    return tuple(reps), table
+
+
+def assert_classes_match_search(field, bound):
+    """The representatives, the Cayley table and the class of every prime of
+    norm below bound, against the norm-form search ((p) is principal, so
+    an inert prime is in class 0 with no search)."""
+    reps, table = search_class_group(field)
+    assert field.class_representatives == reps, field
+    assert field._cayley == table, field
+    if len(reps) == 1:
+        return
+    for P in primes_up_to(field, bound):
+        cls = field.class_of_prime(P)
+        if P.splitting == INERT:
+            assert cls == 0, (field, P)
+        else:
+            assert equivalent(field, IdealK(((P, 1),), P.norm), reps[cls]), (field, P)
+
+
 class TestClassOfPrime:
     def test_against_full_search(self):
-        # Z/4, Z/3, Z/5, and real fields with h = 3 and 4: the inverse of a
-        # class is not always the class itself
-        for m, h in ((-14, 4), (-23, 3), (-47, 5), (79, 3), (82, 4)):
+        # Z/4, Z/3, Z/5, Z/6, Z/7, Z/8, (Z/2)^3, and real fields with h = 3
+        # and 4: the inverse of a class is not always the class itself
+        for m, h in ((-14, 4), (-23, 3), (-47, 5), (-26, 6), (-71, 7), (-95, 8), (-105, 8), (79, 3), (82, 4)):
             K = make_field(m)
             assert K.class_number == h
-            reps = K.class_representatives
-            for P in primes_up_to(K, 3000):
-                a = IdealK(((P, 1),), P.norm)
-                full = next(k for k in range(h) if K._equivalent(a, reps[k]))
-                assert K.class_of_prime(P) == full, (m, P)
+            assert_classes_match_search(K, 3000)
 
     def test_by_reduced_form_against_the_norm_form_search(self):
-        # every imaginary field with |m| < 120 and h > 1: its h reduced forms
-        # meet the h classes once each, and the norm-form search puts every
-        # prime above p < 1e4 in the class read off its reduced form ((p) is
-        # principal, so an inert prime is in class 0 with no search)
+        # every imaginary field with |m| < 120 and h > 1: the reduced forms of
+        # its classes are the h reduced forms of discriminant D, once each,
+        # and the norm-form search puts every prime above p < 1e4 in the
+        # class read off its reduced form
         fields = [make_field(m) for m in range(-119, 0) if squarefree_part(m) == m]
         fields = [K for K in fields if K.class_number > 1]
         assert len(fields) == 67
         for K in fields:
-            assert sorted(K._form_classes.values()) == list(range(K.class_number))
+            index = K._class_group[1]
+            assert sorted(index) == sorted(reduced_forms(K.disc)), K
+            assert sorted(index.values()) == list(range(K.class_number)), K
             reps = K.class_representatives
             for p in sieve_primes(10**4):
                 for P in split_prime(K, p):
@@ -680,22 +794,43 @@ class TestClassOfPrime:
                     if P.splitting == INERT:
                         assert cls == 0, (K.m, P)
                     else:
-                        assert K._equivalent(IdealK(((P, 1),), P.norm), reps[cls]), (K.m, P)
+                        assert equivalent(K, IdealK(((P, 1),), P.norm), reps[cls]), (K.m, P)
+
+    def test_by_reduced_cycles_on_real_fields(self):
+        # every admitted real field with m < 200 where the wide class group is
+        # not the narrow one read off a single rho-cycle (N(eps) = +1), or has
+        # h > 1; Q(sqrt(3)) has h = 1 and two narrow classes, and Q(sqrt(34))
+        # h = 2 with eps = 35 + 6 sqrt(34) of norm +1
+        fields = []
+        for m in range(2, 200):
+            if squarefree_part(m) == m:
+                try:
+                    K = QuadraticField(m)
+                except FieldTooLargeError:
+                    continue
+                if K.class_number > 1 or element_norm(K, K.fundamental_unit) == 1:
+                    fields.append(K)
+        assert {3, 6, 7, 15, 21, 34, 79, 82} <= {K.m for K in fields} and len(fields) == 94
+        for K in fields:
+            assert_classes_match_search(K, 3000)
 
     def test_a_conjugate_form_fails_the_search(self, monkeypatch):
-        # b -> -b is the form of the conjugate prime, in the inverse class
-        prime_form = qf._prime_form
+        # b -> -b is the form of the conjugate ideal, in the inverse class: once
+        # the class group is built, a lookup that reads it must fail the search
+        ideal_form = qf._ideal_form
 
-        def conjugate_form(K, p):
-            a, b, c = prime_form(K, p)
-            return a, -b, c
+        def conjugate_form(K, a):
+            n, b, c = ideal_form(K, a)
+            return n, -b, c
 
-        monkeypatch.setattr(qf, "_prime_form", conjugate_form)
-        for m in (-14, -23, -47):
+        for m in (-14, -23, -47, 79, 82):
             K = QuadraticField(m)  # not make_field's: its class cache outlives the patch
             reps = K.class_representatives
-            primes = primes_up_to(K, 300)
-            assert any(not K._equivalent(IdealK(((P, 1),), P.norm), reps[K.class_of_prime(P)]) for P in primes), m
+            assert len(K._cayley) == K.class_number  # built before the patch
+            with monkeypatch.context() as patch:
+                patch.setattr(qf, "_ideal_form", conjugate_form)
+                primes = primes_up_to(K, 300)
+                assert any(not equivalent(K, IdealK(((P, 1),), P.norm), reps[K.class_of_prime(P)]) for P in primes), m
 
 
 class TestMinkowskiPartition:
@@ -704,5 +839,5 @@ class TestMinkowskiPartition:
             K = make_field(m)
             reps = K.class_representatives
             for a in _ideals_up_to_norm(K, K.minkowski_bound):
-                matches = sum(1 for r in reps if K._equivalent(a, r))
+                matches = sum(1 for r in reps if equivalent(K, a, r))
                 assert matches == 1
