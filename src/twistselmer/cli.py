@@ -206,6 +206,8 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         base = "Q" if cfg.field_m == "Q" else qf.make_field(cfg.field_m)
         f = ekstats.omega_spec(base)
         table = ekstats.prime_values(f, cfg.X)  # f at each prime of norm < X, read by every sum below
+        if not table:
+            raise ValueError(f"--X {cfg.X}: no prime has norm below X")
         conductors = None if base == "Q" else enumerate_characters(base, cfg.X)
         moments = [asdict(ekstats.empirical_moment(f, cfg.X, k, table, conductors)) for k in cfg.k_list]
         # the distribution of f over C(base, X) against the Gaussian
@@ -218,6 +220,8 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
     elif cfg.f_name == "curve-g":
         if cfg.field_m != "Q":
             raise ValueError(f"--field {cfg.field_m}: curve-g is a statistic over Q; leave --field at Q")
+        if cfg.X < 3:
+            raise ValueError(f"--X {cfg.X}: no prime has norm below X")
         pair = _eligible_pair(cfg)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
         f = ekstats.AdditiveFunctionSpec("Q", lambda p: selmer.g_of_primes(pair, (p,)))
@@ -241,9 +245,8 @@ def cmd_ideal_count(cfg: argparse.Namespace) -> int:
     d = _parse_ideal_spec(fieldK, cfg.d_spec)
     rows = ["X,class,q,d,brute_count,main_term,gap,normalized_gap"]
     omega_q = len(q.factorization)
-    for c_idx, c in enumerate(fieldK.class_representatives):
-        brute = qf.count_sf(fieldK, cfg.X, c, q, d)
-        main = qf.mainterm_sf(fieldK, cfg.X, c, q, d)
+    main = qf.mainterm_sf(fieldK, cfg.X, q, d)
+    for c_idx, brute in enumerate(qf.count_sf(fieldK, cfg.X, q, d)):
         gap = brute - main
         norm_gap = gap / (math.sqrt(cfg.X) * 3**omega_q)
         rows.append(

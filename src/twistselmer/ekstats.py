@@ -163,7 +163,7 @@ def empirical_moment(
         if conductors is None:
             conductors = enumerate_characters(f.base_field, X)
         total = 0.0
-        for s in conductor_sums(values, conductors, -mu_t, z):
+        for s in conductor_sums(values, conductors, -mu_t):
             total += s**k
         empirical = total / len(conductors)
     if k % 2 == 0:
@@ -180,25 +180,26 @@ def empirical_moment(
     return MomentReport(X, float(z), k, empirical, predicted, ratio, within)
 
 
-def conductor_sums(values: dict, conductors: list, start: float = 0.0, z: float = math.inf) -> list[float]:
-    """For each conductor over K: start plus values[P], added in order of
-    norm, over its primes P of norm < z (`values` a prime_values table that
-    covers them).
+def conductor_sums(values: dict, conductors: list, start: float = 0.0) -> list[float]:
+    """For each conductor over K, the indices of its primes in primes_up_to
+    (enumerate_characters): start plus the values of `values`, a
+    prime_values table in that order, at those indices, ascending, up to the
+    end of the table.  A table of the primes of norm < z thus sums over the
+    primes of norm < z.
 
     A conductor comes once per unit class, side by side, so its sum is
-    taken once and repeated.  The values are looked up by (p, conjugate
-    index), which names a prime of K as its fields do, so that the lookups
-    hash tuples of ints, not PrimeIdealK through the dataclass's __hash__."""
-    by_slot = {(P.p, P.conjugate_index): v for P, v in values.items()}
+    taken once and repeated."""
+    vals = list(values.values())
+    n = len(vals)
     out = []
     prev = None
-    for a in conductors:
-        if a is not prev:
-            prev, s = a, start
-            for P, _ in a.factorization:  # sorted by norm
-                if P.norm >= z:
+    for key in conductors:
+        if key is not prev:
+            prev, s = key, start
+            for j in key:
+                if j >= n:
                     break
-                s += by_slot[P.p, P.conjugate_index]
+                s += vals[j]
         out.append(s)
     return out
 

@@ -14,7 +14,6 @@ Ideals are kept in fully factored form.  Fields are capped at
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -126,7 +125,6 @@ class QuadraticField:
         self._prime_cache: dict[int, list[PrimeIdealK]] = {}
         self._prime_class_cache: dict[PrimeIdealK, int] = {}
         self._zeta2_cache: dict[int, float] = {}
-        self._sqfree_cache: dict[int, tuple] = {}
 
     def _omega_real(self) -> float:
         return math.sqrt(self.m) if self.m % 4 != 1 else (1 + math.sqrt(self.m)) / 2
@@ -410,42 +408,24 @@ def _ideals_up_to_norm(field: QuadraticField, bound: int) -> list[IdealK]:
     return out
 
 
-def squarefree_ideals_up_to(field: QuadraticField, X: int, class_constraint: IdealK | None = None) -> list[IdealK]:
-    """Squarefree ideals of norm < X; optionally only those a with a*b^2 principal."""
-    classed = _squarefree_with_classes(field, X)
-    if class_constraint is None:
-        return [a for a, _ in classed]
-    b_cls = field.class_of_ideal(class_constraint)
-    target = field.class_inverse(field.class_compose(b_cls, b_cls))
-    return [a for a, cls in classed if cls == target]
+def squarefree_ideals_up_to(field: QuadraticField, X: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The squarefree ideals of norm < X, as (norm, key, class index), sorted.
 
-
-def _squarefree_with_classes(field: QuadraticField, X: int):
-    """Cached tuple of (squarefree ideal of norm < X, class index), sorted by
-    (norm, factorization).
-
-    A stack walk, like count_sf's, adds primes in primes_up_to order.  Each
-    ideal carries its sort key: its norm, then the indices of its primes in
-    that order, ascending, from which its factorization is read after the
-    sort.  For ideals of one norm the indices compare as the
+    A stack walk, like count_sf's, adds primes in primes_up_to(field, X)
+    order, and an ideal's key is the indices of its primes in that order,
+    ascending.  For ideals of one norm the keys compare as the
     factorizations' (p, conjugate_index) tuples do.  Where two such ideals
     first differ, in P and Q with NP < NQ, p(P) > p(Q) would make Q inert
     and NP = p(P); as p(P) divides the norm of the second ideal, a later
     prime of it would lie above p(P), of norm p(P) < NQ, out of order.  The
-    list of a larger bound, once cached, gives that of X as its prefix."""
-    cached = field._sqfree_cache.get(X)
-    if cached is not None:
-        return cached
-    larger = [Y for Y in field._sqfree_cache if Y > X]
-    if larger:
-        whole = field._sqfree_cache[min(larger)]
-        return whole[: bisect_left(whole, X, key=lambda t: t[0].norm)]
+    primes of norm below any bound are a prefix of that list, so the
+    entries of norm below it are the walk at that bound, keys included."""
     primes = primes_up_to(field, X)
     norms = [P.norm for P in primes]
     pcls = [field.class_of_prime(P) for P in primes]
     table = field._cayley
     out = []
-    stack = [(0, 1, (), 0)] if X > 1 else []  # (next prime, norm, prime indices, class)
+    stack = [(0, 1, (), 0)] if X > 1 else []  # (next prime, norm, key, class)
     while stack:
         i, norm, key, cls = stack.pop()
         out.append((norm, key, cls))
@@ -456,41 +436,38 @@ def _squarefree_with_classes(field: QuadraticField, X: int):
                 break
             stack.append((j + 1, nn, key + (j,), row[pcls[j]]))
     out.sort()  # (norm, key) is distinct, so the sort compares nothing else
-    factor = [(P, 1) for P in primes].__getitem__
-    result = tuple((IdealK(tuple(map(factor, key)), norm), cls) for norm, key, cls in out)
-    field._sqfree_cache[X] = result
-    return result
+    return out
 
 
-def count_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) -> int:
-    """Exact count of squarefree ideals a, norm < X, class of c, gcd(a, q) = d.
+def count_sf(field: QuadraticField, X: int, q: IdealK, d: IdealK) -> list[int]:
+    """Exact counts of squarefree ideals a, norm < X, gcd(a, q) = d, one per
+    class index.
 
     Such an a is d*b with b squarefree and prime to q, so only b is walked,
     over the primes prime to q, and no ideal is built: N(d)*N(b) < X iff
     N(b) < B = ceil(X / N(d)).  The walk starts at the class of d.
     """
     _validate_qd(q, d)
+    counts = [0] * field.class_number
     if d.norm >= X:  # not even b = (1) fits
-        return 0
-    target = field.class_of_ideal(c)
+        return counts
     B = -(-X // d.norm)
     qprimes = {P for P, _ in q.factorization}
     primes = [P for P in primes_up_to(field, B) if P not in qprimes]
     norms = [P.norm for P in primes]
     pcls = [field.class_of_prime(P) for P in primes]
     table = field._cayley
-    count = 0
     stack = [(0, 1, field.class_of_ideal(d))]
     while stack:
         i, norm, cls = stack.pop()
-        count += cls == target
+        counts[cls] += 1
         row = table[cls]
         for j in range(i, len(primes)):
             nn = norm * norms[j]
             if nn >= B:
                 break
             stack.append((j + 1, nn, row[pcls[j]]))
-    return count
+    return counts
 
 
 def _validate_qd(q: IdealK, d: IdealK):
@@ -570,8 +547,8 @@ def zeta_at_2(field: QuadraticField, B: int | None = None) -> float:
     return val
 
 
-def mainterm_sf(field: QuadraticField, X: int, c: IdealK, q: IdealK, d: IdealK) -> float:
-    """Main term (1/h) (res zeta_K / zeta_K(2)) phi(q, d) X of the squarefree count."""
+def mainterm_sf(field: QuadraticField, X: int, q: IdealK, d: IdealK) -> float:
+    """Main term (1/h) (res zeta_K / zeta_K(2)) phi(q, d) X of each class's count_sf."""
     _validate_qd(q, d)
     return (
         (1.0 / field.class_number)

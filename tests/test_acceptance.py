@@ -112,9 +112,8 @@ class TestCriterion4SquarefreeIdealCounts:
                     divisors += [qf.make_ideal(list(d.factorization) + [(P, 1)]) for d in list(divisors)]
                 for d in divisors:
                     for X in (10**3, 10**4, 10**5):
-                        for c in K.class_representatives:
-                            cnt = qf.count_sf(K, X, c, q, d)
-                            main = qf.mainterm_sf(K, X, c, q, d)
+                        main = qf.mainterm_sf(K, X, q, d)
+                        for cnt in qf.count_sf(K, X, q, d):
                             gap = abs(cnt - main) / (math.sqrt(X) * 3 ** len(q.factorization))
                             if gap > worst:
                                 worst, worst_at = gap, (m, q.norm, d.norm, X)

@@ -3,6 +3,8 @@ import random
 import warnings
 from itertools import compress, cycle
 
+import pytest
+
 from twistselmer import quadfield as qf
 from twistselmer.arith import squarefree_factors, squarefree_flags
 from twistselmer.characters import enumerate_characters
@@ -10,7 +12,7 @@ from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
 from twistselmer.selmer import g_of_primes, make_pair
 
 # the norm-form search, the class lookups' oracle, is tested in its own module
-from test_quadfield import generator_if_principal
+from test_quadfield import generator_if_principal, ideal_of
 
 
 class TestEnumerate:
@@ -43,9 +45,25 @@ class TestEnumerate:
 
     def test_small_cutoff_only_unit_ideals(self):
         K = qf.make_field(-1)
-        chars = enumerate_characters(K, 2)
-        assert all(a == qf.ONE_IDEAL for a in chars)
-        assert len(chars) == 2  # unit classes only
+        assert enumerate_characters(K, 2) == [()] * 2  # (1), once per unit class
+
+    # X at most 100 with Na < X/Nb^2 < ceil(X/Nb^2) for some b != (1) and Na a
+    # conductor; -23 has h = 3, where the class of b^2 is not its own inverse
+    @pytest.mark.parametrize("m, X", [(-5, 87), (-14, 95), (-23, 75), (10, 63), (34, 89)])
+    def test_matches_principality_reference(self, m, X):
+        # C(K, X) from the definition: every squarefree a and representative b
+        # with N(a) N(b)^2 < X and a*b^2 principal by the norm-form search,
+        # once per unit class; the ideal list shares no code with the stack walk
+        K = qf.make_field(m)
+        squarefree = [a for a in qf._ideals_up_to_norm(K, X - 1) if all(e == 1 for _, e in a.factorization)]
+        n_units = len(qf.units_mod_squares(K))
+        reference = []
+        for b in K.class_representatives:
+            b2 = qf.ideal_mul(b, b)
+            for a in squarefree:
+                if a.norm * b2.norm < X and generator_if_principal(K, qf.ideal_mul(a, b2)) is not None:
+                    reference += [a] * n_units
+        assert [ideal_of(K, X, key) for key in enumerate_characters(K, X)] == reference
 
     def test_triples_match_elements_gaussian(self):
         # enumeration by triples = square classes of Gaussian integers of norm
@@ -74,7 +92,7 @@ class TestEnumerate:
         # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a);
         # each conductor a comes once per unit class, in unit order
         unit_index = cycle(range(len(units)))
-        elements = [mul(units[next(unit_index)], generator_if_principal(K, a)) for a in conductors]
+        elements = [mul(units[next(unit_index)], generator_if_principal(K, ideal_of(K, X, a))) for a in conductors]
         assert len(classes) == len(conductors)
         for alpha in classes:
             assert sum(1 for e in elements if mul(alpha, e) in squares) == 1
@@ -116,7 +134,7 @@ class TestEvalAdditive:
         (P3,) = qf.split_prime(K, 3)  # inert: one prime
         P5, P5c = qf.split_prime(K, 5)  # split: two primes
         X = 226
-        conductors = enumerate_characters(K, X)
+        conductors = [ideal_of(K, X, key) for key in enumerate_characters(K, X)]
         assert qf.make_ideal([(P3, 1)]) in conductors
         assert qf.make_ideal([(P3, 1), (P5, 1), (P5c, 1)]) in conductors
         # the first moment of omega over C(K, X), against the conductors' primes of norm < z

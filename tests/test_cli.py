@@ -11,6 +11,9 @@ import pytest
 import twistselmer
 from twistselmer.cli import main
 
+# the ideal of a walk entry's prime indices, as the quadfield tests rebuild it
+from test_quadfield import ideal_of
+
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
 
 
@@ -292,6 +295,19 @@ class TestEk:
         assert f"argument {flag}: expected " in err and f"not '{value}'" in err
         assert "_parse" not in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--X", "2"], ["--field", "-1", "--X", "2"], ["--field", "5", "--X", "4"], ["--f", "curve-g", "--X", "2"]],
+        ids=["Q", "-1", "5", "curve-g"],
+    )
+    def test_no_prime_below_x_names_the_flag(self, tmp_path, capsys, args):
+        # no prime has norm below X (in Q(sqrt(5)), 2 and 3 are inert): exit 2, no files
+        out = tmp_path / "ek"
+        assert run(["ek", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--X" in err[0], err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["ek", "--f", "omega", "--X", "1500", "--k", "2,4", "--out", str(a)])
@@ -313,11 +329,8 @@ class TestIdealCount:
 
         K = qf.make_field(-5)
         P3 = qf.split_prime(K, 3)[0]
-        brute = sum(
-            1
-            for a in qf.squarefree_ideals_up_to(K, 500)
-            if {P for P, _ in a.factorization} & {P3} == {P3}
-        )
+        ideals = [ideal_of(K, 500, key) for _, key, _ in qf.squarefree_ideals_up_to(K, 500)]
+        brute = sum(1 for a in ideals if {P for P, _ in a.factorization} & {P3} == {P3})
         assert sum(counts) == brute
 
     def test_normalized_gap_small(self, tmp_path):

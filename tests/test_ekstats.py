@@ -28,6 +28,9 @@ from twistselmer.ekstats import (
     sigma_g_predicted,
     tail_fraction,
 )
+
+# the ideal of a conductor's prime indices, as the quadfield tests rebuild it
+from test_quadfield import ideal_of
 from twistselmer.selmer import make_pair
 
 
@@ -310,14 +313,16 @@ class TestValueTable:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert moment == empirical_moment(fresh, X, 2)
-        assert sums == [sum(0.5 for _ in a.factorization) for a in conductors]
+        assert sums == [sum(0.5 for _ in key) for key in conductors]
 
     def test_conductor_sums_below_a_cutoff(self):
         K = qf.make_field(-1)
-        table = prime_values(omega_spec(K), 200)
+        # the table of the primes of norm < 10 sums over those primes of each conductor
+        table = prime_values(omega_spec(K), 10)
         conductors = enumerate_characters(K, 200)
-        got = conductor_sums(table, conductors, -0.25, 10)
-        assert got == [-0.25 + sum(1 for P, _ in a.factorization if P.norm < 10) for a in conductors]
+        got = conductor_sums(table, conductors, -0.25)
+        ideals = [ideal_of(K, 200, key) for key in conductors]
+        assert got == [-0.25 + sum(1 for P, _ in a.factorization if P.norm < 10) for a in ideals]
 
 
 class TestMaintermG:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -20,7 +21,6 @@ from twistselmer.quadfield import (
     _fact_key,
     _ideals_up_to_norm,
     _omega_roots_mod_p,
-    _squarefree_with_classes,
     count_sf,
     ideal_mul,
     make_field,
@@ -184,6 +184,19 @@ def generator_if_principal(field, a):
                     if ideal_contains(field, a, cand) and abs(element_norm(field, cand)) == n:
                         return cand
     return None
+
+
+@functools.cache
+def _primes_below(field, X):
+    return primes_up_to(field, X)
+
+
+def ideal_of(field, X, key):
+    """The ideal of a key of squarefree_ideals_up_to(field, X) or of
+    enumerate_characters(field, X): the product of the primes of
+    primes_up_to(field, X) at its indices."""
+    primes = _primes_below(field, X)
+    return make_ideal([(primes[j], 1) for j in key])
 
 
 def equivalent(field, a, b) -> bool:
@@ -442,32 +455,19 @@ class TestIdealArithmetic:
 class TestSquarefreeIdeals:
     def test_small_gaussian(self):
         K = make_field(-1)
-        assert [a.norm for a in squarefree_ideals_up_to(K, 3)] == [1, 2]
+        assert [norm for norm, _, _ in squarefree_ideals_up_to(K, 3)] == [1, 2]
         assert squarefree_ideals_up_to(K, 1) == []
 
     def test_all_squarefree(self):
         K = make_field(-5)
-        for a in squarefree_ideals_up_to(K, 80):
-            assert all(e == 1 for _, e in a.factorization)
-
-    def test_class_constraint_against_principality(self):
-        # the character enumeration relies on a*b^2 being principal for every
-        # (b, a) it walks; here against the norm-form search, for every class b
-        for m, h in ((-5, 2), (-14, 4), (-23, 3), (10, 2)):
-            K = make_field(m)
-            assert K.class_number == h
-            ideals = squarefree_ideals_up_to(K, 60)
-            for b in K.class_representatives:
-                constrained = set(squarefree_ideals_up_to(K, 60, class_constraint=b))
-                b2 = ideal_mul(b, b)
-                for a in ideals:
-                    principal = generator_if_principal(K, ideal_mul(a, b2)) is not None
-                    assert principal == (a in constrained), (m, b, a)
+        for norm, key, _ in squarefree_ideals_up_to(K, 80):
+            a = ideal_of(K, 80, key)
+            assert a.norm == norm and all(e == 1 for _, e in a.factorization)
 
 
 def recursive_squarefree_with_classes(field, X):
     """The recursive walk and (norm, _fact_key) sort that the presorted
-    stack walk of _squarefree_with_classes replaced, kept as its reference."""
+    stack walk of squarefree_ideals_up_to replaced, kept as its reference."""
     primes = primes_up_to(field, X)
     pcls = [field.class_of_prime(P) for P in primes]
     out = []
@@ -483,7 +483,7 @@ def recursive_squarefree_with_classes(field, X):
 
     rec(0, (), 1, 0)
     out.sort(key=lambda t: (t[0].norm, _fact_key(t[0])))
-    return tuple(out)
+    return out
 
 
 class TestSquarefreeWalk:
@@ -491,32 +491,30 @@ class TestSquarefreeWalk:
     # first split norm N > 10 and its square N(P * conj(P)), and one larger X
     @pytest.mark.parametrize("m, h", [(-1, 1), (-5, 2), (-14, 4), (10, 2)])
     def test_matches_recursive_walk(self, m, h):
-        walked, prefixed = QuadraticField(m), QuadraticField(m)
-        assert walked.class_number == h
-        N = next(P.norm for P in primes_up_to(walked, 100) if P.splitting == SPLIT and P.norm > 10)
+        K = QuadraticField(m)
+        assert K.class_number == h
+        N = next(P.norm for P in primes_up_to(K, 100) if P.splitting == SPLIT and P.norm > 10)
         bounds = (1, 2, 3, N - 1, N, N + 1, N * N - 1, N * N, N * N + 1, 2000)
-        # in ascending order each bound is walked; below a cached bound, a prefix is taken
-        _squarefree_with_classes(prefixed, max(bounds) + 1)
+        whole = squarefree_ideals_up_to(K, max(bounds) + 1)
         for X in bounds:
-            reference = recursive_squarefree_with_classes(walked, X)
-            assert _squarefree_with_classes(walked, X) == reference, (m, X)
-            assert _squarefree_with_classes(prefixed, X) == reference, (m, X)
-            assert squarefree_ideals_up_to(walked, X) == [a for a, _ in reference]
-        assert sorted(walked._sqfree_cache) == sorted(set(bounds))
-        assert sorted(prefixed._sqfree_cache) == [max(bounds) + 1]
-        assert squarefree_ideals_up_to(walked, 1) == []
-        assert squarefree_ideals_up_to(walked, 2) == [ONE_IDEAL]
+            walked = squarefree_ideals_up_to(K, X)
+            reference = recursive_squarefree_with_classes(K, X)
+            assert [(ideal_of(K, X, key), cls) for _, key, cls in walked] == reference, (m, X)
+            assert [norm for norm, _, _ in walked] == [a.norm for a, _ in reference]
+            # the entries of a larger walk below X are the walk at X, keys included
+            assert [t for t in whole if t[0] < X] == walked, (m, X)
+        assert squarefree_ideals_up_to(K, 2) == [(1, (), 0)]
 
 
 def brute_count_sf(field, X, c, q, d) -> int:
-    """count_sf by filtering the list of every squarefree ideal of norm < X."""
+    """count_sf's count in the class of c, by filtering the list of every
+    squarefree ideal of norm < X."""
     target = field.class_of_ideal(c)
     qset = {P for P, _ in q.factorization}
     dset = {P for P, _ in d.factorization}
+    ideals = [ideal_of(field, X, key) for _, key, _ in squarefree_ideals_up_to(field, X)]
     return sum(
-        1
-        for a in squarefree_ideals_up_to(field, X)
-        if field.class_of_ideal(a) == target and {P for P, _ in a.factorization} & qset == dset
+        1 for a in ideals if field.class_of_ideal(a) == target and {P for P, _ in a.factorization} & qset == dset
     )
 
 
@@ -545,18 +543,16 @@ class TestCountSf:
                 for sub in itertools.combinations(primes, r):
                     d = make_ideal([(P, 1) for P in sub])
                     for X in sorted({2, d.norm - 1, d.norm, d.norm + 1, 3 * d.norm, 200}):
-                        for c in K.class_representatives:
-                            assert count_sf(K, X, c, q, d) == brute_count_sf(K, X, c, q, d), (m, spec, sub, X, c)
+                        brute = [brute_count_sf(K, X, c, q, d) for c in K.class_representatives]
+                        assert count_sf(K, X, q, d) == brute, (m, spec, sub, X)
 
     def test_builds_no_ideal_list(self):
         def counts(K):
             P3, P5 = split_prime(K, 3)[0], split_prime(K, 5)[0]
             q, d = make_ideal([(P3, 1), (P5, 1)]), make_ideal([(P5, 1)])
-            return [count_sf(K, 5000, c, q, d) for c in K.class_representatives]
+            return count_sf(K, 5000, q, d)
 
-        K = QuadraticField(-14)
-        fresh = counts(K)
-        assert K._sqfree_cache == {}
+        fresh = counts(QuadraticField(-14))
         listed = QuadraticField(-14)
         squarefree_ideals_up_to(listed, 5000)
         assert counts(listed) == fresh
@@ -564,26 +560,26 @@ class TestCountSf:
     def test_reduces_to_plain_count(self):
         K = make_field(-1)
         for X in (10, 60, 200):
-            assert count_sf(K, X, ONE_IDEAL, ONE_IDEAL, ONE_IDEAL) == len(squarefree_ideals_up_to(K, X))
+            assert count_sf(K, X, ONE_IDEAL, ONE_IDEAL) == [len(squarefree_ideals_up_to(K, X))]
 
     def test_divisibility_count(self):
         K = make_field(-1)
         P2 = split_prime(K, 2)[0]
         q = make_ideal([(P2, 1)])
-        got = count_sf(K, 100, ONE_IDEAL, q, q)
-        brute = sum(1 for a in squarefree_ideals_up_to(K, 100) if any(P.p == 2 for P, _ in a.factorization))
-        assert got == brute
+        got = count_sf(K, 100, q, q)
+        ideals = [ideal_of(K, 100, key) for _, key, _ in squarefree_ideals_up_to(K, 100)]
+        brute = sum(1 for a in ideals if any(P.p == 2 for P, _ in a.factorization))
+        assert got == [brute]
 
     def test_partition_over_classes(self):
         K = make_field(-5)
         P3 = split_prime(K, 3)[0]
         q = make_ideal([(P3, 1)])
         for d in (ONE_IDEAL, q):
-            total = sum(count_sf(K, 300, c, q, d) for c in K.class_representatives)
+            total = sum(count_sf(K, 300, q, d))
+            ideals = [ideal_of(K, 300, key) for _, key, _ in squarefree_ideals_up_to(K, 300)]
             unconstrained = sum(
-                1
-                for a in squarefree_ideals_up_to(K, 300)
-                if ({P for P, _ in a.factorization} & {P3}) == {P for P, _ in d.factorization}
+                1 for a in ideals if ({P for P, _ in a.factorization} & {P3}) == {P for P, _ in d.factorization}
             )
             assert total == unconstrained
 
@@ -592,7 +588,7 @@ class TestCountSf:
         P2 = split_prime(K, 2)[0]
         q = make_ideal([(P2, 1)])
         with pytest.raises(ValueError):
-            count_sf(K, 10, ONE_IDEAL, ONE_IDEAL, q)  # d does not divide q
+            count_sf(K, 10, ONE_IDEAL, q)  # d does not divide q
         with pytest.raises(ValueError):
             phi_qd(K, make_ideal([(P2, 2)]), make_ideal([(P2, 2)]))  # d not squarefree
 
@@ -671,7 +667,7 @@ class TestAnalyticConstants:
 
     def test_mainterm_gaussian(self):
         K = make_field(-1)
-        mt = mainterm_sf(K, 10**5, ONE_IDEAL, ONE_IDEAL, ONE_IDEAL)
+        mt = mainterm_sf(K, 10**5, ONE_IDEAL, ONE_IDEAL)
         assert abs(mt - 52127) < 5
 
 
