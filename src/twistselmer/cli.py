@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -209,7 +210,12 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         if not table:
             raise ValueError(f"--X {cfg.X}: no prime has norm below X")
         conductors = None if base == "Q" else enumerate_characters(base, cfg.X)
-        moments = [asdict(ekstats.empirical_moment(f, cfg.X, k, table, conductors)) for k in cfg.k_list]
+        # a k outside the uniform range warns; say so in one plain line, not Python's warning text
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            moments = [asdict(ekstats.empirical_moment(f, cfg.X, k, table, conductors)) for k in cfg.k_list]
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         # the distribution of f over C(base, X) against the Gaussian
         if base == "Q":
             values = ekstats.prime_sum_values(f, cfg.X, table)

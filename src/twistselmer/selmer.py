@@ -228,7 +228,14 @@ class _CurveContext:
     a good prime of d the rows come from Legendre symbols, which +d and -d
     share.  The local bits of a good prime at a bad place depend only on its
     residue mod 8 (at 2) or mod q (at odd q), so they come from a table
-    keyed by that residue, of size at most 8 + sum(q).
+    keyed by that residue, of size at most 8 + sum(q).  Its other symbols
+    are periodic mod 8|b*b'| by Jacobi reciprocity: `residue_syms` holds
+    them per residue class, and `split_syms` per prime only for the primes
+    with s = s' = 1, whose square-root bits need p itself.
+
+    `memo` maps the signature of a pair of twists +-|d| (see _signature) to
+    the interned entry of their verified rows; `_scan_chunk` fills it, up to
+    _MEMO_CAP signatures.
     """
 
     def __init__(self, pair: IsogenyPair):
@@ -245,7 +252,14 @@ class _CurveContext:
         self.unit_bit = {qk: i for i, qk in enumerate(unit_bits, 1)}
         self.images = {v: _Lazy(partial(self._local_images, v)) for v in self.bad_places}
         self.blocks = _Lazy(self._bad_block)
-        self._goodram_cache = _Lazy(self.goodram_syms)
+        self.modulus = 8 * abs(pair.b * pair.b_dual)
+        self.residue_syms = _Lazy(self._residue_syms)
+        self.split_syms = _Lazy(self._split_syms)
+        self.syms: dict[tuple, tuple] = {}  # the interned symbol tuples, numbered in order of arrival
+        # a symbol tuple's number fits in this many bits: at most 4 per residue class
+        self.sym_bits = (4 * self.modulus).bit_length()
+        self.memo: dict[int, tuple] = {}
+        self.entries: dict[tuple, tuple] = {}  # the interned memo values
 
     def _local_images(self, place, bits: int):
         """((dim, rows), (dim, rows)) for the two sides at a place over
@@ -290,21 +304,49 @@ class _CurveContext:
     def goodram_syms(self, p: int):
         """(s, s', nonres bit of a+2*sqrt(b), nonres bit of -2a+2*sqrt(a^2-4b),
         nonresidue mask of p over the fixed columns, the unit_bit of each unit
-        bit of p at the bad primes) at a good odd prime p; the kernel reads
-        them from _goodram_cache."""
+        bit of p at the bad primes, the number of this tuple) at a good odd
+        prime p.  The tuples are interned, so equal symbols are one object."""
+        return self.residue_syms[p % self.modulus] or self.split_syms[p]
+
+    def _residue_syms(self, r: int):
+        """The symbols of the good primes p = r mod 8|b*b'|, or None when
+        s = s' = 1 there.  Every symbol but the square-root bits is a Jacobi
+        symbol (g | p) with g | 2*b*b', so (g | r) gives it."""
+        if kronecker(self.pair.b_dual, r) == kronecker(self.pair.b, r) == 1:
+            return None
+        return self._symbols(r, 0, 0)
+
+    def _split_syms(self, p: int):
+        """The symbols of a good prime p with s = s' = 1, square-root bits included."""
         a = self.pair.a
-        s = kronecker(self.pair.b_dual, p)
-        sp = kronecker(self.pair.b, p)
-        kb_phi = kb_dual = 0
-        if s == 1 and sp == 1:
-            r = sqrt_mod_prime(self.pair.b % p, p)
-            kb_phi = (1 - kronecker(a + 2 * r, p)) // 2
-            rp = sqrt_mod_prime(self.pair.b_dual % p, p)
-            kb_dual = (1 - kronecker(-2 * a + 2 * rp, p)) // 2
-        fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate(self.columns))
-        bits = {q: table[p % m] for q, m, table in self.class_tables}
+        r = sqrt_mod_prime(self.pair.b % p, p)
+        kb_phi = (1 - kronecker(a + 2 * r, p)) // 2
+        rp = sqrt_mod_prime(self.pair.b_dual % p, p)
+        kb_dual = (1 - kronecker(-2 * a + 2 * rp, p)) // 2
+        return self._symbols(p % self.modulus, kb_phi, kb_dual)
+
+    def _symbols(self, r: int, kb_phi: int, kb_dual: int):
+        """The interned symbol tuple of the good primes = r mod 8|b*b'| with these square-root bits."""
+        fixed = sum((kronecker(g, r) == -1) << i for i, g in enumerate(self.columns))
+        bits = {q: table[r % m] for q, m, table in self.class_tables}
         units = tuple(i for (q, k), i in self.unit_bit.items() if bits[q] >> k & 1)
-        return s, sp, kb_phi, kb_dual, fixed, units
+        syms = (kronecker(self.pair.b_dual, r), kronecker(self.pair.b, r), kb_phi, kb_dual, fixed, units)
+        if syms not in self.syms:
+            self.syms[syms] = (*syms, len(self.syms))
+        return self.syms[syms]
+
+    def entry(self, plus: tuple, minus: tuple):
+        """The interned memo value of the verified rows of +|d| and -|d|: the
+        rows without d, then the twists.csv text of each row after its d."""
+        values = plus[1:], minus[1:]
+        entry = self.entries.get(values)
+        if entry is None:
+            tails = (
+                f",{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n"
+                for sel, sel_dual, product, _, g_chi, correction in values
+            )
+            entry = self.entries[values] = (*values, *tails)
+        return entry
 
 
 @lru_cache(maxsize=8)
@@ -329,47 +371,72 @@ def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...]) -> list:
     DescentConsistencyError that its checks raised.  What depends only on ad
     (good-prime symbols, residue bits, single-column rows) is computed once
     for both."""
-    column = ctx.column_of.get
-    nfix = len(ctx.columns)
-    good = []
-    dmask = 0  # +ad over the columns: its bad primes, then all of its good primes
+    return _rows(ctx, ad, *_signature(ctx, ad, primes))
+
+
+def _signature(ctx: _CurveContext, ad: int, primes: tuple[int, ...]):
+    """(key, good primes, their symbols) for the twists by +-ad, ad > 0
+    squarefree with these primes.
+
+    The rows of both twists depend on ad only through the key, one int that
+    packs, after a leading 1: the class bits of +ad at each bad prime, 3
+    bits each (their valuation bits are the bad primes of ad; -ad's class
+    bits are a function of them), the number of each good prime's symbol
+    tuple, sym_bits each, and last the Legendre symbols (p_i | p_j), i < j,
+    among the good primes, one bit each, that _rows reads back.  The key's
+    length grows with the number of good primes, so it is injective."""
+    column_of = ctx.column_of
+    residue_syms, split_syms, modulus, width = ctx.residue_syms, ctx.split_syms, ctx.modulus, ctx.sym_bits
+    key = 1
+    for q, m, table in ctx.class_tables:
+        key = key << 3 | (table[ad % m] if ad % q else 1 | table[ad // q % m])
+    good, syms = [], []
     for p in primes:
-        i = column(p)
-        if i is None:
+        if p not in column_of:
+            sym = residue_syms[p % modulus] or split_syms[p]  # goodram_syms(p)
             good.append(p)
-        else:
-            dmask |= 1 << i
+            syms.append(sym)
+            key = key << width | sym[6]
+    for i, pi in enumerate(good):
+        for pj in good[i + 1 :]:
+            key = key << 1 | (pow(pi, (pj - 1) >> 1, pj) != 1)
+    return key, good, syms
+
+
+def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> list:
+    """The rows of +ad and -ad (or their errors, see _descend_abs) from the
+    signature of ad (see _signature)."""
+    nfix = len(ctx.columns)
+    # at a good prime p: the nonresidue mask of p over all columns, with the pairwise bits of the key
+    nonres = [sym[4] for sym in syms]
+    bit = len(good) * (len(good) - 1) // 2
+    for i, pi in enumerate(good):
+        for j in range(i + 1, len(good)):
+            bit -= 1
+            nij = key >> bit & 1
+            nonres[j] |= nij << (nfix + i)
+            nonres[i] |= (nij ^ (pi & good[j] & 2 != 0)) << (nfix + j)  # reciprocity
     ngens = nfix + len(good)
-    dmask |= ((1 << len(good)) - 1) << nfix
-    goodram = ctx._goodram_cache
-    syms = [goodram[p] for p in good]
+    dmask = ((1 << len(good)) - 1) << nfix  # +ad over the columns: its bad primes, then all of its good primes
 
     # the class bits of +ad and -ad at the places over 2*disc*oo
     plus, minus = [0], [1]
-    for q, m, table in ctx.class_tables:
+    for i, (q, m, table) in enumerate(ctx.class_tables, 1):
         if ad % q:
             plus.append(table[ad % m])
             minus.append(table[-ad % m])
         else:
+            dmask |= 1 << i
             u = ad // q
             plus.append(1 | table[u % m])
             minus.append(1 | table[-u % m])
-
-    # at a good prime p: the nonresidue mask of p over all columns
-    nonres = [sym[4] for sym in syms]
-    for i, pi in enumerate(good):
-        for j in range(i + 1, len(good)):
-            pj = good[j]
-            nij = pow(pi, (pj - 1) >> 1, pj) != 1
-            nonres[j] |= nij << (nfix + i)
-            nonres[i] |= (nij ^ (pi & pj & 2 != 0)) << (nfix + j)  # reciprocity
 
     units = [0] * (len(ctx.unit_bit) + 1)  # per unit bit at a bad prime, the good columns that have it
     killed0 = killed1 = 0  # per side, the columns of its single-column rows
     plus0, plus1, minus0, minus1 = [], [], [], []  # per sign and side, the other good-prime rows
     g_val = excess = 0  # excess: the sum of (dim H^1_phi - 1) over the good primes
     col = 1 << nfix
-    for (s, sp, kb_phi, kb_dual, _, ubits), n in zip(syms, nonres):
+    for (s, sp, kb_phi, kb_dual, _, ubits, _), n in zip(syms, nonres):
         g_val += (sp - s) // 2
         excess += _good_dim(s, sp) - 1
         for i in ubits:
@@ -452,6 +519,9 @@ def g_of_primes(pair: IsogenyPair, primes) -> int:
 # the 2-Selmer rank of a twist is at least ord2T - _SELMER2_SLACK
 _SELMER2_SLACK = 2
 
+# the most signatures that the memo of one curve holds in one process
+_MEMO_CAP = 1 << 16
+
 
 def _available_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -480,19 +550,40 @@ def _chunks(pair: IsogenyPair, X: int, workers: int) -> tuple[list[tuple[int, in
 def _scan_chunk(a: int, b: int, bounds: tuple[int, int]):
     """The twists.csv rows of +d, then of -d, for every squarefree d in the
     chunk [lo, hi) = bounds as text, and an array('b') of their ord2T; a
-    failed check is raised."""
+    failed check is raised.
+
+    The rows of +-d are read from the curve's memo by their signature when
+    an earlier |d| had it; each row still goes through _check_identities
+    with its own d, and a failure there reruns the kernel, whose error
+    carries the dims.  A miss runs the kernel and stores the verified rows
+    while the memo holds fewer than _MEMO_CAP signatures."""
     from array import array  # here, like numpy elsewhere, so that the other commands never load it
 
     ctx = _context(make_pair(a, b))
+    memo, entry_of = ctx.memo, ctx.entry
     lines = []
     ord2t = array("b")
     for ad, primes in squarefree_factors(*bounds):
-        for row in _descend_abs(ctx, ad, primes):
-            if type(row) is not tuple:
-                raise row
-            d, sel, sel_dual, product, _, g_chi, correction = row  # no ratio column: it equals ord2T
-            lines.append(f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n")
-            ord2t.append(product)
+        signature = _signature(ctx, ad, primes)
+        entry = memo.get(signature[0])
+        if entry is not None:
+            try:
+                _check_identities((ad, *entry[0]))
+                _check_identities((-ad, *entry[1]))
+            except DescentConsistencyError:
+                entry = None
+        if entry is None:
+            plus, minus = _rows(ctx, ad, *signature)
+            for row in (plus, minus):
+                if type(row) is not tuple:
+                    raise row
+            entry = entry_of(plus, minus)
+            if len(memo) < _MEMO_CAP:
+                memo[signature[0]] = entry
+        plus, minus, plus_tail, minus_tail = entry
+        lines.append(f"{ad}{plus_tail}-{ad}{minus_tail}")  # no ratio column: it equals ord2T
+        ord2t.append(plus[2])
+        ord2t.append(minus[2])
     return "".join(lines), ord2t
 
 

@@ -95,6 +95,7 @@ class TestScan:
                 raise selmer.DescentConsistencyError("forced", "product-formula", -15)
             real(row)
 
+        selmer._context.cache_clear()  # no memo from an earlier scan: -15 is computed by the kernel
         monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_15)
         out = tmp_path / "s"
         assert run(["scan", "--a", "1", "--b", "-1", "--X", "40", "--out", str(out)]) == 1
@@ -123,6 +124,7 @@ class TestScan:
             pools.append(processes)
             return fork.Pool(processes)
 
+        selmer._context.cache_clear()  # the workers fork with no memo from an earlier scan
         monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_201)
         monkeypatch.setattr(selmer, "_available_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", fork_pool)
@@ -452,6 +454,19 @@ def test_ek_imports_numpy_only_over_q(tmp_path, field, loads_numpy):
     assert proc.returncode == 0, proc.stderr
     assert "twistselmer.ekstats" in proc.stderr
     assert ("numpy" in proc.stderr) == loads_numpy
+
+
+def test_ek_outside_the_uniform_range_prints_one_plain_line_per_k(tmp_path):
+    # a moment order above sigma^(2/3) is reported on stderr as one line of
+    # its own, without Python's warning text and source line
+    argv = [sys.executable, "-m", "twistselmer.cli", "ek", "--f", "omega", "--X", "2000", "--k", "2,4"]
+    proc = subprocess.run([*argv, "--out", str(tmp_path)], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "UserWarning" not in proc.stderr and "cli.py:" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line.split(" exceeds ")[0] for line in lines] == ["warning: moment order k=2", "warning: moment order k=4"]
+    moments = json.loads((tmp_path / "moments.json").read_text())["moments"]
+    assert [m["within_uniform_range"] for m in moments] == [False, False]
 
 
 class TestConfigFile:

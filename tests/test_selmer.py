@@ -22,6 +22,7 @@ from twistselmer.selmer import (
     _CurveContext,
     _descend_abs,
     _f2_rank,
+    _signature,
     audit_curve,
     descend,
     g_of_primes,
@@ -36,6 +37,9 @@ CURVES_20 = [
     (1, -3), (-1, -1), (2, 3), (-3, 2), (1, 5), (5, -1), (-2, -3), (4, 1),
     (-4, 3), (2, 7), (-5, -2), (3, 5),
 ]
+
+# the curves of the root-number parity audit
+PARITY_CURVES = [(1, -1), (0, 4), (-1, 3), (0, -2), (7, -11), (2, 3), (3, -5), (5, 2), (-3, 7)]
 
 
 def g_chi_of_twist(pair, d):
@@ -171,8 +175,9 @@ def _brute_selmer_dim(a, b, d):
 
 # The one-sign descent that the two-sign kernel _descend_abs replaced, kept
 # as the reference for it: verbatim, except that goodram_syms has a sixth
-# field (the unit bits of p at the bad primes) to unpack and that the result
-# no longer carries the per-place dims.
+# and a seventh field (the unit bits of p at the bad primes, the number of
+# the tuple) to unpack and that the result no longer carries the per-place
+# dims.
 def _parent_descend(
     pair: IsogenyPair,
     d: int,
@@ -225,7 +230,7 @@ def _parent_descend(
                 for j, x in enumerate(gbits, nfix):
                     row |= ((f & x).bit_count() & 1) << j
                 rows.append(row)
-    for j, (s, sp, kb_phi, kb_dual, _, _) in enumerate(syms):
+    for j, (s, sp, kb_phi, kb_dual, _, _, _) in enumerate(syms):
         dims_phi[good[j]] = 1 + (sp - s) // 2
         col, n = 1 << (nfix + j), nonres[j]
         if s == sp == -1:
@@ -643,7 +648,7 @@ class TestAudit:
         assert [(f["d"], f["check"]) for f in report["failures"]] == [(13, "root-number-parity")]
         assert report["failures"][0]["detail"].endswith("at d=-3")
 
-    @pytest.mark.parametrize("a, b", [(1, -1), (0, 4), (-1, 3), (0, -2), (7, -11), (2, 3), (3, -5), (5, 2), (-3, 7)])
+    @pytest.mark.parametrize("a, b", PARITY_CURVES)
     def test_root_number_parity_holds(self, a, b):
         report = audit_curve(make_pair(a, b), 1500)
         assert report["ok"], report["failures"][:2]
@@ -691,8 +696,6 @@ class TestContextCache:
 
 class TestResidueTable:
     def test_size_stays_bounded_as_the_scan_grows(self):
-        from twistselmer.selmer import _context
-
         pair = make_pair(1, -1)
         table = _context(pair).residue_bits
         for _ in scan_twists(pair, 2000):
@@ -701,3 +704,146 @@ class TestResidueTable:
         for _ in scan_twists(pair, 20000):
             pass
         assert sum(map(len, table.values())) == size <= 8 + sum(q for q in pair.bad_primes if q != 2)
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3), (7, -11)])
+    def test_scan_leaves_bounded_tables(self, a, b):
+        # the memo holds at most _MEMO_CAP signatures, the residue table one
+        # entry per unit class mod 8|b*b'|, and only the primes with
+        # s = s' = 1 have an entry of their own
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(a, b)
+        _context.cache_clear()
+        for _ in scan_twists(pair, 30000):
+            pass
+        ctx = _context(pair)
+        assert 0 < len(ctx.memo) <= selmer._MEMO_CAP
+        modulus = 8 * abs(pair.b * pair.b_dual)
+        assert ctx.modulus == modulus
+        assert len(ctx.residue_syms) <= sum(math.gcd(r, modulus) == 1 for r in range(modulus))
+
+        def split(n):  # s = s' = 1 at the primes = n mod 8|b*b'|
+            return kronecker(pair.b_dual, n) == kronecker(pair.b, n) == 1
+
+        assert ctx.split_syms and all(split(p) for p in ctx.split_syms)
+        assert all((sym is None) == split(r) for r, sym in ctx.residue_syms.items())
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        # at the cap new signatures are computed directly and not stored; the bytes do not move
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        _context.cache_clear()
+        want = _scan(pair, 5000)
+        monkeypatch.setattr(selmer, "_MEMO_CAP", 50)
+        _context.cache_clear()
+        assert _scan(pair, 5000) == want
+        assert len(_context(pair).memo) == 50
+
+    @pytest.mark.parametrize("a, b", CURVES_20)
+    def test_symbols_by_residue_are_those_of_the_prime(self, a, b):
+        # s, s', the fixed-column mask and the unit bits, read by residue,
+        # against each good prime's own Legendre symbols and local bits
+        from twistselmer.arith import sqrt_mod_prime
+        from twistselmer.selmer import _local_bits
+
+        pair = make_pair(a, b)
+        ctx = _CurveContext(pair)
+        for p in (p for p in sieve_primes(3000) if p not in pair.bad_primes):
+            s, sp = kronecker(pair.b_dual, p), kronecker(pair.b, p)
+            kb_phi = kb_dual = 0
+            if s == sp == 1:
+                kb_phi = kronecker(a + 2 * sqrt_mod_prime(pair.b, p), p) == -1
+                kb_dual = kronecker(-2 * a + 2 * sqrt_mod_prime(pair.b_dual, p), p) == -1
+            fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate((-1, *pair.bad_primes)))
+            units = tuple(i for (q, k), i in ctx.unit_bit.items() if _local_bits(p, q) >> k & 1)
+            assert ctx.goodram_syms(p)[:6] == (s, sp, kb_phi, kb_dual, fixed, units), (a, b, p)
+
+
+def _direct_text(pair, X):
+    """The twists.csv rows of every squarefree 0 < |d| < X from the direct kernel, with no memo."""
+    ctx = _CurveContext(pair)
+    return "".join(
+        f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - 2}\n"
+        for ad, primes in squarefree_factors(1, X)
+        for d, sel, sel_dual, product, _, g_chi, correction in _descend_abs(ctx, ad, primes)
+    )
+
+
+def _memo_text(pair, X):
+    """The twists.csv text of the scan's chunk function over [1, X) from an
+    empty memo, and the context it filled; unlike scan_twists it takes
+    ineligible pairs too."""
+    import twistselmer.selmer as selmer
+
+    _context.cache_clear()
+    text = selmer._scan_chunk(pair.a, pair.b, (1, X))[0]
+    return text, _context(pair)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("a, b", sorted(set(CURVES_20) | set(PARITY_CURVES)))
+    def test_memo_rows_are_the_kernel_rows(self, a, b):
+        pair = make_pair(a, b)
+        text, ctx = _memo_text(pair, 10**4)
+        assert text == _direct_text(pair, 10**4)
+        assert len(ctx.memo) < squarefree_flags(1, 10**4).count(1) // 2  # most |d| were hits
+
+    def test_memo_rows_are_the_kernel_rows_below_1e5(self):
+        pair = make_pair(1, -1)
+        text, ctx = _memo_text(pair, 10**5)
+        assert text == _direct_text(pair, 10**5)
+        assert len(ctx.memo) < squarefree_flags(1, 10**5).count(1) // 5
+
+    def test_signature_fixes_the_rows(self):
+        # twists with one signature have one pair of rows, up to d
+        pair = make_pair(-1, 3)
+        ctx = _CurveContext(pair)
+        seen = {}
+        for ad, primes in squarefree_factors(1, 5000):
+            rows = [row[1:] for row in _descend_abs(ctx, ad, primes)]
+            assert seen.setdefault(_signature(ctx, ad, primes)[0], rows) == rows, ad
+        assert len(seen) < squarefree_flags(1, 5000).count(1) // 2
+
+    def test_every_hit_is_checked_with_its_own_d(self, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        text, ctx = _memo_text(pair, 2000)
+        checked = []
+
+        def record(row):
+            checked.append(row[0])
+            _check_identities(row)
+
+        monkeypatch.setattr(selmer, "_check_identities", record)
+        assert _scan(pair, 2000)[0] == text  # every |d| is a hit now
+        assert checked == [int(line.split(",")[0]) for line in text.splitlines()]
+
+    def test_failed_check_on_a_hit_names_its_d(self, monkeypatch):
+        # the memo holds the rows of an earlier |d| with the same signature;
+        # a check patched to fail on -|d| still fires there, and the kernel reruns
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        _context.cache_clear()
+        ctx = _context(pair)
+        first = {}  # signature -> the first |d| that has it
+        for ad, primes in squarefree_factors(1, 2000):
+            key = _signature(ctx, ad, primes)[0]
+            if first.setdefault(key, ad) != ad and len(primes) == 3 and not set(primes) & {2, 5}:
+                break
+        assert (ad, primes, first[key]) == (1407, (3, 7, 67), 903)  # 1407 has the signature of 903 = 3 * 7 * 43
+
+        def fail_at_minus_1407(row):
+            if row[0] == -ad:
+                raise DescentConsistencyError("forced", "ord2-decomposition", row[0])
+            _check_identities(row)
+
+        monkeypatch.setattr(selmer, "_check_identities", fail_at_minus_1407)
+        with pytest.raises(DescentConsistencyError) as info:
+            _scan(pair, 2000)
+        assert (info.value.check, info.value.d) == ("ord2-decomposition", -ad)
+        # the error comes from the kernel, so it carries the dims of -1407
+        assert list(info.value.dims) == [REAL_PLACE, 2, 5, 3, 7, 67]
+        assert len(ctx.memo) == len({key for key, n in first.items() if n < ad})  # nothing stored at or after it
