@@ -37,7 +37,6 @@ from .quadfield import (
     primes_up_to,
     split_prime,
     squarefree_ideals_up_to,
-    units_mod_squares,
     zeta_at_2,
     zeta_residue,
 )

@@ -24,7 +24,7 @@ def enumerate_characters(field: qf.QuadraticField, X: int) -> list[tuple[int, ..
     if X < 2:
         raise ValueError("enumerate_characters: X must be >= 2")
     walk = qf.squarefree_ideals_up_to(field, X)
-    n_units = len(qf.units_mod_squares(field))
+    n_units = field.num_unit_classes
     out = []
     for i, b in enumerate(field.class_representatives):
         bound = -(-X // b.norm**2)  # Na < X/Nb^2

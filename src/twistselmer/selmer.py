@@ -301,13 +301,6 @@ class _CurveContext:
                     side.append((fixed, u1, u2))
         return dims, sum(dims.values()) - len(dims), rows
 
-    def goodram_syms(self, p: int):
-        """(s, s', nonres bit of a+2*sqrt(b), nonres bit of -2a+2*sqrt(a^2-4b),
-        nonresidue mask of p over the fixed columns, the unit_bit of each unit
-        bit of p at the bad primes, the number of this tuple) at a good odd
-        prime p.  The tuples are interned, so equal symbols are one object."""
-        return self.residue_syms[p % self.modulus] or self.split_syms[p]
-
     def _residue_syms(self, r: int):
         """The symbols of the good primes p = r mod 8|b*b'|, or None when
         s = s' = 1 there.  Every symbol but the square-root bits is a Jacobi
@@ -326,7 +319,13 @@ class _CurveContext:
         return self._symbols(p % self.modulus, kb_phi, kb_dual)
 
     def _symbols(self, r: int, kb_phi: int, kb_dual: int):
-        """The interned symbol tuple of the good primes = r mod 8|b*b'| with these square-root bits."""
+        """The symbols of the good primes p = r mod 8|b*b'| with these
+        square-root bits: (s, s', nonres bit of a+2*sqrt(b), nonres bit of
+        -2a+2*sqrt(a^2-4b), nonresidue mask of p over the fixed columns, the
+        unit_bit of each unit bit of p at the bad primes, the number of this
+        tuple).  The tuples are interned, so equal symbols are one object.
+        A good prime p reads its tuple as
+        residue_syms[p % modulus] or split_syms[p]."""
         fixed = sum((kronecker(g, r) == -1) << i for i, g in enumerate(self.columns))
         bits = {q: table[r % m] for q, m, table in self.class_tables}
         units = tuple(i for (q, k), i in self.unit_bit.items() if bits[q] >> k & 1)
@@ -393,7 +392,7 @@ def _signature(ctx: _CurveContext, ad: int, primes: tuple[int, ...]):
     good, syms = [], []
     for p in primes:
         if p not in column_of:
-            sym = residue_syms[p % modulus] or split_syms[p]  # goodram_syms(p)
+            sym = residue_syms[p % modulus] or split_syms[p]
             good.append(p)
             syms.append(sym)
             key = key << width | sym[6]

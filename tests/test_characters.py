@@ -11,8 +11,9 @@ from twistselmer.characters import enumerate_characters
 from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
 from twistselmer.selmer import g_of_primes, make_pair
 
-# the norm-form search, the class lookups' oracle, is tested in its own module
-from test_quadfield import generator_if_principal, ideal_of
+# the norm-form search, the class lookups' oracle, is tested in its own
+# module, and so are the unit classes as elements
+from test_quadfield import generator_if_principal, ideal_of, units_mod_squares
 
 
 class TestEnumerate:
@@ -27,7 +28,7 @@ class TestEnumerate:
         K = qf.make_field(-1)
         a = enumerate_characters(K, 300)
         assert a == enumerate_characters(K, 300)
-        n_units = len(qf.units_mod_squares(K))
+        n_units = len(units_mod_squares(K))
         assert all(a[i : i + n_units] == [a[i]] * n_units for i in range(0, len(a), n_units))
         assert len(set(a)) * n_units == len(a)
 
@@ -56,7 +57,7 @@ class TestEnumerate:
         # once per unit class; the ideal list shares no code with the stack walk
         K = qf.make_field(m)
         squarefree = [a for a in qf._ideals_up_to_norm(K, X - 1) if all(e == 1 for _, e in a.factorization)]
-        n_units = len(qf.units_mod_squares(K))
+        n_units = len(units_mod_squares(K))
         reference = []
         for b in K.class_representatives:
             b2 = qf.ideal_mul(b, b)
@@ -88,7 +89,7 @@ class TestEnumerate:
             if not any(mul(alpha, c) in squares for c in classes):
                 classes.append(alpha)
         conductors = enumerate_characters(K, X)
-        units = qf.units_mod_squares(K)
+        units = units_mod_squares(K)
         # h = 1, so b = (1) and the triple (b, a, eps) stands for eps * (a generator of a);
         # each conductor a comes once per unit class, in unit order
         unit_index = cycle(range(len(units)))

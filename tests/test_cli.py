@@ -367,11 +367,22 @@ class TestIdealCount:
                 ["--m", "34", "--X", "20000", "--q", "3:0", "--d", "3:0"],
                 "7d206575f9d1cd20fdf41cb561df0cb4f39e2f3abc298af701be78b57150aee0",
             ),
+            # h = 1, real, with a fundamental unit of norm -1 whose coordinates pass 10^7
+            (
+                ["--m", "241", "--X", "3000"],
+                "3557df8e6c6550d8464694e25d6303bdcf0ed4f5c9103c190c261fdeae806fd3",
+            ),
+            # h = 2, real, with a fundamental unit of norm +1 whose coordinates pass 10^7
+            (
+                ["--m", "319", "--X", "3000", "--q", "3:0", "--d", "3:0"],
+                "c500d5f35399343f2d728876a280301d120f18653eb974c435063de355eafe0a",
+            ),
         ],
-        ids=["79", "-14", "34"],
+        ids=["79", "-14", "34", "241", "319"],
     )
     def test_sfcount_bytes(self, tmp_path, args, digest):
-        # the files as written when each field type had its own principality search
+        # the files as written when each field type had its own principality
+        # search; 241 and 319 as written when their units were first admitted
         out = tmp_path / "ic"
         assert run(["ideal-count", *args, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "sfcount.csv").read_bytes()).hexdigest() == digest

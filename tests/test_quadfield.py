@@ -11,6 +11,7 @@ import pytest
 import twistselmer.quadfield as qf
 from twistselmer.arith import PRIME_SEGMENT, kronecker, prime_flags, sieve_primes, squarefree_part
 from twistselmer.quadfield import (
+    DISC_CAP,
     INERT,
     ONE_IDEAL,
     SPLIT,
@@ -30,7 +31,6 @@ from twistselmer.quadfield import (
     primes_up_to,
     split_prime,
     squarefree_ideals_up_to,
-    units_mod_squares,
     zeta_at_2,
     zeta_residue,
 )
@@ -99,6 +99,17 @@ def brute_pell_unit(m, cap=10**5):
                 if x % 2 == 0 and y % 2 == 0:
                     return (x // 2, y // 2)
     raise AssertionError("no unit found")
+
+
+def units_mod_squares(field):
+    """Representatives of O_K^x/(O_K^x)^2 as elements (x, y) = x + y*omega:
+    1 and i = omega in Q(i), where -1 = i^2; 1 and zeta_6 = omega in
+    Q(sqrt(-3)), where zeta_6 = -zeta_3^2; 1 and -1 in the other imaginary
+    fields; and +-1, +-eps in the real ones."""
+    if field.m < 0:
+        return [(1, 0), (0, 1)] if field.m in (-1, -3) else [(1, 0), (-1, 0)]
+    x, y = field.fundamental_unit
+    return [(1, 0), (-1, 0), (x, y), (-x, -y)]
 
 
 # --- the norm-form principality search, the oracle of every class lookup ---
@@ -360,16 +371,12 @@ class TestMakeField:
         assert K13.fundamental_unit == brute_pell_unit(13) == (1, 1)
 
     def test_unit_matches_brute_force(self):
-        # 181 and 341 have units (604, 97) and (131, 15) outside Z[sqrt(m)], whose
-        # cubes exceed the coordinate cap; the cap applies to the unit itself
+        # 181 and 341 have units (604, 97) and (131, 15) outside Z[sqrt(m)]
         checked = []
         for m in range(2, 500):
             if squarefree_part(m) != m:
                 continue
-            try:
-                x, y = make_field(m).fundamental_unit
-            except FieldTooLargeError:
-                continue
+            x, y = make_field(m).fundamental_unit
             if y < 10**5:
                 assert (x, y) == brute_pell_unit(m, cap=2 * y + 2), m
                 checked.append(m)
@@ -379,6 +386,25 @@ class TestMakeField:
         for m in (0, 1, 12, -8):
             with pytest.raises(ValueError):
                 make_field(m)
+
+    def test_every_real_field_under_the_cap(self):
+        # the continued fraction finds every unit, Q(sqrt(9601)) with regulator 193.0 the largest
+        ms = [m for m in range(2, DISC_CAP + 1) if squarefree_part(m) == m and (m % 4 == 1 or 4 * m <= DISC_CAP)]
+        fields = [QuadraticField(m) for m in ms]
+        assert len(fields) == 3043
+        assert all(element_norm(K, K.fundamental_unit) in (1, -1) for K in fields)
+        K = max(fields, key=lambda K: K.regulator)
+        assert K.m == 9601 and 193 < K.regulator < 193.01
+
+    def test_regulator_by_the_class_number_formula(self):
+        # h R = -1/2 sum_{0 < r < D} chi_D(r) log sin(pi r/D) for D > 0 shares no
+        # code with the continued fraction or the forms; eps^2 for eps would double R
+        fields = [make_field(m) for m in range(2, 1000) if squarefree_part(m) == m]
+        assert len(fields) == 607
+        for K in fields:
+            D = K.disc
+            hR = -0.5 * math.fsum(kronecker(D, r) * math.log(math.sin(math.pi * r / D)) for r in range(1, D))
+            assert abs(K.class_number * K.regulator - hR) < 1e-11 * hR, K
 
     def test_disc_cap(self):
         with pytest.raises(FieldTooLargeError):
@@ -673,12 +699,12 @@ class TestAnalyticConstants:
 
 class TestUnitsAndDensity:
     def test_unit_class_sizes(self):
-        assert len(units_mod_squares(make_field(-5))) == 2
-        assert len(units_mod_squares(make_field(2))) == 4
-        assert len(units_mod_squares(make_field(-1))) == 2
+        for m, n in ((-5, 2), (-1, 2), (-3, 2), (2, 4), (139, 4)):
+            K = make_field(m)
+            assert K.num_unit_classes == len(units_mod_squares(K)) == n, m
 
     def test_units_are_units(self):
-        for m in (-1, -3, -5, 2, 5):
+        for m in (-1, -3, -5, 2, 5, 139, 241):
             K = make_field(m)
             for u in units_mod_squares(K):
                 assert abs(element_norm(K, u)) == 1
@@ -793,20 +819,18 @@ class TestClassOfPrime:
                         assert equivalent(K, IdealK(((P, 1),), P.norm), reps[cls]), (K.m, P)
 
     def test_by_reduced_cycles_on_real_fields(self):
-        # every admitted real field with m < 200 where the wide class group is
-        # not the narrow one read off a single rho-cycle (N(eps) = +1), or has
-        # h > 1; Q(sqrt(3)) has h = 1 and two narrow classes, and Q(sqrt(34))
-        # h = 2 with eps = 35 + 6 sqrt(34) of norm +1
+        # every real field with m < 200 where the wide class group is not the
+        # narrow one read off a single rho-cycle (N(eps) = +1), or has h > 1;
+        # Q(sqrt(3)) has h = 1 and two narrow classes, Q(sqrt(34)) h = 2 with
+        # eps = 35 + 6 sqrt(34) of norm +1, and 139, 151, 163, 166 and 199
+        # h = 1 with a unit of norm +1 whose coordinates pass 10^7
         fields = []
         for m in range(2, 200):
             if squarefree_part(m) == m:
-                try:
-                    K = QuadraticField(m)
-                except FieldTooLargeError:
-                    continue
+                K = QuadraticField(m)
                 if K.class_number > 1 or element_norm(K, K.fundamental_unit) == 1:
                     fields.append(K)
-        assert {3, 6, 7, 15, 21, 34, 79, 82} <= {K.m for K in fields} and len(fields) == 94
+        assert {3, 6, 7, 15, 21, 34, 79, 82, 139, 151, 163, 166, 199} <= {K.m for K in fields} and len(fields) == 99
         for K in fields:
             assert_classes_match_search(K, 3000)
 

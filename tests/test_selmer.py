@@ -174,10 +174,11 @@ def _brute_selmer_dim(a, b, d):
 
 
 # The one-sign descent that the two-sign kernel _descend_abs replaced, kept
-# as the reference for it: verbatim, except that goodram_syms has a sixth
-# and a seventh field (the unit bits of p at the bad primes, the number of
-# the tuple) to unpack and that the result no longer carries the per-place
-# dims.
+# as the reference for it: verbatim, except that a good prime's symbol
+# tuple has a sixth and a seventh field (the unit bits of p at the bad
+# primes, the number of the tuple) to unpack, that it reads the tuple off
+# residue_syms and split_syms, and that the result no longer carries the
+# per-place dims.
 def _parent_descend(
     pair: IsogenyPair,
     d: int,
@@ -211,7 +212,7 @@ def _parent_descend(
         raise
 
     # at a good prime p of d: the nonresidue mask of p over all columns
-    syms = [ctx.goodram_syms(p) for p in good]
+    syms = [ctx.residue_syms[p % ctx.modulus] or ctx.split_syms[p] for p in good]
     nonres = [sym[4] for sym in syms]
     for i, pi in enumerate(good):
         for j in range(i + 1, len(good)):
@@ -757,7 +758,8 @@ class TestResidueTable:
                 kb_dual = kronecker(-2 * a + 2 * sqrt_mod_prime(pair.b_dual, p), p) == -1
             fixed = sum((kronecker(g, p) == -1) << i for i, g in enumerate((-1, *pair.bad_primes)))
             units = tuple(i for (q, k), i in ctx.unit_bit.items() if _local_bits(p, q) >> k & 1)
-            assert ctx.goodram_syms(p)[:6] == (s, sp, kb_phi, kb_dual, fixed, units), (a, b, p)
+            sym = ctx.residue_syms[p % ctx.modulus] or ctx.split_syms[p]
+            assert sym[:6] == (s, sp, kb_phi, kb_dual, fixed, units), (a, b, p)
 
 
 def _direct_text(pair, X):
