@@ -117,7 +117,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if kronecker(a, p) != 1:
+    if pow(a, (p - 1) // 2, p) != 1:  # Euler's criterion
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -126,10 +126,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(least_nonresidue(p), q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
@@ -228,6 +225,7 @@ def squarefree_factors(lo: int, hi: int):
             yield d, tuple(ps)
 
 
+@lru_cache(maxsize=2048)  # more than the 1,228 odd primes below 1e4 that an audit at X = 1e4 can meet
 def least_nonresidue(p: int) -> int:
     """Smallest quadratic nonresidue modulo an odd prime p."""
     u = 2
@@ -262,25 +260,27 @@ def local_square_classes(place) -> list[int]:
 
 def torsor_locally_solvable(a: int, b: int, delta: int, place) -> bool:
     """Whether the descent torsor for the class of delta has a point over K_place."""
-    if b * (a * a - 4 * b) == 0:
+    m = a * a - 4 * b
+    if b * m == 0:
         raise ValueError("torsor_locally_solvable: singular curve (b*(a^2-4b) = 0)")
     if delta == 0:
         raise ValueError("torsor_locally_solvable: delta must be a nonzero class")
     if place == REAL_PLACE:
         if delta > 0:
             return True
-        return a * a - 4 * b < 0 or (a < 0 and b > 0)
+        return m < 0 or (a < 0 and b > 0)
     p = int(place)
-    A = delta * (a * a - 4 * b)
+    A = delta * m
     B = -2 * a * delta * delta
     C = delta**3
     q = [C, 0, B, 0, A]
     qrev = [A, 0, B, 0, C]
-    # disc of A z^4 + B z^2 + C, nonzero for nonsingular (a, b); reversal preserves it
-    disc = 4096 * delta**12 * b * b * (a * a - 4 * b)
+    # disc of A z^4 + B z^2 + C is 4096 delta^12 b^2 m, with m = a^2 - 4b, nonzero for
+    # nonsingular (a, b); reversal preserves it
     if p == 2:
+        disc = 4096 * delta**12 * b * b * m
         return any(_solve_z2(f, 0, 3 * (_v2(disc) + _v2(f[-1])) + 8) for f in (q, qrev))
-    cap = _val(disc, p) + 36
+    cap = 12 * _val(delta, p) + _val(b * b * m, p) + 36  # v_p(disc) + 36
     return _solve_odd(q, p, 0, 1, cap) or _solve_odd(qrev, p, 0, 1, cap)
 
 
@@ -303,9 +303,10 @@ def _taylor_shift_scale(c, r, p):
     """Coefficients of q(r + p*t) from those of q(t)."""
     c = list(c)
     n = len(c)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            c[j] += r * c[j + 1]
+    if r:  # at r = 0 only the scaling is left
+        for i in range(n):
+            for j in range(n - 2, i - 1, -1):
+                c[j] += r * c[j + 1]
     return [c[j] * p**j for j in range(n)]
 
 
@@ -362,50 +363,49 @@ def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
     symbol of its unit part).  Certificates only: a unit value that is a
     QR lifts by Hensel, a simple root of the reduction is a Z_p-root of q,
     and for p beyond scanning range the Weil bound forces a QR value
-    whenever the reduction is not a constant times a square.
+    whenever the reduction is not a constant times a square.  The
+    reduction is read as lead * f with f monic, so c*q = (c*lead) * f mod p.
     """
     if depth < 0:
         raise ArithmeticError("p-adic torsor recursion exceeded certified depth")
-    e = min(_val(coef, p) for coef in q if coef)
+    e = _val(math.gcd(*q), p)
     if e:
         pe = p**e
         q = [coef // pe for coef in q]
         c_parity ^= e & 1
-    qbar = [coef % p for coef in q]
-    deg = len(qbar) - 1
-    while deg and qbar[deg] == 0:
-        deg -= 1
-    if deg == 0:
-        return c_parity == 0 and c_kron * kronecker(qbar[0], p) == 1
+    lead, f = _pmonic(q, p)
     roots = None
     if c_parity == 0:
-        found, roots = _unit_square_value(qbar, deg, c_kron, p)
+        kron = c_kron * kronecker(lead, p)
+        if len(f) == 1:
+            return kron == 1
+        found, roots = _unit_square_value(f, kron, p)
         if found:
             return True
+    elif len(f) == 1:
+        return False
     if roots is None:
-        roots = _roots_mod_p(qbar, deg, p)
-    dqbar = [(i * qbar[i]) % p for i in range(1, deg + 1)]
+        roots = _roots_mod_p(f, p)
+    df = [i * f[i] % p for i in range(1, len(f))] if roots else ()
     for r in roots:
-        if _poly_eval(dqbar, r) % p != 0:
+        if _poly_eval(df, r) % p != 0:
             return True  # simple root mod p: Hensel root of q in Z_p, value 0
         if _solve_odd(_taylor_shift_scale(q, r, p), p, c_parity, c_kron, depth - 1):
             return True
     return False
 
 
-def _unit_square_value(qbar, deg, c_kron, p):
-    """(exists, roots): exists <=> some unit value of qbar has c*value a QR mod p.
+def _unit_square_value(f, c_kron, p):
+    """(exists, roots): exists <=> some unit value of the monic f has c*value a QR mod p.
 
     roots is the root list when the scan had to collect it, else None.
     """
     if p <= _SMALL_PRIME_SCAN:
-        return _unit_square_scan(qbar, c_kron, p)
+        return _unit_square_scan(f, c_kron, p)
     # Weil bound: for p > 16 a quartic that is not a constant times a square
-    # takes both classes of unit values; a constant times a square takes the
-    # class of its leading coefficient off its (< p) roots
-    if not _monic_is_square(_pmonic(qbar[: deg + 1], p), p):
-        return True, None
-    return c_kron * kronecker(qbar[deg], p) == 1, None
+    # takes both classes of unit values; a monic square takes square values
+    # off its (< p) roots
+    return not _monic_is_square(f, p) or c_kron == 1, None
 
 
 def _unit_square_scan(qbar, c_kron, p):
@@ -443,11 +443,11 @@ def _monic_is_square(f, p):
     raise ArithmeticError(f"square test of a degree-{deg} polynomial that is not even")
 
 
-def _roots_mod_p(qbar, deg, p):
-    """The distinct roots in F_p of qbar (degree deg >= 1), ascending."""
+def _roots_mod_p(f, p):
+    """The distinct roots in F_p of the monic f (degree >= 1), ascending."""
     if p <= _SMALL_PRIME_SCAN:
-        return _roots_by_scan(qbar, p)
-    return _monic_roots(_pmonic(qbar[: deg + 1], p), p)
+        return _roots_by_scan(f, p)
+    return _monic_roots(f, p)
 
 
 def _roots_by_scan(qbar, p):
@@ -460,8 +460,11 @@ def _monic_roots(f, p):
     Degree 1 and 2 by formula; an even f = h(z^2) from the square roots of
     the roots of h.  The torsor solver makes no other f: q is even, and
     after a Taylor shift at r != 0 mod p at most two roots of q (one of each
-    pair +-root) lie near r, so the reduction has degree <= 2.
+    pair +-root) lie near r, so the reduction has degree <= 2.  z^n, the
+    reversal's reduction at every good prime, has the root 0 alone.
     """
+    if not any(f[:-1]):
+        return [0]
     deg = len(f) - 1
     if deg == 1:
         return [-f[0] % p]
@@ -483,9 +486,10 @@ def _monic_roots(f, p):
 
 
 def _pmonic(f, p):
-    """f mod p, without leading zeros, divided by its leading coefficient."""
+    """(lead, g): f mod p is lead * g, with g monic and lead its leading coefficient."""
     f = [c % p for c in f]
     while len(f) > 1 and f[-1] == 0:
         f.pop()
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
+    lead = f[-1]
+    inv = pow(lead, -1, p)
+    return lead, [c * inv % p for c in f]

@@ -607,14 +607,17 @@ def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
 
 def _parity_modulus(pair: IsogenyPair) -> int | None:
     """-N_odd, where N_odd is the product of the odd primes of multiplicative
-    reduction: the odd bad primes not dividing c4 = 16(a^2 - 3b).  None when
-    the model may not be minimal at an odd bad prime (p^4 | c4 and
-    p^12 | disc), where the reduction type cannot be read off it."""
+    reduction: the odd bad primes not dividing c4 = 16(a^2 - 3b).  An
+    additive prime p >= 5 has f_p = 2, so it leaves the symbol (d | N) alone.
+    None when the model may not be minimal at an odd bad prime (p^4 | c4 and
+    p^12 | disc), where the reduction type cannot be read off it, and when 3
+    is additive, where the reduction type alone does not fix f_3 (2, 3, 4
+    or 5 in general)."""
     c4 = 16 * (pair.a * pair.a - 3 * pair.b)
     disc = 16 * pair.b * pair.b * pair.b_dual
     n_odd = 1
     for p in pair.bad_primes[1:]:  # bad_primes starts with 2
-        if c4 % p**4 == 0 and disc % p**12 == 0:
+        if (c4 % p**4 == 0 and disc % p**12 == 0) or (p == 3 and c4 % 3 == 0):
             return None
         if c4 % p:
             n_odd *= p
@@ -650,6 +653,7 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     n_cross = 0
     n_twists = 0
     cross_cache: dict = {}
+    cross_done: set[int] = set()  # primes with both twist classes in cross_cache
     parity_mod = _parity_modulus(pair)
     parity_ref: dict[int, tuple[int, int]] = {}  # d % 8 -> (d, sign) of its first checked twist
     n_parity = n_parity_skipped = 0
@@ -659,7 +663,8 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
         ctx.images[2][0] = ((dim + 1, rows), dual)
 
     for ad, fact in squarefree_factors(1, X):
-        coprime = not any(p in pair.bad_primes for p in fact)  # 2 is a bad prime, so ad is odd
+        good = [p for p in fact if p not in pair.bad_primes]
+        coprime = len(good) == len(fact)  # 2 is a bad prime, so ad is odd
         for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact)):
             n_twists += 1
             if isinstance(row, DescentConsistencyError):
@@ -668,11 +673,15 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
                 continue
             ord2t, correction = row[3], row[6]
             corrections.add(correction)
-            for p in (p for p in fact if p not in pair.bad_primes):
+            for p in good:
+                if p in cross_done:
+                    continue
                 key = (p, kronecker(d // p, p))
                 if key not in cross_cache:
                     cross_cache[key] = local_image(pair.a, pair.b, d, p)[0]
                     n_cross += 1
+                    if (p, -key[1]) in cross_cache:
+                        cross_done.add(p)
                     table = local_dim_good_ramified(pair, p)
                     if cross_cache[key] != table:
                         failures.append(

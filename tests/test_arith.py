@@ -12,6 +12,7 @@ from twistselmer.arith import (
     factorize,
     is_perfect_square,
     kronecker,
+    least_nonresidue,
     local_square_classes,
     prime_flags,
     sieve_primes,
@@ -142,6 +143,26 @@ class TestSqrtMod:
                     assert r is None
                 else:
                     assert r is not None and r * r % p == a % p
+
+    def test_every_residue_below_600(self):
+        # p = 3 mod 4 by one power; p = 1 mod 4, and p = 1 mod 8 in particular,
+        # by the Tonelli-Shanks loop
+        for p in sieve_primes(600)[1:]:
+            roots = {}
+            for r in range(p):
+                roots.setdefault(r * r % p, r)  # the smaller root of each square comes first
+            for a in range(-p, 2 * p):
+                assert sqrt_mod_prime(a, p) == roots.get(a % p), (a, p)
+
+    def test_nonresidue_cache_stays_bounded(self):
+        maxsize = least_nonresidue.cache_info().maxsize
+        primes = sieve_primes(40000)[1:]
+        assert len(primes) > maxsize
+        for p in primes:
+            u = least_nonresidue(p)
+            assert kronecker(u, p) == -1 and all(kronecker(v, p) == 1 for v in range(2, u))
+            assert least_nonresidue.cache_info().currsize <= maxsize
+        assert least_nonresidue.cache_info().currsize == maxsize
 
 
 class TestSquarefreePart:
@@ -428,12 +449,13 @@ class TestOddPrimeRoutes:
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
         rng = random.Random(p)
         for f in _route_cases(p, rng, 24):
-            deg = len(f) - 1
+            # the solver hands both routes the monic g, with lead's symbol in the multiplier
+            lead, g = arith._pmonic(f, p)
             scan_roots = arith._roots_by_scan(f, p)
-            assert arith._roots_mod_p(f, deg, p) == scan_roots, f
+            assert arith._roots_mod_p(g, p) == scan_roots, f
             for c_kron in (1, -1):
                 exists, roots = arith._unit_square_scan(f, c_kron, p)
-                assert arith._unit_square_value(f, deg, c_kron, p)[0] == exists, (f, c_kron)
+                assert arith._unit_square_value(g, c_kron * kronecker(lead, p), p)[0] == exists, (f, c_kron)
                 assert roots is None or roots == scan_roots
 
     def test_even_reduction_matches_scan(self):
@@ -443,7 +465,7 @@ class TestOddPrimeRoutes:
         for _ in range(40):
             p = rng.choice(primes)
             for f in _route_cases(p, rng, 12):
-                f = arith._pmonic(f, p)
+                _, f = arith._pmonic(f, p)
                 assert arith._monic_roots(f, p) == arith._roots_by_scan(f, p), (f, p)
                 square = _square_by_coefficients(f, p)
                 assert arith._monic_is_square(f, p) == square, (f, p)

@@ -7,6 +7,7 @@ from twistselmer.arith import (
     REAL_PLACE,
     factorize,
     kronecker,
+    least_nonresidue,
     sieve_primes,
     squarefree_factors,
     squarefree_flags,
@@ -151,6 +152,20 @@ class TestLocalDim:
                         continue
                     seen.add(key)
                     assert local_image(a, b, d, p)[0] == local_dim_good_ramified(pair, p), (a, b, d, p)
+
+    @pytest.mark.parametrize("a, b", CURVES_20[:5])
+    def test_weil_route_matches_scan_below_2000(self, a, b, monkeypatch):
+        # at every good prime 29 < p < 2000 and both twist classes there, the
+        # Weil bound and the roots in F_p[x] against the scan of all p residues
+        import twistselmer.arith as arith
+
+        pair = make_pair(a, b)
+        for p in (p for p in sieve_primes(2000) if p > 29 and p not in pair.bad_primes):
+            for rep in (p, p * least_nonresidue(p)):
+                monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
+                weil = local_image(a, b, rep, p)
+                monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p)
+                assert local_image(a, b, rep, p) == weil, (a, b, rep, p)
 
 
 def _factor(n):
@@ -655,6 +670,16 @@ class TestAudit:
         assert report["ok"], report["failures"][:2]
         assert report["n_parity_checks"] > 100 and report["n_parity_skipped"] == 0
 
+    def test_root_number_parity_refuses_additive_reduction_at_3(self):
+        # y^2 = x^3 + 3x: 3 divides c4 = -144 and disc, but 3^4 does not divide c4
+        from twistselmer.selmer import _parity_modulus
+
+        pair = make_pair(0, 3)
+        assert 3 in pair.bad_primes and _parity_modulus(pair) is None
+        report = audit_curve(pair, 200)
+        assert report["ok"] and report["n_parity_checks"] == 0 and report["n_parity_skipped"] > 0
+        assert all(_parity_modulus(make_pair(a, b)) is not None for a, b in PARITY_CURVES)
+
     def test_root_number_parity_refuses_a_model_not_minimal_at_3(self):
         from twistselmer.selmer import _parity_modulus
 
@@ -678,6 +703,50 @@ class TestAudit:
         report = audit_curve(make_pair(1, -1), 20)
         assert not report["ok"]
         assert {f["check"] for f in report["failures"]} == {"ord2-decomposition"}
+
+
+class TestCrossOracleKeys:
+    """The audit's cross-checks: one per (good prime p, class of d/p at p)."""
+
+    @staticmethod
+    def _first_twists(pair, X):
+        """{(p, (d/p | p)): the first d of the audit's order that has it}, brute force."""
+        first = {}
+        for ad, primes in squarefree_factors(1, X):
+            for d in (ad, -ad):
+                for p in primes:
+                    if p not in pair.bad_primes:
+                        first.setdefault((p, kronecker(d // p, p)), d)
+        return first
+
+    @pytest.mark.parametrize("a, b", CURVES_20[:6])
+    def test_count_is_the_brute_count_of_keys(self, a, b):
+        pair = make_pair(a, b)
+        report = audit_curve(pair, 3000)
+        assert report["ok"], report["failures"][:2]
+        assert report["n_cross_checks"] == len(self._first_twists(pair, 3000))
+
+    @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3)])
+    def test_disagreement_at_the_largest_prime_is_named(self, a, b, monkeypatch):
+        # the largest good prime is met last, after most primes have both classes cached
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(a, b)
+        first = self._first_twists(pair, 3000)
+        top = max(p for p, _ in first)
+        real = selmer.local_image
+
+        def off_at_top(a, b, rep, place):
+            dim, masks = real(a, b, rep, place)
+            return (dim + 1 if place == top else dim), masks
+
+        monkeypatch.setattr(selmer, "local_image", off_at_top)
+        report = audit_curve(pair, 3000)
+        named = [(f["d"], f["check"]) for f in report["failures"]]
+        want = [(d, "good-ramified-cross-oracle") for (p, _), d in first.items() if p == top]  # in audit order
+        assert top == 2999 and len(want) == 2  # 2999 = 3 mod 4: d = 2999 and d = -2999 differ at it
+        assert named == want
+        assert all(f["detail"].startswith(f"p={top}: ") for f in report["failures"])
 
 
 class TestContextCache:
