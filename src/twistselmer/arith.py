@@ -14,12 +14,13 @@ from itertools import compress
 
 REAL_PLACE = "oo"
 
-# Odd primes p <= _SMALL_PRIME_SCAN are decided by a scan of all p residues,
-# larger ones by the Weil bound (sound from p = 17) and roots in F_p[x].  Per
-# torsor call on twists of random curves (Python 3.11, 2-core VM) the scan
-# took 32 us against 28 us for the polynomial route at p = 17, 52 against
-# 30 us at p = 31, and 250-310 against 17-18 us at p = 307-397; the scan,
-# which needs no bound, keeps the primes up to 29, near that crossover.
+# At an odd p <= _SMALL_PRIME_SCAN a scan of all p residues decides whether
+# the reduction takes a unit value of the wanted class, beyond it the Weil
+# bound (sound from p = 17); _monic_roots finds the roots at every odd p.
+# Per torsor call on twists of random curves (Python 3.11, 2-core VM) the
+# scan took 32 us against 28 us for the polynomial route at p = 17, 52
+# against 30 us at p = 31, and 250-310 against 17-18 us at p = 307-397; the
+# scan, which needs no bound, keeps the primes up to 29, near that crossover.
 _SMALL_PRIME_SCAN = 29
 
 # squarefree_factors keeps one list (about 100 bytes) per integer of a block
@@ -374,18 +375,15 @@ def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
         q = [coef // pe for coef in q]
         c_parity ^= e & 1
     lead, f = _pmonic(q, p)
-    roots = None
     if c_parity == 0:
         kron = c_kron * kronecker(lead, p)
         if len(f) == 1:
             return kron == 1
-        found, roots = _unit_square_value(f, kron, p)
-        if found:
+        if _unit_square_value(f, kron, p):
             return True
     elif len(f) == 1:
         return False
-    if roots is None:
-        roots = _roots_mod_p(f, p)
+    roots = _monic_roots(f, p)
     df = [i * f[i] % p for i in range(1, len(f))] if roots else ()
     for r in roots:
         if _poly_eval(df, r) % p != 0:
@@ -395,29 +393,19 @@ def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
     return False
 
 
-def _unit_square_value(f, c_kron, p):
-    """(exists, roots): exists <=> some unit value of the monic f has c*value a QR mod p.
-
-    roots is the root list when the scan had to collect it, else None.
-    """
+def _unit_square_value(f, c_kron, p) -> bool:
+    """Whether some unit value of the monic f has c*value a QR mod p."""
     if p <= _SMALL_PRIME_SCAN:
         return _unit_square_scan(f, c_kron, p)
     # Weil bound: for p > 16 a quartic that is not a constant times a square
     # takes both classes of unit values; a monic square takes square values
     # off its (< p) roots
-    return not _monic_is_square(f, p) or c_kron == 1, None
+    return not _monic_is_square(f, p) or c_kron == 1
 
 
-def _unit_square_scan(qbar, c_kron, p):
+def _unit_square_scan(qbar, c_kron, p) -> bool:
     """_unit_square_value by evaluating qbar at every residue."""
-    roots = []
-    for t in range(p):
-        v = _poly_eval(qbar, t) % p
-        if v == 0:
-            roots.append(t)
-        elif c_kron * kronecker(v, p) == 1:
-            return True, None
-    return False, roots
+    return any(c_kron * kronecker(_poly_eval(qbar, t) % p, p) == 1 for t in range(p))
 
 
 def _even_half(f):
@@ -443,19 +431,8 @@ def _monic_is_square(f, p):
     raise ArithmeticError(f"square test of a degree-{deg} polynomial that is not even")
 
 
-def _roots_mod_p(f, p):
-    """The distinct roots in F_p of the monic f (degree >= 1), ascending."""
-    if p <= _SMALL_PRIME_SCAN:
-        return _roots_by_scan(f, p)
-    return _monic_roots(f, p)
-
-
-def _roots_by_scan(qbar, p):
-    return [t for t in range(p) if _poly_eval(qbar, t) % p == 0]
-
-
 def _monic_roots(f, p):
-    """The distinct roots in F_p of a monic f, ascending, p odd.
+    """The distinct roots in F_p of a monic f, ascending, at every odd p.
 
     Degree 1 and 2 by formula; an even f = h(z^2) from the square roots of
     the roots of h.  The torsor solver makes no other f: q is even, and

@@ -12,6 +12,7 @@ by two independent routes whose agreement is asserted on every twist.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .arith import (
     local_square_classes,
     sqrt_mod_prime,
     squarefree_factors,
-    squarefree_part,
     torsor_locally_solvable,
 )
 
@@ -241,6 +241,7 @@ class _CurveContext:
     def __init__(self, pair: IsogenyPair):
         self.pair = pair
         self.bad_places = (REAL_PLACE, *pair.bad_primes)
+        self.minus_one = [_local_bits(-1, v) for v in self.bad_places]  # XOR turns d's class bits into -d's
         self.sides = ((pair.a, pair.b), (pair.a_dual, pair.b_dual))
         self.columns = (-1, *pair.bad_primes)
         self.column_of = {p: i for i, p in enumerate(self.columns)}
@@ -355,9 +356,9 @@ def _context(pair: IsogenyPair) -> _CurveContext:
 
 def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> SelmerDescentResult:
     """Full local-global descent data for the twist of `pair` by d."""
-    d0 = squarefree_part(d)
+    primes = tuple(p for p, e in factorize(d) if e % 2)  # those of the squarefree part of d
     ctx = _ctx if _ctx is not None else _context(pair)
-    row = _descend_abs(ctx, abs(d0), tuple(p for p, _ in factorize(d0)))[d0 < 0]
+    row = _descend_abs(ctx, math.prod(primes), primes)[d < 0]
     if isinstance(row, DescentConsistencyError):
         raise row
     return SelmerDescentResult._make(row)
@@ -419,25 +420,22 @@ def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> list
     dmask = ((1 << len(good)) - 1) << nfix  # +ad over the columns: its bad primes, then all of its good primes
 
     # the class bits of +ad and -ad at the places over 2*disc*oo
-    plus, minus = [0], [1]
+    plus = [0]
     for i, (q, m, table) in enumerate(ctx.class_tables, 1):
         if ad % q:
             plus.append(table[ad % m])
-            minus.append(table[-ad % m])
         else:
             dmask |= 1 << i
-            u = ad // q
-            plus.append(1 | table[u % m])
-            minus.append(1 | table[-u % m])
+            plus.append(1 | table[ad // q % m])
+    minus = [c ^ sign for c, sign in zip(plus, ctx.minus_one)]
 
     units = [0] * (len(ctx.unit_bit) + 1)  # per unit bit at a bad prime, the good columns that have it
     killed0 = killed1 = 0  # per side, the columns of its single-column rows
     plus0, plus1, minus0, minus1 = [], [], [], []  # per sign and side, the other good-prime rows
-    g_val = excess = 0  # excess: the sum of (dim H^1_phi - 1) over the good primes
+    g_val = 0
     col = 1 << nfix
     for (s, sp, kb_phi, kb_dual, _, ubits, _), n in zip(syms, nonres):
         g_val += (sp - s) // 2
-        excess += _good_dim(s, sp) - 1
         for i in ubits:
             units[i] |= col
         if s != sp:
@@ -468,6 +466,9 @@ def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> list
     # a single-column row adds 1 to the rank and clears its column from the other rows
     keep0, keep1 = ~killed0, ~killed1
     base0, base1 = ngens - killed0.bit_count(), ngens - killed1.bit_count()
+    # the sum of (dim H^1_phi - 1) over the good primes: dim is 0 where side 0 alone
+    # has a single-column row, 2 where side 1 alone has one, and 1 elsewhere
+    excess = base0 - base1
 
     rows = []
     for d, classes, good0, good1 in ((ad, plus, plus0, plus1), (-ad, minus, minus0, minus1)):
@@ -608,16 +609,18 @@ def scan_twists(pair: IsogenyPair, X: int, workers: int = 1):
 def _parity_modulus(pair: IsogenyPair) -> int | None:
     """-N_odd, where N_odd is the product of the odd primes of multiplicative
     reduction: the odd bad primes not dividing c4 = 16(a^2 - 3b).  An
-    additive prime p >= 5 has f_p = 2, so it leaves the symbol (d | N) alone.
-    None when the model may not be minimal at an odd bad prime (p^4 | c4 and
-    p^12 | disc), where the reduction type cannot be read off it, and when 3
-    is additive, where the reduction type alone does not fix f_3 (2, 3, 4
-    or 5 in general)."""
+    additive odd prime p has f_p = 2, so it leaves the symbol (d | N) alone:
+    wild inertia at p is pro-p and fixes the rational 2-torsion point, so
+    its image in Aut(E[2]) has order <= 2 and it acts trivially on E[2]; on
+    T_2 it then acts through the pro-2 ker(GL_2(Z_2) -> GL_2(F_2)), so
+    trivially too, and the Swan conductor is 0.  None when the model may
+    not be minimal at an odd bad prime (p^4 | c4 and p^12 | disc), where
+    the reduction type cannot be read off it."""
     c4 = 16 * (pair.a * pair.a - 3 * pair.b)
     disc = 16 * pair.b * pair.b * pair.b_dual
     n_odd = 1
     for p in pair.bad_primes[1:]:  # bad_primes starts with 2
-        if (c4 % p**4 == 0 and disc % p**12 == 0) or (p == 3 and c4 % 3 == 0):
+        if c4 % p**4 == 0 and disc % p**12 == 0:
             return None
         if c4 % p:
             n_odd *= p

@@ -440,9 +440,25 @@ def _square_by_coefficients(f, p):
     return _poly_mul(g, g, p) == [c % p for c in f]
 
 
+def _roots_by_scan(f, p):
+    """The distinct roots of f in F_p, ascending, by evaluating f at every
+    residue: the oracle for arith._monic_roots."""
+    return [t for t in range(p) if _poly_eval(f, t) % p == 0]
+
+
 class TestOddPrimeRoutes:
-    """The residue scan and the polynomial route of the odd-prime torsor
-    solver, each run on its own against the other."""
+    """The residue scan and the Weil route of the odd-prime torsor solver,
+    each run on its own against the other, and its one root finder against
+    the roots found by a scan."""
+
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(30) if p > 2])
+    def test_monic_roots_match_scan_at_scanned_primes(self, p):
+        # every monic polynomial of degree 1 and 2, and every even monic quartic z^4 + u z^2 + w, z^4 included
+        cases = [[w, 1] for w in range(p)]
+        cases += [[w, u, 1] for w in range(p) for u in range(p)]
+        cases += [[w, 0, u, 0, 1] for w in range(p) for u in range(p)]
+        for f in cases:
+            assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(401) if p >= 31])
     def test_polynomial_route_matches_scan(self, p, monkeypatch):
@@ -451,12 +467,10 @@ class TestOddPrimeRoutes:
         for f in _route_cases(p, rng, 24):
             # the solver hands both routes the monic g, with lead's symbol in the multiplier
             lead, g = arith._pmonic(f, p)
-            scan_roots = arith._roots_by_scan(f, p)
-            assert arith._roots_mod_p(g, p) == scan_roots, f
+            assert arith._monic_roots(g, p) == _roots_by_scan(f, p), f
             for c_kron in (1, -1):
-                exists, roots = arith._unit_square_scan(f, c_kron, p)
-                assert arith._unit_square_value(g, c_kron * kronecker(lead, p), p)[0] == exists, (f, c_kron)
-                assert roots is None or roots == scan_roots
+                exists = arith._unit_square_scan(f, c_kron, p)
+                assert arith._unit_square_value(g, c_kron * kronecker(lead, p), p) is exists, (f, c_kron)
 
     def test_even_reduction_matches_scan(self):
         rng = random.Random(4)
@@ -466,7 +480,7 @@ class TestOddPrimeRoutes:
             p = rng.choice(primes)
             for f in _route_cases(p, rng, 12):
                 _, f = arith._pmonic(f, p)
-                assert arith._monic_roots(f, p) == arith._roots_by_scan(f, p), (f, p)
+                assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
                 square = _square_by_coefficients(f, p)
                 assert arith._monic_is_square(f, p) == square, (f, p)
                 squares += square

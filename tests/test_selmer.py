@@ -41,6 +41,8 @@ CURVES_20 = [
 
 # the curves of the root-number parity audit
 PARITY_CURVES = [(1, -1), (0, 4), (-1, 3), (0, -2), (7, -11), (2, 3), (3, -5), (5, 2), (-3, 7)]
+# additive at 3 (3 | c4 and disc) with models minimal there
+ADDITIVE_AT_3 = [(0, 3), (0, -3), (3, 3), (0, 6), (3, -3)]
 
 
 def g_chi_of_twist(pair, d):
@@ -670,15 +672,29 @@ class TestAudit:
         assert report["ok"], report["failures"][:2]
         assert report["n_parity_checks"] > 100 and report["n_parity_skipped"] == 0
 
-    def test_root_number_parity_refuses_additive_reduction_at_3(self):
-        # y^2 = x^3 + 3x: 3 divides c4 = -144 and disc, but 3^4 does not divide c4
+    def test_root_number_parity_checks_additive_reduction_at_3(self):
+        # e.g. y^2 = x^3 + 3x: 3 divides c4 = -144 and disc, but 3^4 does not divide c4;
+        # f_3 = 2, so 3 stays out of N_odd and the parity check runs
         from twistselmer.selmer import _parity_modulus
 
-        pair = make_pair(0, 3)
-        assert 3 in pair.bad_primes and _parity_modulus(pair) is None
-        report = audit_curve(pair, 200)
-        assert report["ok"] and report["n_parity_checks"] == 0 and report["n_parity_skipped"] > 0
+        for a, b in ADDITIVE_AT_3:
+            pair = make_pair(a, b)
+            assert 3 in pair.bad_primes and 16 * (a * a - 3 * b) % 3 == 0
+            assert _parity_modulus(pair) % 3 != 0
+            report = audit_curve(pair, 200)
+            assert report["ok"], (a, b, report["failures"][:2])
+            assert report["n_parity_checks"] > 50 and report["n_parity_skipped"] == 0
         assert all(_parity_modulus(make_pair(a, b)) is not None for a, b in PARITY_CURVES)
+
+    def test_three_in_n_odd_fires_root_number_parity(self, monkeypatch):
+        # the mutant that counts an additive 3 as multiplicative, as if f_3 were 1
+        import twistselmer.selmer as selmer
+
+        real = selmer._parity_modulus
+        monkeypatch.setattr(selmer, "_parity_modulus", lambda pair: 3 * real(pair))
+        for a, b in ADDITIVE_AT_3:
+            report = audit_curve(make_pair(a, b), 200)
+            assert report["failures"] and {f["check"] for f in report["failures"]} == {"root-number-parity"}, (a, b)
 
     def test_root_number_parity_refuses_a_model_not_minimal_at_3(self):
         from twistselmer.selmer import _parity_modulus
