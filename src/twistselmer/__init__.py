@@ -6,7 +6,6 @@ squarefree-ideal counting in quadratic number fields."""
 from .arith import (
     REAL_PLACE,
     kronecker,
-    local_square_classes,
     sieve_primes,
     squarefree_part,
     torsor_locally_solvable,

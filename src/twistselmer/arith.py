@@ -44,7 +44,6 @@ __all__ = [
     "squarefree_factors",
     "SIEVE_BLOCK",
     "least_nonresidue",
-    "local_square_classes",
     "torsor_locally_solvable",
 ]
 
@@ -233,17 +232,6 @@ def least_nonresidue(p: int) -> int:
     while kronecker(u, p) != -1:
         u += 1
     return u
-
-
-def local_square_classes(place) -> list[int]:
-    """Squarefree integer representatives of K_v^x/(K_v^x)^2 for v = place."""
-    if place == REAL_PLACE:
-        return [1, -1]
-    if place == 2:
-        return [1, -1, 2, -2, 5, -5, 10, -10]
-    p = int(place)
-    u = least_nonresidue(p)
-    return [1, u, p, u * p]
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .arith import (
     is_perfect_square,
     kronecker,
     least_nonresidue,
-    local_square_classes,
     sqrt_mod_prime,
     squarefree_factors,
     torsor_locally_solvable,
@@ -121,9 +120,8 @@ def local_image(a: int, b: int, rep: int, place) -> tuple[int, tuple[int, ...]]:
     bit coordinates (see _local_bits), and log2 of their number.  This is the
     torsor route, independent of any symbol table."""
     at, bt = a * rep, b * rep * rep
-    masks = tuple(
-        _local_bits(delta, place) for delta in local_square_classes(place) if torsor_locally_solvable(at, bt, delta, place)
-    )
+    nbits = 1 if place == REAL_PLACE else 3 if place == 2 else 2
+    masks = tuple(bits for bits in range(1 << nbits) if torsor_locally_solvable(at, bt, _class_rep(bits, place), place))
     dim = len(masks).bit_length() - 1
     if 1 << dim != len(masks):
         raise DescentConsistencyError(
@@ -159,7 +157,7 @@ def _local_bits(n: int, place) -> int:
 
 
 def _class_rep(bits: int, place) -> int:
-    """The representative in local_square_classes(place) of the class with these bits."""
+    """The squarefree integer representative of the class at `place` with these bits."""
     if place == REAL_PLACE:
         return -1 if bits else 1
     unit = (1, -1, 5, -5)[bits >> 1] if place == 2 else least_nonresidue(place) ** (bits >> 1)
@@ -234,8 +232,8 @@ class _CurveContext:
     with s = s' = 1, whose square-root bits need p itself.
 
     `memo` maps the signature of a pair of twists +-|d| (see _signature) to
-    the interned entry of their verified rows; `_scan_chunk` fills it, up to
-    _MEMO_CAP signatures.
+    the interned entry of their verified rows; `_descend_abs`, which scan,
+    audit and descend all call, fills it, up to _MEMO_CAP signatures.
     """
 
     def __init__(self, pair: IsogenyPair):
@@ -335,43 +333,58 @@ class _CurveContext:
             self.syms[syms] = (*syms, len(self.syms))
         return self.syms[syms]
 
-    def entry(self, plus: tuple, minus: tuple):
-        """The interned memo value of the verified rows of +|d| and -|d|: the
-        rows without d, then the twists.csv text of each row after its d."""
-        values = plus[1:], minus[1:]
-        entry = self.entries.get(values)
-        if entry is None:
-            tails = (
-                f",{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n"
-                for sel, sel_dual, product, _, g_chi, correction in values
-            )
-            entry = self.entries[values] = (*values, *tails)
-        return entry
-
 
 @lru_cache(maxsize=8)
 def _context(pair: IsogenyPair) -> _CurveContext:
     return _CurveContext(pair)
 
 
-def descend(pair: IsogenyPair, d: int, *, _ctx: _CurveContext | None = None) -> SelmerDescentResult:
+def descend(pair: IsogenyPair, d: int) -> SelmerDescentResult:
     """Full local-global descent data for the twist of `pair` by d."""
     primes = tuple(p for p, e in factorize(d) if e % 2)  # those of the squarefree part of d
-    ctx = _ctx if _ctx is not None else _context(pair)
-    row = _descend_abs(ctx, math.prod(primes), primes)[d < 0]
-    if isinstance(row, DescentConsistencyError):
+    ad = math.prod(primes)
+    row = _descend_abs(_context(pair), ad, primes)[d < 0]
+    if type(row) is not tuple:
         raise row
-    return SelmerDescentResult._make(row)
+    return SelmerDescentResult(-ad if d < 0 else ad, *row)
 
 
-def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...]) -> list:
-    """The descents of the twists by +ad and by -ad, in that order, where
-    ad > 0 is squarefree with these primes: per twist its row, the seven
-    ints of a SelmerDescentResult as a plain tuple, or the
-    DescentConsistencyError that its checks raised.  What depends only on ad
-    (good-prime symbols, residue bits, single-column rows) is computed once
-    for both."""
-    return _rows(ctx, ad, *_signature(ctx, ad, primes))
+def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...]) -> tuple:
+    """The memo entry of the twists by +ad and by -ad, where ad > 0 is
+    squarefree with these primes: (plus, minus, plus text, minus text).
+    plus and minus are the rows of +ad and -ad, the six ints of a
+    SelmerDescentResult after d as a plain tuple, and each text is the
+    twists.csv line of its row after d.  A row whose checks failed is the
+    DescentConsistencyError that they raised, and then both texts are None.
+
+    The rows are read from the memo of ctx by the signature of ad (see
+    _signature) when an earlier |d| had it; each row still goes through
+    _check_identities with its own d, and a failure there reruns _rows,
+    whose error carries the dims.  A miss runs _rows and stores the entry
+    of two verified rows while the memo holds fewer than _MEMO_CAP
+    signatures.  The entries are interned, so equal rows are one object."""
+    signature = _signature(ctx, ad, primes)
+    entry = ctx.memo.get(signature[0])
+    if entry is not None:
+        try:
+            _check_identities((ad, *entry[0]))
+            _check_identities((-ad, *entry[1]))
+            return entry
+        except DescentConsistencyError:
+            pass
+    rows = _rows(ctx, ad, *signature)
+    if type(rows[0]) is not tuple or type(rows[1]) is not tuple:
+        return (*rows, None, None)
+    entry = ctx.entries.get(rows)
+    if entry is None:
+        tails = (
+            f",{g_chi},{correction},{product},{sel},{sel_dual},{product - _SELMER2_SLACK}\n"
+            for sel, sel_dual, product, _, g_chi, correction in rows
+        )
+        entry = ctx.entries[rows] = (*rows, *tails)
+    if len(ctx.memo) < _MEMO_CAP:
+        ctx.memo[signature[0]] = entry
+    return entry
 
 
 def _signature(ctx: _CurveContext, ad: int, primes: tuple[int, ...]):
@@ -379,17 +392,21 @@ def _signature(ctx: _CurveContext, ad: int, primes: tuple[int, ...]):
     squarefree with these primes.
 
     The rows of both twists depend on ad only through the key, one int that
-    packs, after a leading 1: the class bits of +ad at each bad prime, 3
-    bits each (their valuation bits are the bad primes of ad; -ad's class
-    bits are a function of them), the number of each good prime's symbol
-    tuple, sym_bits each, and last the Legendre symbols (p_i | p_j), i < j,
-    among the good primes, one bit each, that _rows reads back.  The key's
-    length grows with the number of good primes, so it is injective."""
+    packs, after a leading 1: whether each bad prime divides ad, one bit
+    each, the number of each good prime's symbol tuple, sym_bits each, and
+    last the Legendre symbols (p_i | p_j), i < j, among the good primes,
+    one bit each, that _rows reads back.  The class bits of +ad at a bad
+    prime q, which _rows reads off ad, are a function of the key: the class
+    map is a homomorphism, so they are the XOR of those of the primes of ad.
+    q itself gives the valuation bit, the other bad primes of ad constant
+    bits, and a good prime its unit bits at q, which its symbol tuple holds;
+    -ad's class bits are a function of +ad's.  The key's length grows with
+    the number of good primes, so it is injective."""
     column_of = ctx.column_of
     residue_syms, split_syms, modulus, width = ctx.residue_syms, ctx.split_syms, ctx.modulus, ctx.sym_bits
     key = 1
-    for q, m, table in ctx.class_tables:
-        key = key << 3 | (table[ad % m] if ad % q else 1 | table[ad // q % m])
+    for q in ctx.pair.bad_primes:
+        key = key << 1 | (ad % q == 0)
     good, syms = [], []
     for p in primes:
         if p not in column_of:
@@ -403,9 +420,10 @@ def _signature(ctx: _CurveContext, ad: int, primes: tuple[int, ...]):
     return key, good, syms
 
 
-def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> list:
+def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> tuple:
     """The rows of +ad and -ad (or their errors, see _descend_abs) from the
-    signature of ad (see _signature)."""
+    signature of ad (see _signature); what depends only on ad (good-prime
+    symbols, residue bits, single-column rows) is computed once for both."""
     nfix = len(ctx.columns)
     # at a good prime p: the nonresidue mask of p over all columns, with the pairwise bits of the key
     nonres = [sym[4] for sym in syms]
@@ -479,15 +497,15 @@ def _rows(ctx: _CurveContext, ad: int, key: int, good: list, syms: list) -> list
             sel0 = base0 - _f2_rank([f | units[u1] ^ units[u2] for f, u1, u2 in fixed0] + good0, keep0)
             sel1 = base1 - _f2_rank([f | units[u1] ^ units[u2] for f, u1, u2 in fixed1] + good1, keep1)
             # the local product: correction is the sum of (dim - 1) over the places over 2*disc*oo
-            row = (d, sel0, sel1, correction + excess, sel0 - sel1, g_val, correction)
-            _check_identities(row)
+            row = (sel0, sel1, correction + excess, sel0 - sel1, g_val, correction)
+            _check_identities((d, *row))
         except DescentConsistencyError as exc:
             exc.d = d
             if block is not None:
                 exc.dims = {**block[0], **{p: _good_dim(sym[0], sym[1]) for p, sym in zip(good, syms)}}
             row = exc
         rows.append(row)
-    return rows
+    return tuple(rows)
 
 
 def _check_identities(row: tuple):
@@ -549,38 +567,17 @@ def _chunks(pair: IsogenyPair, X: int, workers: int) -> tuple[list[tuple[int, in
 
 def _scan_chunk(a: int, b: int, bounds: tuple[int, int]):
     """The twists.csv rows of +d, then of -d, for every squarefree d in the
-    chunk [lo, hi) = bounds as text, and an array('b') of their ord2T; a
-    failed check is raised.
-
-    The rows of +-d are read from the curve's memo by their signature when
-    an earlier |d| had it; each row still goes through _check_identities
-    with its own d, and a failure there reruns the kernel, whose error
-    carries the dims.  A miss runs the kernel and stores the verified rows
-    while the memo holds fewer than _MEMO_CAP signatures."""
+    chunk [lo, hi) = bounds as text, and an array('b') of their ord2T, from
+    the memoized kernel _descend_abs; a failed check is raised."""
     from array import array  # here, like numpy elsewhere, so that the other commands never load it
 
     ctx = _context(make_pair(a, b))
-    memo, entry_of = ctx.memo, ctx.entry
     lines = []
     ord2t = array("b")
     for ad, primes in squarefree_factors(*bounds):
-        signature = _signature(ctx, ad, primes)
-        entry = memo.get(signature[0])
-        if entry is not None:
-            try:
-                _check_identities((ad, *entry[0]))
-                _check_identities((-ad, *entry[1]))
-            except DescentConsistencyError:
-                entry = None
-        if entry is None:
-            plus, minus = _rows(ctx, ad, *signature)
-            for row in (plus, minus):
-                if type(row) is not tuple:
-                    raise row
-            entry = entry_of(plus, minus)
-            if len(memo) < _MEMO_CAP:
-                memo[signature[0]] = entry
-        plus, minus, plus_tail, minus_tail = entry
+        plus, minus, plus_tail, minus_tail = _descend_abs(ctx, ad, primes)
+        if plus_tail is None:
+            raise minus if type(plus) is tuple else plus
         lines.append(f"{ad}{plus_tail}-{ad}{minus_tail}")  # no ratio column: it equals ord2T
         ord2t.append(plus[2])
         ord2t.append(minus[2])
@@ -646,17 +643,17 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     check ("product-formula", "ord2-decomposition", "local-image",
     "good-ramified-cross-oracle", "root-number-parity" or
     "twist-class-invariance").  A failure of the first three, which the
-    descent kernel raises, also carries "dims": the error's per-place dims
-    with the places as strings, or None.
+    descent kernel (or the cross-check's local_image) raises, also carries
+    "dims": the error's per-place dims with the places as strings, or None.
     """
     rng = random.Random(seed)
-    ctx = _CurveContext(pair)  # private context: fault injection stays isolated
+    ctx = _CurveContext(pair)  # private context with its own memo: fault injection stays isolated
     failures = []
     corrections = set()
     n_cross = 0
     n_twists = 0
-    cross_cache: dict = {}
-    cross_done: set[int] = set()  # primes with both twist classes in cross_cache
+    cross_keys: set[tuple[int, int]] = set()  # the (p, class of d/p at p) already cross-checked
+    cross_done: set[int] = set()  # primes with both twist classes in cross_keys
     parity_mod = _parity_modulus(pair)
     parity_ref: dict[int, tuple[int, int]] = {}  # d % 8 -> (d, sign) of its first checked twist
     n_parity = n_parity_skipped = 0
@@ -668,32 +665,38 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     for ad, fact in squarefree_factors(1, X):
         good = [p for p in fact if p not in pair.bad_primes]
         coprime = len(good) == len(fact)  # 2 is a bad prime, so ad is odd
-        for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact)):
+        for d, row in zip((ad, -ad), _descend_abs(ctx, ad, fact)[:2]):
             n_twists += 1
-            if isinstance(row, DescentConsistencyError):
+            if type(row) is not tuple:
                 dims = None if row.dims is None else {str(v): n for v, n in row.dims.items()}
                 failures.append({"d": d, "check": row.check, "detail": str(row), "dims": dims})
                 continue
-            ord2t, correction = row[3], row[6]
+            ord2t, correction = row[2], row[5]
             corrections.add(correction)
             for p in good:
                 if p in cross_done:
                     continue
                 key = (p, kronecker(d // p, p))
-                if key not in cross_cache:
-                    cross_cache[key] = local_image(pair.a, pair.b, d, p)[0]
-                    n_cross += 1
-                    if (p, -key[1]) in cross_cache:
-                        cross_done.add(p)
-                    table = local_dim_good_ramified(pair, p)
-                    if cross_cache[key] != table:
-                        failures.append(
-                            {
-                                "d": d,
-                                "check": "good-ramified-cross-oracle",
-                                "detail": f"p={p}: torsor {cross_cache[key]} != table {table}",
-                            }
-                        )
+                if key in cross_keys:
+                    continue
+                cross_keys.add(key)
+                n_cross += 1
+                if (p, -key[1]) in cross_keys:
+                    cross_done.add(p)
+                try:
+                    torsor = local_image(pair.a, pair.b, d, p)[0]
+                except DescentConsistencyError as exc:
+                    failures.append({"d": d, "check": exc.check, "detail": str(exc), "dims": None})
+                    continue
+                table = local_dim_good_ramified(pair, p)
+                if torsor != table:
+                    failures.append(
+                        {
+                            "d": d,
+                            "check": "good-ramified-cross-oracle",
+                            "detail": f"p={p}: torsor {torsor} != table {table}",
+                        }
+                    )
             if not coprime or d % 4 != 1:
                 continue
             if parity_mod is None:
@@ -717,9 +720,9 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     if not failures and X > 2:  # randrange(2, X) needs X > 2
         for _ in range(4):
             ad = rng.randrange(2, X)
-            base = descend(pair, ad, _ctx=ctx)
+            base = descend(pair, ad)
             for k in (2, 3, 5):
-                scaled = descend(pair, ad * k * k, _ctx=ctx)
+                scaled = descend(pair, ad * k * k)
                 if base != scaled:
                     failures.append({"d": ad, "check": "twist-class-invariance", "detail": f"k={k}"})
 

@@ -13,7 +13,6 @@ from twistselmer.arith import (
     is_perfect_square,
     kronecker,
     least_nonresidue,
-    local_square_classes,
     prime_flags,
     sieve_primes,
     sqrt_mod_prime,
@@ -250,6 +249,19 @@ class TestSquarefreeSieve:
             assert chunked == whole
 
 
+def local_square_classes(place) -> list[int]:
+    """Squarefree integer representatives of K_v^x/(K_v^x)^2 for v = place:
+    the oracle for the representatives that selmer._class_rep reads off a
+    class's bits."""
+    if place == REAL_PLACE:
+        return [1, -1]
+    if place == 2:
+        return [1, -1, 2, -2, 5, -5, 10, -10]
+    p = int(place)
+    u = least_nonresidue(p)
+    return [1, u, p, u * p]
+
+
 class TestLocalSquareClasses:
     def test_real(self):
         assert local_square_classes(REAL_PLACE) == [1, -1]
@@ -285,6 +297,17 @@ class TestLocalSquareClasses:
         for place in (REAL_PLACE, 2, 3, 7, 13):
             for r in local_square_classes(place):
                 assert squarefree_part(r) == r
+
+    def test_class_rep_covers_the_same_classes(self):
+        # local_image enumerates a place's classes by their bits and solves the
+        # torsor at _class_rep(bits): one representative of each class, with those bits
+        from twistselmer.selmer import _class_rep, _local_bits
+
+        for place in (REAL_PLACE, 2, 3, 5, 7, 11, 13, 97):
+            nbits = 1 if place == REAL_PLACE else 3 if place == 2 else 2
+            reps = [_class_rep(bits, place) for bits in range(1 << nbits)]
+            assert sorted(reps) == sorted(local_square_classes(place)), place
+            assert [_local_bits(r, place) for r in reps] == list(range(1 << nbits)), place
 
 
 SAMPLE_CURVES = [

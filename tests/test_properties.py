@@ -5,7 +5,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from twistselmer.arith import local_square_classes, sieve_primes  # noqa: E402
+from test_arith import local_square_classes  # noqa: E402
+from twistselmer.arith import sieve_primes  # noqa: E402
 from twistselmer.selmer import local_dim_good_ramified, local_image, make_pair  # noqa: E402
 
 PRIMES = [p for p in sieve_primes(3000) if p > 400]

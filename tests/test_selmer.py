@@ -23,6 +23,7 @@ from twistselmer.selmer import (
     _CurveContext,
     _descend_abs,
     _f2_rank,
+    _rows,
     _signature,
     audit_curve,
     descend,
@@ -388,7 +389,7 @@ class TestDescend:
 
         monkeypatch.setattr(selmer, "_check_identities", _always_fail)
         ctx = _CurveContext(pair)
-        failed = [exc for ad, primes in squarefree_factors(1, 300) for exc in _descend_abs(ctx, ad, primes)]
+        failed = [exc for ad, primes in squarefree_factors(1, 300) for exc in _descend_abs(ctx, ad, primes)[:2]]
         for res, exc in zip(clean, failed, strict=True):
             assert exc.d == res.d
             good = [p for p, _ in factorize(res.d) if p not in pair.bad_primes]
@@ -403,10 +404,11 @@ class TestDescend:
         pair = make_pair(a, b)
         ctx = _CurveContext(pair)
         for ad, primes in squarefree_factors(1, 500):
-            rows = _descend_abs(ctx, ad, primes)
-            assert [row[0] for row in rows] == [ad, -ad]
-            plus, minus = map(SelmerDescentResult._make, rows)
-            assert descend(pair, ad) == plus and descend(pair, -ad) == minus, ad
+            plus, minus, plus_text, minus_text = _descend_abs(ctx, ad, primes)
+            for d, row, text in ((ad, plus, plus_text), (-ad, minus, minus_text)):
+                assert descend(pair, d) == (d, *row), d
+                sel, sel_dual, product, _, g_chi, correction = row
+                assert text == f",{g_chi},{correction},{product},{sel},{sel_dual},{product - 2}\n", d
 
     def test_twist_class_invariance(self):
         pair = make_pair(1, -1)
@@ -443,8 +445,8 @@ class TestDescend:
             pair = make_pair(a, b)
             ctx = _CurveContext(pair)
             for ad, primes in squarefree_factors(1, 2000):
-                for row in _descend_abs(ctx, ad, primes):
-                    res = SelmerDescentResult._make(row)
+                for d, row in zip((ad, -ad), _descend_abs(ctx, ad, primes)):
+                    res = SelmerDescentResult(d, *row)
                     ref = _parent_descend(pair, res.d, _ctx=ctx, _dprimes=primes)
                     assert res == ref, (a, b, res.d)
                     if ad % 97 == 1:
@@ -596,8 +598,12 @@ class TestAudit:
         import twistselmer.selmer as selmer
 
         monkeypatch.setattr(selmer, "torsor_locally_solvable", lambda *args: True)
-        with pytest.raises(selmer.DescentConsistencyError) as info:
-            descend(make_pair(7, -11), -6, _ctx=selmer._CurveContext(make_pair(7, -11)))
+        _context.cache_clear()  # a fresh context, whose local images come from the patched solver
+        try:
+            with pytest.raises(selmer.DescentConsistencyError) as info:
+                descend(make_pair(7, -11), -6)
+        finally:
+            _context.cache_clear()  # no later test reads what the patched solver computed
         assert (info.value.check, info.value.d) == ("local-image", -6)
 
     def test_error_survives_pickling(self):
@@ -621,9 +627,10 @@ class TestAudit:
             _check_identities(row)
 
         monkeypatch.setattr(selmer, "_check_identities", fail_at_7)
-        plus, minus = _descend_abs(_CurveContext(pair), 7, (7,))
+        plus, minus, plus_text, minus_text = _descend_abs(_CurveContext(pair), 7, (7,))
         assert isinstance(plus, DescentConsistencyError) and (plus.check, plus.d) == ("product-formula", 7)
-        assert minus == descend(pair, -7)
+        assert (-7, *minus) == descend(pair, -7)
+        assert plus_text is minus_text is None
         report = audit_curve(pair, 60)
         dims = {"oo": 0, "2": 1, "5": 2, "7": 1}
         assert report["failures"] == [{"d": 7, "check": "product-formula", "detail": "forced", "dims": dims}]
@@ -638,11 +645,11 @@ class TestAudit:
         real = selmer._descend_abs
 
         def flip_17(ctx, ad, primes):
-            out = real(ctx, ad, primes)
+            plus, *rest = real(ctx, ad, primes)
             if ad == 17:
-                d, sel, sel_dual, product, *rest = out[0]
-                out[0] = (d, sel, sel_dual, product + 1, *rest)
-            return out
+                sel, sel_dual, product, *tail = plus
+                plus = (sel, sel_dual, product + 1, *tail)
+            return (plus, *rest)
 
         monkeypatch.setattr(selmer, "_descend_abs", flip_17)
         report = audit_curve(make_pair(1, -1), 60)
@@ -654,11 +661,11 @@ class TestAudit:
         real = selmer._descend_abs
 
         def flip_13(ctx, ad, primes):
-            out = real(ctx, ad, primes)
+            plus, *rest = real(ctx, ad, primes)
             if ad == 13:
-                d, sel, sel_dual, product, *rest = out[0]
-                out[0] = (d, sel, sel_dual, product + 1, *rest)
-            return out
+                sel, sel_dual, product, *tail = plus
+                plus = (sel, sel_dual, product + 1, *tail)
+            return (plus, *rest)
 
         monkeypatch.setattr(selmer, "_descend_abs", flip_13)
         report = audit_curve(make_pair(1, -1), 60)
@@ -764,14 +771,39 @@ class TestCrossOracleKeys:
         assert named == want
         assert all(f["detail"].startswith(f"p={top}: ") for f in report["failures"])
 
+    def test_local_image_error_at_a_good_prime_is_a_failure(self, monkeypatch):
+        # an error that the cross-check's local_image raises is one failure per
+        # key, with its d; the places over 2*disc*oo still get the real images
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        clean = audit_curve(pair, 2000)
+        real = selmer.local_image
+
+        def broken_at_7(a, b, rep, place):
+            if place == 7:
+                raise DescentConsistencyError("local image at 7 has size 3", "local-image")
+            return real(a, b, rep, place)
+
+        monkeypatch.setattr(selmer, "local_image", broken_at_7)
+        report = audit_curve(pair, 2000)
+        want = [d for (p, _), d in self._first_twists(pair, 2000).items() if p == 7]  # in audit order
+        assert want == [7, -7]
+        assert report["failures"] == [
+            {"d": d, "check": "local-image", "detail": "local image at 7 has size 3", "dims": None} for d in want
+        ]
+        assert not report["ok"]
+        for key in ("n_twists", "n_cross_checks", "n_parity_checks", "corrections"):
+            assert report[key] == clean[key], key
+
 
 class TestContextCache:
     def test_nine_curves_leave_at_most_eight_contexts(self):
         twists = (1, -1, 6, -7, 11, -30, 105, -143)
         fresh = {}
         for a, b in CURVES_20[:9]:
-            pair = make_pair(a, b)
-            fresh[a, b] = [descend(pair, d, _ctx=_CurveContext(pair)) for d in twists]
+            _context.cache_clear()  # each curve's rows from a context of its own
+            fresh[a, b] = [descend(make_pair(a, b), d) for d in twists]
         _context.cache_clear()
         for _ in range(2):  # the second pass finds the first curve evicted
             for a, b in CURVES_20[:9]:
@@ -848,12 +880,15 @@ class TestResidueTable:
 
 
 def _direct_text(pair, X):
-    """The twists.csv rows of every squarefree 0 < |d| < X from the direct kernel, with no memo."""
+    """The twists.csv rows of every squarefree 0 < |d| < X from the kernel's
+    rows, _rows on the signature of each |d| in a fresh context, with no memo."""
     ctx = _CurveContext(pair)
     return "".join(
         f"{d},{g_chi},{correction},{product},{sel},{sel_dual},{product - 2}\n"
         for ad, primes in squarefree_factors(1, X)
-        for d, sel, sel_dual, product, _, g_chi, correction in _descend_abs(ctx, ad, primes)
+        for d, (sel, sel_dual, product, _, g_chi, correction) in zip(
+            (ad, -ad), _rows(ctx, ad, *_signature(ctx, ad, primes))
+        )
     )
 
 
@@ -882,14 +917,58 @@ class TestMemo:
         assert text == _direct_text(pair, 10**5)
         assert len(ctx.memo) < squarefree_flags(1, 10**5).count(1) // 5
 
+    @pytest.mark.parametrize("a, b", sorted(set(CURVES_20) | set(PARITY_CURVES)))
+    def test_audit_report_does_not_depend_on_the_memo(self, a, b, monkeypatch):
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(a, b)
+        memoized = audit_curve(pair, 3000)
+        monkeypatch.setattr(selmer, "_MEMO_CAP", 0)
+        assert audit_curve(pair, 3000) == memoized
+
+    def test_audit_runs_the_kernel_once_per_signature(self, monkeypatch):
+        # every other |d| of the audit is a memo hit
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        fresh = _CurveContext(pair)
+        signatures = {_signature(fresh, ad, primes)[0] for ad, primes in squarefree_factors(1, 10**4)}
+        calls = []
+        real = selmer._rows
+
+        def record(ctx, ad, key, good, syms):
+            calls.append((ctx, key))
+            return real(ctx, ad, key, good, syms)
+
+        monkeypatch.setattr(selmer, "_rows", record)
+        assert audit_curve(pair, 10**4)["ok"]
+        audited = [key for ctx, key in calls if ctx is calls[0][0]]  # the audit's own context, not the sample's
+        assert len(audited) == len(set(audited)) == len(signatures) == 1167
+        assert set(audited) == signatures
+
+    @pytest.mark.parametrize("a, b", PARITY_CURVES)
+    def test_bad_prime_classes_are_a_function_of_the_key(self, a, b):
+        # the key holds one valuation bit per bad prime; the unit bits of |d|
+        # there come from its bad primes and its good primes' symbol tuples
+        from twistselmer.selmer import _local_bits
+
+        pair = make_pair(a, b)
+        ctx = _CurveContext(pair)
+        seen = {}
+        for ad, primes in squarefree_factors(1, 2 * 10**4):
+            classes = tuple(_local_bits(ad, q) for q in pair.bad_primes)
+            assert seen.setdefault(_signature(ctx, ad, primes)[0], classes) == classes, ad
+        assert len(seen) < squarefree_flags(1, 2 * 10**4).count(1) // 2
+
     def test_signature_fixes_the_rows(self):
         # twists with one signature have one pair of rows, up to d
         pair = make_pair(-1, 3)
         ctx = _CurveContext(pair)
         seen = {}
         for ad, primes in squarefree_factors(1, 5000):
-            rows = [row[1:] for row in _descend_abs(ctx, ad, primes)]
-            assert seen.setdefault(_signature(ctx, ad, primes)[0], rows) == rows, ad
+            signature = _signature(ctx, ad, primes)
+            rows = _rows(ctx, ad, *signature)  # the kernel itself: _descend_abs would read the memo
+            assert seen.setdefault(signature[0], rows) == rows, ad
         assert len(seen) < squarefree_flags(1, 5000).count(1) // 2
 
     def test_every_hit_is_checked_with_its_own_d(self, monkeypatch):
