@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from . import quadfield as qf
 
+__all__ = ["enumerate_characters"]
+
 
 def enumerate_characters(field: qf.QuadraticField, X: int) -> list[tuple[int, ...]]:
     """C(K, X): the conductor of each character of a quadratic field K with

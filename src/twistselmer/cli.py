@@ -16,10 +16,15 @@ import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ekstats, quadfield as qf, selmer
+from . import selmer
 from .arith import factorize
-from .characters import enumerate_characters
+
+# each command imports the other modules it runs, so scan and audit load
+# neither quadfield nor characters, and audit no ekstats
+if TYPE_CHECKING:
+    from . import ekstats, quadfield as qf
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +88,8 @@ def _load_config_file(path: str) -> dict:
 
 def _parse_ideal_spec(fieldK, spec: str) -> qf.IdealK:
     """Ideal spec: comma-separated p:idx tokens; repeats raise the exponent."""
+    from . import quadfield as qf
+
     if not spec:
         return qf.ONE_IDEAL
     factors = []
@@ -124,6 +131,8 @@ def _eligible_pair(cfg: argparse.Namespace) -> selmer.IsogenyPair:
 
 
 def cmd_scan(cfg: argparse.Namespace) -> int:
+    from .ekstats import sigma_g_predicted, tail_fraction
+
     pair = _eligible_pair(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,10 +158,10 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
         "X": cfg.X,
         "n_twists": n_twists,
         "ord2T_counts": {str(v): n for v, n in hist.items()},
-        "tail_fractions": {str(r): ekstats.tail_fraction(hist, r) for r in cfg.r_list},
+        "tail_fractions": {str(r): tail_fraction(hist, r) for r in cfg.r_list},
         "normalization": {
             "center": sum(v * n for v, n in hist.items()) / n_twists,
-            "scale": ekstats.sigma_g_predicted(cfg.X) if cfg.X >= 3 else None,
+            "scale": sigma_g_predicted(cfg.X) if cfg.X >= 3 else None,
         },
     }
     _write_text(out / "summary.json", _json_dumps(summary))
@@ -202,6 +211,9 @@ def _cdf_csv(report: ekstats.DistributionReport) -> str:
 
 
 def cmd_ek(cfg: argparse.Namespace) -> int:
+    from . import ekstats, quadfield as qf
+    from .characters import enumerate_characters
+
     out = Path(cfg.out)
     if cfg.f_name == "omega":
         base = "Q" if cfg.field_m == "Q" else qf.make_field(cfg.field_m)
@@ -246,6 +258,8 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
 
 
 def cmd_ideal_count(cfg: argparse.Namespace) -> int:
+    from . import quadfield as qf
+
     fieldK = qf.make_field(cfg.field_m)
     q = _parse_ideal_spec(fieldK, cfg.q_spec)
     d = _parse_ideal_spec(fieldK, cfg.d_spec)
@@ -264,11 +278,7 @@ def cmd_ideal_count(cfg: argparse.Namespace) -> int:
 
 
 def cmd_audit(cfg: argparse.Namespace) -> int:
-    try:
-        pair = selmer.make_pair(cfg.a, cfg.b)
-    except ValueError as exc:
-        print(_json_dumps({"ok": False, "error": f"configuration: {exc}"}), end="")
-        return 2
+    pair = selmer.make_pair(cfg.a, cfg.b)  # a singular curve raises ValueError: exit 2 in main
     report = selmer.audit_curve(pair, cfg.X, seed=cfg.seed, inject_fault=cfg.inject_fault)
     keys = ("ok", "n_twists", "n_cross_checks", "n_parity_checks", "n_parity_skipped", "n_corrections", "failures")
     print(_json_dumps({k: report[k] for k in keys}), end="")

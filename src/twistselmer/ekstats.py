@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import TYPE_CHECKING
 
-from . import quadfield as qf
 from .arith import sieve_primes, squarefree_flags
-from .characters import enumerate_characters
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +85,9 @@ def _field_primes(f: AdditiveFunctionSpec, X):
     """The primes (prime ideals) of norm < X."""
     if f.base_field == "Q":
         return sieve_primes(max(2, math.ceil(X)))
-    return qf.primes_up_to(f.base_field, math.ceil(X))
+    from .quadfield import primes_up_to
+
+    return primes_up_to(f.base_field, math.ceil(X))
 
 
 def _norm(prime) -> int:
@@ -161,6 +161,8 @@ def empirical_moment(
         empirical = float(np.mean(vals**k))
     else:
         if conductors is None:
+            from .characters import enumerate_characters
+
             conductors = enumerate_characters(f.base_field, X)
         total = 0.0
         for s in conductor_sums(values, conductors, -mu_t):

@@ -19,6 +19,21 @@ from functools import cached_property
 
 from .arith import PRIME_SEGMENT, kronecker, prime_flags, sieve_primes, sqrt_mod_prime, squarefree_part
 
+__all__ = [
+    "PrimeIdealK",
+    "IdealK",
+    "QuadraticField",
+    "make_field",
+    "split_prime",
+    "primes_up_to",
+    "squarefree_ideals_up_to",
+    "count_sf",
+    "phi_qd",
+    "zeta_residue",
+    "zeta_at_2",
+    "mainterm_sf",
+]
+
 SPLIT, INERT, RAMIFIED = "split", "inert", "ramified"
 
 DISC_CAP = 10**4

@@ -333,6 +333,16 @@ class _CurveContext:
             self.syms[syms] = (*syms, len(self.syms))
         return self.syms[syms]
 
+    def descend(self, d: int) -> SelmerDescentResult:
+        """descend(pair, d) on this context, as the audit's twist-class
+        sample runs it on the audit's own."""
+        primes = tuple(p for p, e in factorize(d) if e % 2)  # those of the squarefree part of d
+        ad = math.prod(primes)
+        row = _descend_abs(self, ad, primes)[d < 0]
+        if type(row) is not tuple:
+            raise row
+        return SelmerDescentResult(-ad if d < 0 else ad, *row)
+
 
 @lru_cache(maxsize=8)
 def _context(pair: IsogenyPair) -> _CurveContext:
@@ -341,12 +351,7 @@ def _context(pair: IsogenyPair) -> _CurveContext:
 
 def descend(pair: IsogenyPair, d: int) -> SelmerDescentResult:
     """Full local-global descent data for the twist of `pair` by d."""
-    primes = tuple(p for p, e in factorize(d) if e % 2)  # those of the squarefree part of d
-    ad = math.prod(primes)
-    row = _descend_abs(_context(pair), ad, primes)[d < 0]
-    if type(row) is not tuple:
-        raise row
-    return SelmerDescentResult(-ad if d < 0 else ad, *row)
+    return _context(pair).descend(d)
 
 
 def _descend_abs(ctx: _CurveContext, ad: int, primes: tuple[int, ...]) -> tuple:
@@ -720,9 +725,9 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     if not failures and X > 2:  # randrange(2, X) needs X > 2
         for _ in range(4):
             ad = rng.randrange(2, X)
-            base = descend(pair, ad)
+            base = ctx.descend(ad)
             for k in (2, 3, 5):
-                scaled = descend(pair, ad * k * k)
+                scaled = ctx.descend(ad * k * k)
                 if base != scaled:
                     failures.append({"d": ad, "check": "twist-class-invariance", "detail": f"k={k}"})
 

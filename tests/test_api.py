@@ -1,5 +1,6 @@
-"""The public names: each listed in a module's __all__ exists, and the
-package imports only names that its modules export."""
+"""The public names: each listed in a module's __all__ exists and is
+reached from the package's own code, and the package root binds none of
+them."""
 
 import ast
 import importlib
@@ -9,24 +10,29 @@ import pytest
 
 import twistselmer
 
+MODULES = ("arith", "quadfield", "characters", "selmer", "ekstats")
 
-@pytest.mark.parametrize("module", ["arith", "ekstats", "selmer"])
+
+@pytest.mark.parametrize("module", MODULES)
 def test_all_names_exist(module):
     # a stale entry breaks `from twistselmer.<module> import *`
     mod = importlib.import_module(f"twistselmer.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_package_imports_only_exported_names():
+def test_package_root_binds_only_its_version():
+    # names are imported from their modules, so importing one module loads no other
     tree = ast.parse(Path(twistselmer.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert len(imports) >= 5
-    for node in imports:
-        mod = importlib.import_module(f"twistselmer.{node.module}")
-        # `import *` takes __all__, or every public name of a module without one
-        exported = getattr(mod, "__all__", [name for name in vars(mod) if not name.startswith("_")])
-        for alias in node.names:
-            assert alias.name in exported, (node.module, alias.name)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    assert sorted(name for name in bound if not name.startswith("_")) == []
+    assert "__version__" in bound
 
 
 def _names_used_in_the_package() -> set[str]:
@@ -46,8 +52,26 @@ def _names_used_in_the_package() -> set[str]:
 
 def test_every_public_name_is_reached_by_the_package():
     # a sum that no command computes lives in the tests, not behind a public name
-    modules = [importlib.import_module(f"twistselmer.{module}") for module in ("arith", "ekstats", "selmer")]
-    public = {name for mod in modules for name in mod.__all__}
-    tree = ast.parse(Path(twistselmer.__file__).read_text())
-    public.update(alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names)
+    public = {name for module in MODULES for name in importlib.import_module(f"twistselmer.{module}").__all__}
     assert sorted(public - _names_used_in_the_package()) == []
+
+
+def test_the_field_modules_export_what_the_package_root_did():
+    # the 13 names of quadfield and characters that the package root once re-exported
+    quadfield = importlib.import_module("twistselmer.quadfield")
+    characters = importlib.import_module("twistselmer.characters")
+    assert sorted(quadfield.__all__) == [
+        "IdealK",
+        "PrimeIdealK",
+        "QuadraticField",
+        "count_sf",
+        "mainterm_sf",
+        "make_field",
+        "phi_qd",
+        "primes_up_to",
+        "split_prime",
+        "squarefree_ideals_up_to",
+        "zeta_at_2",
+        "zeta_residue",
+    ]
+    assert characters.__all__ == ["enumerate_characters"]

@@ -423,8 +423,12 @@ class TestAudit:
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["n_twists"] == 2
 
-    def test_singular_configuration(self):
+    def test_singular_configuration(self, capsys):
+        # the one exit-2 path of every command: one error line on stderr, no report
         assert run(["audit", "--a", "0", "--b", "0", "--X", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (a, b) = (0, 0) gives a singular curve\n"
 
     def test_fault_injection(self, capsys):
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "60", "--inject-fault"]) == 1
@@ -436,16 +440,23 @@ class TestAudit:
 
 
 def test_scan_and_audit_never_import_numpy(tmp_path):
-    code = f"""
+    # each command in a child interpreter of its own loads only the modules it runs
+    loads = {
+        "audit": ["twistselmer", "twistselmer.arith", "twistselmer.cli", "twistselmer.selmer"],
+        "scan": ["twistselmer", "twistselmer.arith", "twistselmer.cli", "twistselmer.ekstats", "twistselmer.selmer"],
+    }
+    for command, modules in loads.items():
+        argv = [command, "--a", "1", "--b", "-1", "--X", "200"] + (["--out", str(tmp_path)] if command == "scan" else [])
+        code = f"""
 import sys
 from twistselmer import cli
-assert cli.main(["scan", "--a", "1", "--b", "-1", "--X", "200", "--out", {str(tmp_path)!r}]) == 0
-assert cli.main(["audit", "--a", "1", "--b", "-1", "--X", "200"]) == 0
+assert cli.main({argv!r}) == 0
 print("numpy loaded:", "numpy" in sys.modules)
+print("modules:", sorted(m for m in sys.modules if m.split(".")[0] == "twistselmer"))
 """
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["numpy loaded: False", f"modules: {modules}"], command
 
 
 def _src_env() -> dict:
