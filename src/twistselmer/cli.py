@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import selmer
-from .arith import factorize
+from .arith import is_prime
 
 # each command imports the other modules it runs, so scan and audit load
 # neither quadfield nor characters, and audit no ekstats
@@ -100,9 +100,10 @@ def _parse_ideal_spec(fieldK, spec: str) -> qf.IdealK:
         p_str, _, idx_str = token.partition(":")
         try:
             p, idx = int(p_str), int(idx_str or 0)
+            prime = is_prime(p)
         except ValueError as exc:
             raise ValueError(f"ideal spec {token!r}: {exc}") from None
-        if p < 2 or factorize(p) != ((p, 1),):
+        if not prime:
             raise ValueError(f"ideal spec {token!r}: {p} is not a prime")
         if idx < 0:
             raise ValueError(f"ideal spec {token!r}: the conjugate index must be >= 0")
@@ -217,23 +218,22 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
     out = Path(cfg.out)
     if cfg.f_name == "omega":
         base = "Q" if cfg.field_m == "Q" else qf.make_field(cfg.field_m)
-        f = ekstats.omega_spec(base)
-        table = ekstats.prime_values(f, cfg.X)  # f at each prime of norm < X, read by every sum below
+        table = ekstats.prime_values(base, cfg.X, lambda P: 1.0)  # read by every sum below
         if not table:
             raise ValueError(f"--X {cfg.X}: no prime has norm below X")
         conductors = None if base == "Q" else enumerate_characters(base, cfg.X)
         # a k outside the uniform range warns; say so in one plain line, not Python's warning text
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            moments = [asdict(ekstats.empirical_moment(f, cfg.X, k, table, conductors)) for k in cfg.k_list]
+            moments = [asdict(ekstats.empirical_moment(table, cfg.X, k, conductors)) for k in cfg.k_list]
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         # the distribution of f over C(base, X) against the Gaussian
         if base == "Q":
-            values = ekstats.prime_sum_values(f, cfg.X, table)
+            values = ekstats.prime_sum_values(table, cfg.X)
         else:
             values = ekstats.conductor_sums(table, conductors)
-        center, scale = ekstats.mu_f(f, cfg.X, table), ekstats.sigma_f(f, cfg.X, table)
+        center, scale = ekstats.mu_f(table), ekstats.sigma_f(table)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)
     elif cfg.f_name == "curve-g":
         if cfg.field_m != "Q":
@@ -242,9 +242,9 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
             raise ValueError(f"--X {cfg.X}: no prime has norm below X")
         pair = _eligible_pair(cfg)
         moments = []  # the twist statistic is not [0,1]-bounded; no moment reports
-        f = ekstats.AdditiveFunctionSpec("Q", lambda p: selmer.g_of_primes(pair, (p,)))
+        table = ekstats.prime_values("Q", cfg.X, lambda p: selmer.g_of_primes(pair, (p,)))
         # g at each squarefree 0 < d < X; -d has the same g, so the distribution is that of the twists
-        values = ekstats.prime_sum_values(f, cfg.X)
+        values = ekstats.prime_sum_values(table, cfg.X)
         center = float(values.sum()) / len(values)  # exact: the values are integers
         scale = ekstats.sigma_g_predicted(cfg.X)
         report = ekstats.distribution_report(values, (center, scale), X=cfg.X)

@@ -22,10 +22,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "AdditiveFunctionSpec",
     "MomentReport",
     "DistributionReport",
-    "omega_spec",
     "prime_values",
     "mu_f",
     "sigma_f",
@@ -38,27 +36,6 @@ __all__ = [
     "sigma_g_predicted",
     "tail_fraction",
 ]
-
-
-@dataclass(frozen=True)
-class AdditiveFunctionSpec:
-    """An additive function given by its values on primes (ideals)."""
-
-    base_field: object  # "Q" or a QuadraticField
-    value_at_prime: object  # callable: rational prime or PrimeIdealK -> float
-    bounded_01: bool = False
-    name: str = ""
-
-    def value(self, prime) -> float:
-        v = float(self.value_at_prime(prime))
-        if self.bounded_01 and not 0.0 <= v <= 1.0:
-            raise ValueError(f"{self.name or 'additive function'} leaves [0,1] at {prime}: {v}")
-        return v
-
-
-def omega_spec(base_field="Q") -> AdditiveFunctionSpec:
-    """The number-of-prime-divisors function (1 at every prime)."""
-    return AdditiveFunctionSpec(base_field, lambda p: 1.0, bounded_01=True, name="omega")
 
 
 @dataclass(frozen=True)
@@ -81,45 +58,40 @@ class DistributionReport:
     ks: float
 
 
-def _field_primes(f: AdditiveFunctionSpec, X):
-    """The primes (prime ideals) of norm < X."""
-    if f.base_field == "Q":
-        return sieve_primes(max(2, math.ceil(X)))
-    from .quadfield import primes_up_to
-
-    return primes_up_to(f.base_field, math.ceil(X))
-
-
 def _norm(prime) -> int:
     return prime if isinstance(prime, int) else prime.norm
 
 
-def _norms(f: AdditiveFunctionSpec, values: dict):
-    """The norms of the primes of a prime_values table of f, in its order."""
-    return values.keys() if f.base_field == "Q" else [P.norm for P in values]
+def _norms(values: dict):
+    """The norms of a prime_values table's primes: its int keys over Q, their norms over K."""
+    return values.keys() if isinstance(next(iter(values), 0), int) else [P.norm for P in values]
 
 
-def prime_values(f: AdditiveFunctionSpec, X) -> dict:
-    """f at each prime (prime ideal) of norm < X, in order of norm.
+def prime_values(base, X, value_at_prime) -> dict:
+    """An additive function f, given by its value at each prime (prime ideal)
+    of norm < X of base, "Q" or a QuadraticField, as the table prime -> f,
+    in order of norm.
 
-    The one place where f is evaluated: mu_f, sigma_f, empirical_moment and
-    prime_sum_values read such a table, the caller's or one of their own."""
-    return {P: f.value(P) for P in _field_primes(f, X)}
+    The one place where f is evaluated: mu_f, sigma_f, empirical_moment,
+    prime_sum_values and conductor_sums read such a table, and read the base
+    off its keys (int over Q, PrimeIdealK over K)."""
+    if base == "Q":
+        primes = sieve_primes(max(2, math.ceil(X)))
+    else:
+        from .quadfield import primes_up_to
+
+        primes = primes_up_to(base, math.ceil(X))
+    return {P: float(value_at_prime(P)) for P in primes}
 
 
-def mu_f(f: AdditiveFunctionSpec, X, values: dict | None = None) -> float:
-    """Sum of f(p)/Np over primes of norm < X; `values` is prime_values(f, X)."""
-    if values is None:
-        values = prime_values(f, X)
-    return math.fsum(map(operator.truediv, values.values(), _norms(f, values)))
+def mu_f(values: dict) -> float:
+    """Sum of f(p)/Np over the primes of a prime_values table."""
+    return math.fsum(map(operator.truediv, values.values(), _norms(values)))
 
 
-def sigma_f(f: AdditiveFunctionSpec, X, values: dict | None = None) -> float:
-    """Square root of the sum of f(p)^2/Np over primes of norm < X; `values`
-    is prime_values(f, X)."""
-    if values is None:
-        values = prime_values(f, X)
-    return math.sqrt(math.fsum(v**2 / n for v, n in zip(values.values(), _norms(f, values))))
+def sigma_f(values: dict) -> float:
+    """Square root of the sum of f(p)^2/Np over the primes of a prime_values table."""
+    return math.sqrt(math.fsum(v**2 / n for v, n in zip(values.values(), _norms(values))))
 
 
 def moment_constant(k: int) -> int:
@@ -134,36 +106,30 @@ def _odd_moment_bound(k: int, sigma: float) -> float:
     return ck * sigma ** (k - 1) * k**1.5
 
 
-def empirical_moment(
-    f: AdditiveFunctionSpec, X: int, k: int, values: dict | None = None, conductors: list | None = None
-) -> MomentReport:
+def empirical_moment(values: dict, X: int, k: int, conductors: list | None) -> MomentReport:
     """k-th empirical moment of the centered prime sum over C(K, X), against
     the Gaussian prediction at the prime cutoff z = X^(1/(2k)).
 
-    A caller that holds prime_values(f, X), or over a field K the conductors
-    enumerate_characters(K, X), passes them in; only the primes of norm < z
-    are read."""
+    `values` is a prime_values table of f of a bound >= z; only its primes
+    of norm < z are read, and f must lie in [0, 1] at each of them.  Over K,
+    `conductors` is enumerate_characters(K, X); over Q, whose characters are
+    the squarefree d read by prime_sum_values, it is not read."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not f.bounded_01:
-        raise ValueError("empirical_moment requires a [0,1]-bounded additive function")
+    over_q = isinstance(next(iter(values), 0), int)
     z = X ** (0.5 / k)  # the (1 - lambda)/k exponent with lambda = 1/2
-    if values is None:
-        values = prime_values(f, z)
-    else:  # the table is in order of norm, so the primes of norm < z are a prefix
-        values = dict(takewhile(lambda item: _norm(item[0]) < z, values.items()))
-    mu_t = math.fsum(v / (n + 1) for v, n in zip(values.values(), _norms(f, values)))
-    sigma = sigma_f(f, z, values)
-    if f.base_field == "Q":
+    # the table is in order of norm, so the primes of norm < z are a prefix
+    values = dict(takewhile(lambda item: _norm(item[0]) < z, values.items()))
+    for P, v in values.items():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"empirical_moment requires f in [0,1]; f leaves it at {P}: {v}")
+    mu_t = math.fsum(v / (n + 1) for v, n in zip(values.values(), _norms(values)))
+    sigma = sigma_f(values)
+    if over_q:
         import numpy as np
 
-        vals = prime_sum_values(f, X, values) - mu_t
-        empirical = float(np.mean(vals**k))
+        empirical = float(np.mean((prime_sum_values(values, X) - mu_t) ** k))
     else:
-        if conductors is None:
-            from .characters import enumerate_characters
-
-            conductors = enumerate_characters(f.base_field, X)
         total = 0.0
         for s in conductor_sums(values, conductors, -mu_t):
             total += s**k
@@ -206,10 +172,10 @@ def conductor_sums(values: dict, conductors: list, start: float = 0.0) -> list[f
     return out
 
 
-def prime_sum_values(f: AdditiveFunctionSpec, X: int, values: dict | None = None) -> np.ndarray:
+def prime_sum_values(values: dict, X: int) -> np.ndarray:
     """For each squarefree 0 < d < X, ascending: the sum of f(p) over the
-    rational primes p of `values` (a prime_values table of f, by default that
-    of X) that divide d.
+    rational primes p of `values`, a prime_values table of f over Q, that
+    divide d.
 
     Each d receives its f(p) in ascending p.  A prime p with p^2 < X is added
     at its multiples, one slice each.  A d < X has at most one prime p with
@@ -217,8 +183,6 @@ def prime_sum_values(f: AdditiveFunctionSpec, X: int, values: dict | None = None
     per squarefree multiplier k < X/p: about sqrt(X) operations, not pi(X)."""
     import numpy as np
 
-    if values is None:
-        values = prime_values(f, X)
     flags = squarefree_flags(1, X)
     sums = np.zeros(X, dtype=np.float64)
     ps = np.fromiter(values, dtype=np.int64, count=len(values))

@@ -413,11 +413,28 @@ def _ideals_up_to_norm(field: QuadraticField, bound: int) -> list[IdealK]:
     return out
 
 
+def _walk(field: QuadraticField, primes: list[PrimeIdealK], bound: int, cls: int):
+    """(Nb, key, class of b times class cls) for each squarefree product b of
+    `primes` with Nb < bound, key the indices of b's primes in `primes`."""
+    norms = [P.norm for P in primes]
+    pcls = [field.class_of_prime(P) for P in primes]
+    table = field._cayley
+    stack = [(0, 1, (), cls)] if bound > 1 else []  # (next prime, norm, key, class)
+    while stack:
+        i, norm, key, cls = stack.pop()
+        yield norm, key, cls
+        row = table[cls]
+        for j in range(i, len(primes)):
+            nn = norm * norms[j]
+            if nn >= bound:
+                break
+            stack.append((j + 1, nn, key + (j,), row[pcls[j]]))
+
+
 def squarefree_ideals_up_to(field: QuadraticField, X: int) -> list[tuple[int, tuple[int, ...], int]]:
     """The squarefree ideals of norm < X, as (norm, key, class index), sorted.
 
-    A stack walk, like count_sf's, adds primes in primes_up_to(field, X)
-    order, and an ideal's key is the indices of its primes in that order,
+    An ideal's key is the indices of its primes in primes_up_to(field, X),
     ascending.  For ideals of one norm the keys compare as the
     factorizations' (p, conjugate_index) tuples do.  Where two such ideals
     first differ, in P and Q with NP < NQ, p(P) > p(Q) would make Q inert
@@ -425,23 +442,7 @@ def squarefree_ideals_up_to(field: QuadraticField, X: int) -> list[tuple[int, tu
     prime of it would lie above p(P), of norm p(P) < NQ, out of order.  The
     primes of norm below any bound are a prefix of that list, so the
     entries of norm below it are the walk at that bound, keys included."""
-    primes = primes_up_to(field, X)
-    norms = [P.norm for P in primes]
-    pcls = [field.class_of_prime(P) for P in primes]
-    table = field._cayley
-    out = []
-    stack = [(0, 1, (), 0)] if X > 1 else []  # (next prime, norm, key, class)
-    while stack:
-        i, norm, key, cls = stack.pop()
-        out.append((norm, key, cls))
-        row = table[cls]
-        for j in range(i, len(primes)):
-            nn = norm * norms[j]
-            if nn >= X:
-                break
-            stack.append((j + 1, nn, key + (j,), row[pcls[j]]))
-    out.sort()  # (norm, key) is distinct, so the sort compares nothing else
-    return out
+    return sorted(_walk(field, primes_up_to(field, X), X, 0))
 
 
 def count_sf(field: QuadraticField, X: int, q: IdealK, d: IdealK) -> list[int]:
@@ -459,19 +460,8 @@ def count_sf(field: QuadraticField, X: int, q: IdealK, d: IdealK) -> list[int]:
     B = -(-X // d.norm)
     qprimes = {P for P, _ in q.factorization}
     primes = [P for P in primes_up_to(field, B) if P not in qprimes]
-    norms = [P.norm for P in primes]
-    pcls = [field.class_of_prime(P) for P in primes]
-    table = field._cayley
-    stack = [(0, 1, field.class_of_ideal(d))]
-    while stack:
-        i, norm, cls = stack.pop()
+    for _, _, cls in _walk(field, primes, B, field.class_of_ideal(d)):
         counts[cls] += 1
-        row = table[cls]
-        for j in range(i, len(primes)):
-            nn = norm * norms[j]
-            if nn >= B:
-                break
-            stack.append((j + 1, nn, row[pcls[j]]))
     return counts
 
 

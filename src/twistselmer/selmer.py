@@ -635,7 +635,10 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     Per twist: the product-formula identity, the additive decomposition of
     ord_2 of the Tamagawa ratio, and agreement of the symbol-table and
     torsor routes at every good odd ramified prime encountered; plus
-    twist-class invariance on a seeded sample.  The root-number parity
+    twist-class invariance on a seeded sample.  d and d*k^2 have one
+    squarefree part, so factorize gives both the same primes and both read
+    one memo entry: that check sees a fault in factorize's parity
+    extraction, not one in the descent.  The root-number parity
     check shares no code with the descent: on the twists d = 1 mod 4
     coprime to the bad primes, which do not ramify at 2,
     (-1)^ord2T(d) = w(E_d) = w(E) * (d | -N_odd) * (d | 2)^f_2 (2-parity,

@@ -16,14 +16,13 @@ from twistselmer.ekstats import (
     distribution_report,
     empirical_moment,
     moment_constant,
-    omega_spec,
     sigma_g_predicted,
     tail_fraction,
 )
 from twistselmer.selmer import audit_curve, descend, make_pair
 
 # reference sums that no command computes, each tested in its own module
-from test_ekstats import mainterm_G, mertens_char_sum
+from test_ekstats import mainterm_G, mertens_char_sum, omega
 from test_selmer import g_chi_of_twist
 
 ACCEPTANCE_CURVES = [(1, -1), (0, 4), (-1, 3), (3, 2), (0, -2)]
@@ -129,11 +128,11 @@ class TestCriterion5Moments:
         assert moment_constant(6) == 15
 
     def test_moment_ratios_at_million(self):
-        om = omega_spec()
         X = 10**6
+        om = omega(X)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports = {k: empirical_moment(om, X, k) for k in (1, 2, 3, 4)}
+            reports = {k: empirical_moment(om, X, k, None) for k in (1, 2, 3, 4)}
         for k in (1, 3):
             rep = reports[k]
             assert abs(rep.empirical) <= 10 * rep.predicted, (k, rep)

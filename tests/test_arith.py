@@ -11,6 +11,7 @@ from twistselmer.arith import (
     SIEVE_BLOCK,
     factorize,
     is_perfect_square,
+    is_prime,
     kronecker,
     least_nonresidue,
     prime_flags,
@@ -162,6 +163,29 @@ class TestSqrtMod:
             assert kronecker(u, p) == -1 and all(kronecker(v, p) == 1 for v in range(2, u))
             assert least_nonresidue.cache_info().currsize <= maxsize
         assert least_nonresidue.cache_info().currsize == maxsize
+
+
+class TestIsPrime:
+    def test_matches_the_sieve(self):
+        primes = set(sieve_primes(10**5))
+        assert [n for n in range(-3, 10**5) if is_prime(n)] == sorted(primes)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first 1, 2, 4, 7, 9 and 11 prime bases
+        for n in (2047, 1373653, 3215031751, 341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n), n
+        assert 3215031751 == 151 * 751 * 28351
+
+    def test_large_primes(self):
+        for p in (2**31 - 1, 100000000000031, 1000000000000000003, 2**61 - 1, 2**79 - 67):
+            assert is_prime(p), p
+        assert not is_prime((2**31 - 1) * 100000000000031)
+
+    def test_refuses_past_the_proven_range(self):
+        # 3317044064679887385961981 is the least strong pseudoprime to all 13 bases
+        assert not is_prime(3317044064679887385961980)
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(3317044064679887385961981)
 
 
 class TestSquarefreePart:

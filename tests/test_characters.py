@@ -8,20 +8,21 @@ import pytest
 from twistselmer import quadfield as qf
 from twistselmer.arith import squarefree_factors, squarefree_flags
 from twistselmer.characters import enumerate_characters
-from twistselmer.ekstats import empirical_moment, omega_spec, prime_sum_values
+from twistselmer.ekstats import empirical_moment, prime_sum_values
 from twistselmer.selmer import g_of_primes, make_pair
 
 # the norm-form search, the class lookups' oracle, is tested in its own
 # module, and so are the unit classes as elements
 from test_quadfield import generator_if_principal, ideal_of, units_mod_squares
+from test_ekstats import omega
 
 
 class TestEnumerate:
     def test_rational_small(self):
         # C(Q, X) is the signed squarefree d with 0 < |d| < X; ek reads one
         # value per |d| off squarefree_flags, here omega at 1, 2, 3, 5, 6, 7
-        assert prime_sum_values(omega_spec(), 10).tolist() == [0, 1, 1, 1, 2, 1]
-        assert prime_sum_values(omega_spec(), 2).tolist() == [0]
+        assert prime_sum_values(omega(10), 10).tolist() == [0, 1, 1, 1, 2, 1]
+        assert prime_sum_values(omega(2), 2).tolist() == [0]
 
     def test_no_duplicates_and_stable(self):
         # h = 1: each conductor comes once per unit class, side by side, and no conductor twice
@@ -101,7 +102,7 @@ class TestEnumerate:
 
 def _omega_by_d(X):
     """omega at each squarefree 0 < d < X, as ek reads it off C(Q, X)."""
-    values = prime_sum_values(omega_spec(), X)
+    values = prime_sum_values(omega(X), X)
     return dict(zip(compress(range(1, X), squarefree_flags(1, X)), values))
 
 
@@ -135,13 +136,14 @@ class TestEvalAdditive:
         (P3,) = qf.split_prime(K, 3)  # inert: one prime
         P5, P5c = qf.split_prime(K, 5)  # split: two primes
         X = 226
-        conductors = [ideal_of(K, X, key) for key in enumerate_characters(K, X)]
+        keys = enumerate_characters(K, X)
+        conductors = [ideal_of(K, X, key) for key in keys]
         assert qf.make_ideal([(P3, 1)]) in conductors
         assert qf.make_ideal([(P3, 1), (P5, 1), (P5c, 1)]) in conductors
         # the first moment of omega over C(K, X), against the conductors' primes of norm < z
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = empirical_moment(omega_spec(K), X, 1)
+            rep = empirical_moment(omega(X, K), X, 1, keys)
         mu_t = math.fsum(1 / (P.norm + 1) for P in qf.primes_up_to(K, math.ceil(rep.z)))
         counts = [sum(1 for P, _ in a.factorization if P.norm < rep.z) for a in conductors]
         assert abs(rep.empirical - (sum(counts) / len(counts) - mu_t)) < 1e-12

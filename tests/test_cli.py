@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -397,7 +398,9 @@ class TestIdealCount:
     def test_field_cap_violation(self, tmp_path):
         assert run(["ideal-count", "--m", "-10007", "--X", "100", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("spec", ["4:0", "1:0", "9:0", "0:0", "3:-1"])
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 3317044064679887385961981 is past the range where Miller-Rabin to the bases up to 41 is proven
+    @pytest.mark.parametrize("spec", ["4:0", "1:0", "9:0", "0:0", "3:-1", "3215031751:0", "3317044064679887385961981:0"])
     def test_rejects_bad_ideal_spec(self, tmp_path, capsys, spec):
         # p must be a rational prime and the conjugate index >= 0
         out = tmp_path / "ic"
@@ -405,6 +408,14 @@ class TestIdealCount:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and spec in err[0]
         assert not out.exists()
+
+    def test_large_spec_prime(self, tmp_path):
+        # a 19-digit prime is tested by Miller-Rabin, not trial division
+        out = tmp_path / "ic"
+        t0 = time.perf_counter()
+        assert run(["ideal-count", "--m", "-5", "--X", "100", "--q", "1000000000000000003:0", "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        assert len((out / "sfcount.csv").read_text().splitlines()) == 3  # h + 1 lines
 
     def test_bad_token_is_named(self, tmp_path, capsys):
         out = tmp_path / "ic"

@@ -12,8 +12,6 @@ from twistselmer.arith import kronecker, sieve_primes, squarefree_flags, squaref
 from twistselmer.characters import enumerate_characters
 from twistselmer.cli import _cdf_csv
 from twistselmer.ekstats import (
-    AdditiveFunctionSpec,
-    _field_primes,
     _norm,
     conductor_sums,
     distribution_report,
@@ -21,7 +19,6 @@ from twistselmer.ekstats import (
     gaussian_cdf,
     moment_constant,
     mu_f,
-    omega_spec,
     prime_sum_values,
     prime_values,
     sigma_f,
@@ -49,14 +46,21 @@ def simpson_normal_cdf(z, n=40000):
 # paper's constants (acceptance criteria 5 and 8).
 
 
-def mu_tilde_f(f: AdditiveFunctionSpec, X) -> float:
-    """Sum of f(p)/(Np+1) over primes of norm < X."""
-    return math.fsum(f.value(p) / (_norm(p) + 1) for p in _field_primes(f, X))
+def omega(X, base="Q") -> dict:
+    """The prime_values table of omega, the number of prime divisors: 1 at
+    each prime of norm < X."""
+    return prime_values(base, X, lambda P: 1.0)
 
 
-def mainterm_G(f: AdditiveFunctionSpec, q) -> float:
-    """The multiplicative main-term function on a factored ideal (or a list of
-    (rational prime, exponent) pairs over Q); zero unless square-full."""
+def mu_tilde_f(values: dict) -> float:
+    """Sum of f(p)/(Np+1) over the primes of a prime_values table."""
+    return math.fsum(v / (_norm(p) + 1) for p, v in values.items())
+
+
+def mainterm_G(values: dict, q) -> float:
+    """The multiplicative main-term function of the additive function of a
+    prime_values table on a factored ideal (or a list of (rational prime,
+    exponent) pairs over Q); zero unless square-full."""
     factors = q.factorization if hasattr(q, "factorization") else q
     out = 1.0
     for P, alpha in factors:
@@ -64,7 +68,7 @@ def mainterm_G(f: AdditiveFunctionSpec, q) -> float:
             return 0.0  # (1-u) + n*(-u) = 0 exactly at u = 1/(n+1)
         n = _norm(P)
         u = 1.0 / (n + 1)
-        out *= f.value(P) ** alpha * u * ((1 - u) ** alpha + n * (-u) ** alpha)
+        out *= values[P] ** alpha * u * ((1 - u) ** alpha + n * (-u) ** alpha)
     return out
 
 
@@ -138,37 +142,43 @@ def numpy_distribution_report(values, normalize, X=None):
 
 class TestMuSigma:
     def test_small_sums(self):
-        om = omega_spec()
-        assert abs(mu_f(om, 10) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-14
-        assert abs(sigma_f(om, 10) - math.sqrt(1.1761904761904762)) < 1e-12
-        assert mu_f(om, 2) == 0.0 and sigma_f(om, 2) == 0.0
+        om = omega(10)
+        assert list(om) == [2, 3, 5, 7]
+        assert abs(mu_f(om) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-14
+        assert abs(sigma_f(om) - math.sqrt(1.1761904761904762)) < 1e-12
+        assert omega(2) == {} and mu_f(omega(2)) == 0.0 and sigma_f(omega(2)) == 0.0
 
     def test_zero_function(self):
-        zero = AdditiveFunctionSpec("Q", lambda p: 0.0, bounded_01=True)
         for X in (10, 100, 1000):
-            assert mu_f(zero, X) == 0.0 and sigma_f(zero, X) == 0.0
+            zero = prime_values("Q", X, lambda p: 0.0)
+            assert mu_f(zero) == 0.0 and sigma_f(zero) == 0.0
 
     def test_mu_tilde(self):
-        om = omega_spec()
-        assert abs(mu_tilde_f(om, 10) - 0.875) < 1e-15
-        assert mu_tilde_f(om, 2) == 0.0
+        assert abs(mu_tilde_f(omega(10)) - 0.875) < 1e-15
+        assert mu_tilde_f(omega(2)) == 0.0
 
     def test_mu_tilde_gap_bounded(self):
-        om = omega_spec()
-        gaps = [mu_f(om, X) - mu_tilde_f(om, X) for X in (10**4, 10**5, 10**6)]
+        gaps = [mu_f(om) - mu_tilde_f(om) for om in map(omega, (10**4, 10**5, 10**6))]
         assert all(0 <= g < 0.8 for g in gaps)
         assert gaps[-1] - gaps[-2] < 0.01  # stabilizing
 
     def test_over_gaussian_field(self):
         K = qf.make_field(-1)
-        om = omega_spec(K)
-        # norms < 10: 2, 5, 5, 9
-        assert abs(mu_f(om, 10) - (1 / 2 + 2 / 5 + 1 / 9)) < 1e-14
+        om = omega(10, K)
+        # norms < 10: 2, 5, 5, 9; the keys are prime ideals, and their norms are read
+        assert [P.norm for P in om] == [2, 5, 5, 9]
+        assert abs(mu_f(om) - (1 / 2 + 2 / 5 + 1 / 9)) < 1e-14
 
     def test_bounded_01_enforced(self):
-        bad = AdditiveFunctionSpec("Q", lambda p: 2.0, bounded_01=True)
-        with pytest.raises(ValueError):
-            mu_f(bad, 10)
+        # X = 10^4, k = 2: the cutoff z is 10, so the primes 2, 3, 5, 7 are read
+        bad = prime_values("Q", 30, lambda p: 2.0)
+        with pytest.raises(ValueError, match=r"\[0,1\].* 2: 2\.0"):
+            empirical_moment(bad, 10**4, 2, None)
+        # a value past the cutoff is not read
+        late = prime_values("Q", 30, lambda p: 2.0 if p > 10 else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert empirical_moment(late, 10**4, 2, None) == empirical_moment(omega(10), 10**4, 2, None)
 
 
 class TestCenteredG:
@@ -205,11 +215,10 @@ class TestMomentConstant:
 
 class TestEmpiricalMoment:
     def test_matches_direct_character_average(self):
-        om = omega_spec()
         X = 3000
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = empirical_moment(om, X, 2)
+            rep = empirical_moment(omega(X), X, 2, None)
         z = X ** 0.25
         primes = [p for p in sieve_primes(60) if p < z]
         mu_t = sum(1 / (p + 1) for p in primes)
@@ -222,7 +231,6 @@ class TestEmpiricalMoment:
     def test_prime_sum_values_match_factorization(self):
         from twistselmer.arith import factorize
 
-        f = AdditiveFunctionSpec("Q", lambda p: 1.0 / p, bounded_01=True)
         primes = sieve_primes(30)
         X = 2000
         expected = []
@@ -234,91 +242,81 @@ class TestEmpiricalMoment:
                     if p in primes:
                         total += 1.0 / p
                 expected.append(total)
-        assert prime_sum_values(f, X, prime_values(f, 30)).tolist() == expected
+        assert prime_sum_values(prime_values("Q", 30, lambda p: 1.0 / p), X).tolist() == expected
 
     def test_zero_function_gives_zero(self):
-        zero = AdditiveFunctionSpec("Q", lambda p: 0.0, bounded_01=True)
+        zero = prime_values("Q", 500, lambda p: 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert empirical_moment(zero, 500, 2).empirical == 0.0
+            assert empirical_moment(zero, 500, 2, None).empirical == 0.0
 
     def test_flags_out_of_range_k(self):
-        om = omega_spec()
         with pytest.warns(UserWarning):
-            rep = empirical_moment(om, 10**4, 4)
+            rep = empirical_moment(omega(10**4), 10**4, 4, None)
         assert not rep.within_uniform_range
 
     def test_requires_bounded(self):
-        g = AdditiveFunctionSpec("Q", lambda p: -1.0, name="g")
-        with pytest.raises(ValueError):
-            empirical_moment(g, 100, 2)
+        g = prime_values("Q", 100, lambda p: -1.0)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            empirical_moment(g, 100, 2, None)
 
 
 class TestPrimeSumValues:
     # f(p) = 1/p has a full mantissa, so its sums depend on the order of addition
-    F = AdditiveFunctionSpec("Q", lambda p: 1.0 / p, bounded_01=True, name="1/p")
+    F = staticmethod(lambda p: 1.0 / p)
     R = 97  # a prime: at X = R^2 it is the first prime added by multiplier
 
     def test_sums_depend_on_the_order(self):
         X = self.R**2
-        table = prime_values(self.F, X)
+        table = prime_values("Q", X, self.F)
         backwards = dict(reversed(table.items()))
         assert slice_loop_prime_sums(backwards, X).tobytes() != slice_loop_prime_sums(table, X).tobytes()
 
     @pytest.mark.parametrize("X", [2, 3, 4, R**2 - 1, R**2, R**2 + 1])
     def test_matches_slice_loop_bitwise(self, X):
-        table = prime_values(self.F, X)
-        assert prime_sum_values(self.F, X, table).tobytes() == slice_loop_prime_sums(table, X).tobytes()
-        assert prime_sum_values(self.F, X).tobytes() == slice_loop_prime_sums(table, X).tobytes()
+        table = prime_values("Q", X, self.F)
+        assert prime_sum_values(table, X).tobytes() == slice_loop_prime_sums(table, X).tobytes()
         # the primes below a moment's cutoff only: no prime is added by multiplier below sqrt(X)
         small = {p: v for p, v in table.items() if p < 30}
-        assert prime_sum_values(self.F, X, small).tobytes() == slice_loop_prime_sums(small, X).tobytes()
+        assert prime_sum_values(small, X).tobytes() == slice_loop_prime_sums(small, X).tobytes()
 
 
 class TestValueTable:
     @staticmethod
-    def counting(base):
+    def counting():
         calls = []
-        return AdditiveFunctionSpec(base, lambda p: calls.append(p) or 0.5, bounded_01=True), calls
+        return lambda p: calls.append(p) or 0.5, calls
 
     def test_f_is_evaluated_once_per_prime_over_q(self):
-        f, calls = self.counting("Q")
+        f, calls = self.counting()
         X = 5000
-        table = prime_values(f, X)
+        table = prime_values("Q", X, f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            moments = [empirical_moment(f, X, k, table) for k in (1, 2)]
-        prime_sum_values(f, X, table)
-        mu, sigma = mu_f(f, X, table), sigma_f(f, X, table)
-        assert sorted(calls) == list(sieve_primes(X))
-        # the same numbers as when each function evaluates f itself
-        fresh, _ = self.counting("Q")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert moments == [empirical_moment(fresh, X, k) for k in (1, 2)]
-        assert (mu, sigma) == (mu_f(fresh, X), sigma_f(fresh, X))
+            for k in (1, 2):
+                empirical_moment(table, X, k, None)
+        prime_sum_values(table, X)
+        mu_f(table), sigma_f(table)
+        assert calls == list(sieve_primes(X)) == list(table)
 
     def test_f_is_evaluated_once_per_prime_over_k(self):
         K = qf.make_field(-5)
-        f, calls = self.counting(K)
+        f, calls = self.counting()
         X = 3000
-        table = prime_values(f, X)
+        table = prime_values(K, X, f)
         conductors = enumerate_characters(K, X)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            moment = empirical_moment(f, X, 2, table, conductors)
+            empirical_moment(table, X, 2, conductors)
         sums = conductor_sums(table, conductors)
-        assert len(calls) == len(set(calls)) == len(qf.primes_up_to(K, X))
-        fresh, _ = self.counting(K)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert moment == empirical_moment(fresh, X, 2)
+        mu_f(table), sigma_f(table)
+        assert calls == qf.primes_up_to(K, X) == list(table)
         assert sums == [sum(0.5 for _ in key) for key in conductors]
 
     def test_conductor_sums_below_a_cutoff(self):
         K = qf.make_field(-1)
         # the table of the primes of norm < 10 sums over those primes of each conductor
-        table = prime_values(omega_spec(K), 10)
+        table = omega(10, K)
         conductors = enumerate_characters(K, 200)
         got = conductor_sums(table, conductors, -0.25)
         ideals = [ideal_of(K, 200, key) for key in conductors]
@@ -327,19 +325,19 @@ class TestValueTable:
 
 class TestMaintermG:
     def test_examples(self):
-        unit = AdditiveFunctionSpec("Q", lambda p: 1.0)
+        unit = omega(20)
         assert mainterm_G(unit, [(3, 1)]) == 0.0
         assert abs(mainterm_G(unit, [(3, 2)]) - 3 / 16) < 1e-15
         assert mainterm_G(unit, []) == 1.0
 
     def test_bound_by_f_squared_over_p(self):
-        unit = AdditiveFunctionSpec("Q", lambda p: 1.0)
+        unit = omega(20)
         for p in (3, 5, 7, 11):
             for alpha in (2, 3, 4):
                 assert abs(mainterm_G(unit, [(p, alpha)])) <= 1 / p + 1e-15
 
     def test_vanishes_off_squarefull(self):
-        unit = AdditiveFunctionSpec("Q", lambda p: 1.0)
+        unit = omega(20)
         rng = random.Random(31)
         primes = [3, 5, 7, 11, 13]
         for _ in range(100):
@@ -353,7 +351,7 @@ class TestMaintermG:
     def test_ideal_input(self):
         K = qf.make_field(-5)
         P3 = qf.split_prime(K, 3)[0]
-        unit = AdditiveFunctionSpec(K, lambda P: 1.0)
+        unit = omega(10, K)
         assert abs(mainterm_G(unit, qf.make_ideal([(P3, 2)])) - 3 / 16) < 1e-15
 
 
@@ -494,11 +492,10 @@ class TestSigmaG:
 
 class TestOmegaDistributionTrend:
     def test_ks_nonincreasing_over_scales(self):
-        om = omega_spec()
         ks = []
         for X in (10**4, 10**5, 10**6):
-            values = prime_sum_values(om, X)
-            rep = distribution_report(values, (mu_f(om, X), sigma_f(om, X)), X=X)
+            om = omega(X)
+            rep = distribution_report(prime_sum_values(om, X), (mu_f(om), sigma_f(om)), X=X)
             ks.append(rep.ks)
         assert ks[0] >= ks[1] >= ks[2]
 

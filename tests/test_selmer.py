@@ -342,10 +342,10 @@ class TestGChi:
     @pytest.mark.parametrize("a, b", [(1, -1), (-1, 3), (7, -11)])
     def test_prime_sums_are_g_of_primes(self, a, b):
         # ek --f curve-g reads g as an additive function: its value at p, summed over the primes of d
-        from twistselmer.ekstats import AdditiveFunctionSpec, prime_sum_values
+        from twistselmer.ekstats import prime_sum_values, prime_values
 
         pair = make_pair(a, b)
-        values = prime_sum_values(AdditiveFunctionSpec("Q", lambda p: g_of_primes(pair, (p,))), 5000)
+        values = prime_sum_values(prime_values("Q", 5000, lambda p: g_of_primes(pair, (p,))), 5000)
         want = [g_of_primes(pair, primes) for _, primes in squarefree_factors(1, 5000)]
         assert values.tolist() == want
 
@@ -584,6 +584,18 @@ class TestAudit:
             assert places[:3] == ["oo", "2", "5"], f
             assert sorted(int(p) for p in places[3:]) == [p for p, _ in factorize(f["d"]) if p not in (2, 5)], f
         assert report["failures"][0]["dims"] == {"oo": 0, "2": 2, "5": 2}
+
+    def test_twist_class_invariance_sees_a_parity_fault(self, monkeypatch):
+        # d and d*k^2 reach one memo entry through factorize, so this check
+        # fails when factorize's exponent parities are wrong, and only then
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        monkeypatch.setattr(selmer, "factorize", lambda n: tuple((p, 1) for p, _ in factorize(n)))
+        report = audit_curve(pair, 2000, seed=1)
+        assert [f["check"] for f in report["failures"]] == ["twist-class-invariance"] * 9
+        monkeypatch.undo()
+        assert audit_curve(pair, 2000, seed=1)["ok"]
 
     def test_wrong_local_image_is_named(self, monkeypatch):
         import twistselmer.selmer as selmer
