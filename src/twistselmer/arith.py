@@ -16,11 +16,12 @@ REAL_PLACE = "oo"
 
 # At an odd p <= _SMALL_PRIME_SCAN a scan of all p residues decides whether
 # the reduction takes a unit value of the wanted class, beyond it the Weil
-# bound (sound from p = 17); _monic_roots finds the roots at every odd p.
-# Per torsor call on twists of random curves (Python 3.11, 2-core VM) the
-# scan took 32 us against 28 us for the polynomial route at p = 17, 52
-# against 30 us at p = 31, and 250-310 against 17-18 us at p = 307-397; the
-# scan, which needs no bound, keeps the primes up to 29, near that crossover.
+# bound (sound from p = 17).  Per torsor call on the four delta classes of
+# twists d = k*p of random curves good at p (Python 3.11, 2-core VM) the
+# scan took 8-15 us against 4-8 us for the polynomial route at p = 17, 12
+# against 4-5 us at p = 31, and 164-178 against 9 us at p = 307-397.  The
+# scan, which needs no bound, keeps the primes up to 29, about 1% of an
+# audit's odd-p calls.
 _SMALL_PRIME_SCAN = 29
 
 # squarefree_factors keeps one list (about 100 bytes) per integer of a block
@@ -278,15 +279,13 @@ def torsor_locally_solvable(a: int, b: int, delta: int, place) -> bool:
     A = delta * m
     B = -2 * a * delta * delta
     C = delta**3
-    q = [C, 0, B, 0, A]
-    qrev = [A, 0, B, 0, C]
     # disc of A z^4 + B z^2 + C is 4096 delta^12 b^2 m, with m = a^2 - 4b, nonzero for
     # nonsingular (a, b); reversal preserves it
     if p == 2:
         disc = 4096 * delta**12 * b * b * m
-        return any(_solve_z2(f, 0, 3 * (_v2(disc) + _v2(f[-1])) + 8) for f in (q, qrev))
+        return any(_solve_z2(f, 0, 3 * (_v2(disc) + _v2(f[-1])) + 8) for f in ([C, 0, B, 0, A], [A, 0, B, 0, C]))
     cap = 12 * _val(delta, p) + _val(b * b * m, p) + 36  # v_p(disc) + 36
-    return _solve_odd(q, p, 0, 1, cap) or _solve_odd(qrev, p, 0, 1, cap)
+    return _solve_even(C, B, A, p, 0, 1, cap) or _solve_even(A, B, C, p, 0, 1, cap)
 
 
 def _val(n: int, p: int) -> int:
@@ -361,8 +360,69 @@ def _solve_z2(q, c_parity, depth) -> bool:
     return False
 
 
+def _solve_even(c0, c2, c4, p, c_parity, c_kron, depth) -> bool:
+    """Whether c*q(z) takes a square value (or 0) on Z_p, p odd, for the even
+    q(z) = c0 + c2 z^2 + c4 z^4: the certificates and depth of _solve_odd,
+    read through the monic h with q = lead * h(z^2) mod p.
+
+    The root 0 is never simple, and q(p*t) is even again.  A nonzero root r
+    is simple iff h'(r^2) != 0 mod p; only a shift at a nonzero double root,
+    whose reductions have degree <= 2 (see _monic_roots), goes to _solve_odd.
+    """
+    if depth < 0:
+        raise ArithmeticError("p-adic torsor recursion exceeded certified depth")
+    g = math.gcd(c0, c2, c4)
+    if g % p == 0:
+        e = _val(g, p)
+        pe = p**e
+        c0, c2, c4 = c0 // pe, c2 // pe, c4 // pe
+        c_parity ^= e & 1
+    r0, r2, r4 = c0 % p, c2 % p, c4 % p
+    if not (r2 or r4):  # a unit constant mod p
+        return c_parity == 0 and (pow(r0, p >> 1, p) == 1) == (c_kron == 1)
+    lead = r4 or r2
+    inv = pow(lead, -1, p)
+    h = [r0 * inv % p, r2 * inv % p, 1] if r4 else [r0 * inv % p, 1]
+    if c_parity == 0:
+        if p <= _SMALL_PRIME_SCAN:
+            if _unit_square_scan([r0, 0, r2, 0, r4], c_kron, p):
+                return True
+        # the Weil bound (see _solve_odd), with c*lead's symbol by Euler's criterion
+        elif (pow(lead, p >> 1, p) == 1) == (c_kron == 1) or not _even_is_square(h, p):
+            return True
+    for r in _even_roots(h, p):
+        if r == 0:
+            found = _solve_even(c0, c2 * p * p, c4 * p**4, p, c_parity, c_kron, depth - 1)
+        elif not r4 or (2 * r * r + h[1]) % p:
+            return True  # simple root mod p: Hensel root of q in Z_p, value 0
+        else:
+            found = _solve_odd(_taylor_shift_scale([c0, 0, c2, 0, c4], r, p), p, c_parity, c_kron, depth - 1)
+        if found:
+            return True
+    return False
+
+
+def _even_is_square(h, p) -> bool:
+    """Whether h(z^2) is a square in F_p[z], for a monic h of degree 1 or 2.
+    A monic square root of h(z^2) is even, z^2 + v, or z when h = y, so
+    h(z^2) is a square iff h = y or disc(h) = 0."""
+    return (h[0] if len(h) == 2 else h[1] * h[1] - 4 * h[0]) % p == 0
+
+
+def _even_roots(h, p):
+    """The distinct roots in F_p of h(z^2), ascending, for a monic h of
+    degree 1 or 2: the square roots of the roots of h."""
+    roots = set()
+    for s in _monic_roots(h, p):
+        r = sqrt_mod_prime(s, p)
+        if r is not None:
+            roots.update((r, -r % p))
+    return sorted(roots)
+
+
 def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
-    """Whether c*q(t) takes a square value (or 0) on Z_p, p odd.
+    """Whether c*q(t) takes a square value (or 0) on Z_p, p odd, for the
+    shift of an even quartic at a nonzero double root (see _solve_even).
 
     c is a squarefree multiplier tracked as (valuation parity, Kronecker
     symbol of its unit part).  Certificates only: a unit value that is a
@@ -383,7 +443,13 @@ def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
         kron = c_kron * kronecker(lead, p)
         if len(f) == 1:
             return kron == 1
-        if _unit_square_value(f, kron, p):
+        if p <= _SMALL_PRIME_SCAN:
+            if _unit_square_scan(f, kron, p):
+                return True
+        # Weil bound: for p > 16 a polynomial of degree <= 4 that is not a
+        # constant times a square takes both classes of unit values; a monic
+        # square takes square values off its (< p) roots
+        elif kron == 1 or not _monic_is_square(f, p):
             return True
     elif len(f) == 1:
         return False
@@ -397,73 +463,42 @@ def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
     return False
 
 
-def _unit_square_value(f, c_kron, p) -> bool:
-    """Whether some unit value of the monic f has c*value a QR mod p."""
-    if p <= _SMALL_PRIME_SCAN:
-        return _unit_square_scan(f, c_kron, p)
-    # Weil bound: for p > 16 a quartic that is not a constant times a square
-    # takes both classes of unit values; a monic square takes square values
-    # off its (< p) roots
-    return not _monic_is_square(f, p) or c_kron == 1
-
-
 def _unit_square_scan(qbar, c_kron, p) -> bool:
-    """_unit_square_value by evaluating qbar at every residue."""
+    """Whether c*qbar(t) is a nonzero QR mod p at some residue t."""
     return any(c_kron * kronecker(_poly_eval(qbar, t) % p, p) == 1 for t in range(p))
 
 
-def _even_half(f):
-    """h with f(z) = h(z^2) if only even powers of z occur in f, else None."""
-    return None if any(f[1::2]) else f[::2]
-
-
 def _monic_is_square(f, p):
-    """Whether a monic f in F_p[x] is the square of a polynomial.
-
-    The torsor solver makes only polynomials of degree <= 2 and even
-    quartics (see _monic_roots).  A quadratic is a square iff its
-    discriminant vanishes.  A monic square root of an even quartic h(z^2)
-    is even, z^2 + v, so the quartic is a square iff disc(h) = 0.
-    """
+    """Whether a monic f in F_p[x] of degree 1 or 2 is the square of a
+    polynomial: a quadratic is one iff its discriminant vanishes.  The
+    solver makes no other f (see _monic_roots)."""
     deg = len(f) - 1
     if deg == 1:
         return False
     if deg == 2:
         return (f[1] * f[1] - 4 * f[0]) % p == 0
-    if deg == 4 and _even_half(f) is not None:
-        return (f[2] * f[2] - 4 * f[0]) % p == 0
-    raise ArithmeticError(f"square test of a degree-{deg} polynomial that is not even")
+    raise ArithmeticError(f"square test of a degree-{deg} polynomial")
 
 
 def _monic_roots(f, p):
-    """The distinct roots in F_p of a monic f, ascending, at every odd p.
+    """The distinct roots in F_p of a monic f of degree 1 or 2, ascending,
+    by formula, at every odd p.
 
-    Degree 1 and 2 by formula; an even f = h(z^2) from the square roots of
-    the roots of h.  The torsor solver makes no other f: q is even, and
-    after a Taylor shift at r != 0 mod p at most two roots of q (one of each
-    pair +-root) lie near r, so the reduction has degree <= 2.  z^n, the
-    reversal's reduction at every good prime, has the root 0 alone.
+    The torsor solver makes no other f: _even_roots reads the roots of an
+    even quartic h(z^2) off those of h, and after a Taylor shift at
+    r != 0 mod p at most two roots of q (one of each pair +-root) lie near
+    r, so every reduction on _solve_odd's route has degree <= 2.
     """
-    if not any(f[:-1]):
-        return [0]
     deg = len(f) - 1
     if deg == 1:
         return [-f[0] % p]
-    if deg == 2:
-        r = sqrt_mod_prime(f[1] * f[1] - 4 * f[0], p)
-        if r is None:
-            return []
-        half = (p + 1) // 2
-        return sorted({(r - f[1]) * half % p, (-r - f[1]) * half % p})
-    h = _even_half(f)
-    if h is None:
-        raise ArithmeticError(f"roots of a degree-{deg} polynomial that is not even")
-    roots = set()
-    for s in _monic_roots(h, p):
-        r = sqrt_mod_prime(s, p)
-        if r is not None:
-            roots.update((r, -r % p))
-    return sorted(roots)
+    if deg != 2:
+        raise ArithmeticError(f"roots of a degree-{deg} polynomial")
+    r = sqrt_mod_prime(f[1] * f[1] - 4 * f[0], p)
+    if r is None:
+        return []
+    half = (p + 1) // 2
+    return sorted({(r - f[1]) * half % p, (-r - f[1]) * half % p})
 
 
 def _pmonic(f, p):

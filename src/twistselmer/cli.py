@@ -14,7 +14,6 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -225,7 +224,7 @@ def cmd_ek(cfg: argparse.Namespace) -> int:
         # a k outside the uniform range warns; say so in one plain line, not Python's warning text
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            moments = [asdict(ekstats.empirical_moment(table, cfg.X, k, conductors)) for k in cfg.k_list]
+            moments = [ekstats.empirical_moment(table, cfg.X, k, conductors)._asdict() for k in cfg.k_list]
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         # the distribution of f over C(base, X) against the Gaussian

@@ -12,9 +12,8 @@ import math
 import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import takewhile
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import sieve_primes, squarefree_flags
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     X: int
     z: float
     k: int
@@ -49,8 +47,7 @@ class MomentReport:
     within_uniform_range: bool
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     X: int
     grid: tuple
     empirical_cdf: tuple

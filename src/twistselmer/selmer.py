@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ class DescentConsistencyError(RuntimeError):
         return type(self), (str(self), self.check, self.d, self.dims)
 
 
-@dataclass(frozen=True, slots=True)
-class IsogenyPair:
+class IsogenyPair(NamedTuple):
     """E: y^2 = x^3 + a x^2 + b x together with its 2-isogenous partner
     E': y^2 = x^3 - 2a x^2 + (a^2-4b) x."""
 
@@ -202,14 +200,19 @@ def _f2_rank(rows, keep: int = -1) -> int:
 
 
 class _Lazy(dict):
-    """A dict that fills a missing key with fill(key)."""
+    """A dict that fills a missing key with fill(key).  A bounded one stores
+    the value only while it holds fewer than _MEMO_CAP keys; past that it
+    computes each missing key anew on every read."""
 
-    def __init__(self, fill):
+    def __init__(self, fill, bounded: bool = False):
         super().__init__()
         self.fill = fill
+        self.bounded = bounded
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value = self.fill(key)
+        if not self.bounded or len(self) < _MEMO_CAP:
+            self[key] = value
         return value
 
 
@@ -229,7 +232,8 @@ class _CurveContext:
     keyed by that residue, of size at most 8 + sum(q).  Its other symbols
     are periodic mod 8|b*b'| by Jacobi reciprocity: `residue_syms` holds
     them per residue class, and `split_syms` per prime only for the primes
-    with s = s' = 1, whose square-root bits need p itself.
+    with s = s' = 1, whose square-root bits need p itself, up to _MEMO_CAP
+    primes.
 
     `memo` maps the signature of a pair of twists +-|d| (see _signature) to
     the interned entry of their verified rows; `_descend_abs`, which scan,
@@ -253,7 +257,7 @@ class _CurveContext:
         self.blocks = _Lazy(self._bad_block)
         self.modulus = 8 * abs(pair.b * pair.b_dual)
         self.residue_syms = _Lazy(self._residue_syms)
-        self.split_syms = _Lazy(self._split_syms)
+        self.split_syms = _Lazy(self._split_syms, bounded=True)
         self.syms: dict[tuple, tuple] = {}  # the interned symbol tuples, numbered in order of arrival
         # a symbol tuple's number fits in this many bits: at most 4 per residue class
         self.sym_bits = (4 * self.modulus).bit_length()
@@ -635,10 +639,9 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
     Per twist: the product-formula identity, the additive decomposition of
     ord_2 of the Tamagawa ratio, and agreement of the symbol-table and
     torsor routes at every good odd ramified prime encountered; plus
-    twist-class invariance on a seeded sample.  d and d*k^2 have one
-    squarefree part, so factorize gives both the same primes and both read
-    one memo entry: that check sees a fault in factorize's parity
-    extraction, not one in the descent.  The root-number parity
+    twist-class invariance on a seeded sample: d's row, read through the
+    memo, against the kernel's _rows for the squarefree part of d*k^2,
+    which factorize gives.  The root-number parity
     check shares no code with the descent: on the twists d = 1 mod 4
     coprime to the bad primes, which do not ramify at 2,
     (-1)^ord2T(d) = w(E_d) = w(E) * (d | -N_odd) * (d | 2)^f_2 (2-parity,
@@ -730,8 +733,11 @@ def audit_curve(pair: IsogenyPair, X: int, seed: int = 0, inject_fault: bool = F
             ad = rng.randrange(2, X)
             base = ctx.descend(ad)
             for k in (2, 3, 5):
-                scaled = ctx.descend(ad * k * k)
-                if base != scaled:
+                # d*k^2 from the kernel's own rows, past the memo that d's read
+                primes = tuple(p for p, e in factorize(ad * k * k) if e % 2)
+                sq = math.prod(primes)
+                row = _rows(ctx, sq, *_signature(ctx, sq, primes))[0]
+                if type(row) is not tuple or base != (sq, *row):
                     failures.append({"d": ad, "check": "twist-class-invariance", "detail": f"k={k}"})
 
     return {

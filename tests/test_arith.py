@@ -495,29 +495,41 @@ def _roots_by_scan(f, p):
 
 class TestOddPrimeRoutes:
     """The residue scan and the Weil route of the odd-prime torsor solver,
-    each run on its own against the other, and its one root finder against
-    the roots found by a scan."""
+    each run on its own against the other, and its root finders against
+    the roots found by a scan.  An even f = h(z^2) goes to the even route's
+    helpers, which read it through h; every other f to the list route's."""
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(30) if p > 2])
     def test_monic_roots_match_scan_at_scanned_primes(self, p):
-        # every monic polynomial of degree 1 and 2, and every even monic quartic z^4 + u z^2 + w, z^4 included
-        cases = [[w, 1] for w in range(p)]
-        cases += [[w, u, 1] for w in range(p) for u in range(p)]
-        cases += [[w, 0, u, 0, 1] for w in range(p) for u in range(p)]
-        for f in cases:
+        # every monic polynomial of degree 1 and 2, and every even monic
+        # z^2 + w and z^4 + u z^2 + w, z^2 and z^4 included
+        for f in [[w, 1] for w in range(p)] + [[w, u, 1] for w in range(p) for u in range(p)]:
             assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
+        for h in [[w, 1] for w in range(p)] + [[w, u, 1] for w in range(p) for u in range(p)]:
+            f = [c for coef in h for c in (coef, 0)][:-1]  # h(z^2)
+            assert arith._even_roots(h, p) == _roots_by_scan(f, p), (f, p)
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(401) if p >= 31])
     def test_polynomial_route_matches_scan(self, p, monkeypatch):
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
         rng = random.Random(p)
         for f in _route_cases(p, rng, 24):
-            # the solver hands both routes the monic g, with lead's symbol in the multiplier
+            # the solver reads the monic g, with lead's symbol in the multiplier;
+            # the even route takes every quartic and the even quadratics
             lead, g = arith._pmonic(f, p)
-            assert arith._monic_roots(g, p) == _roots_by_scan(f, p), f
+            even, short = not any(g[1::2]), len(g) <= 3
+            assert even or short, f
+            if even:
+                assert arith._even_roots(g[::2], p) == _roots_by_scan(f, p), f
+            if short:
+                assert arith._monic_roots(g, p) == _roots_by_scan(f, p), f
             for c_kron in (1, -1):
                 exists = arith._unit_square_scan(f, c_kron, p)
-                assert arith._unit_square_value(g, c_kron * kronecker(lead, p), p) is exists, (f, c_kron)
+                kron = c_kron * kronecker(lead, p)
+                if even:
+                    assert (kron == 1 or not arith._even_is_square(g[::2], p)) is exists, (f, c_kron)
+                if short:
+                    assert (kron == 1 or not arith._monic_is_square(g, p)) is exists, (f, c_kron)
 
     def test_even_reduction_matches_scan(self):
         rng = random.Random(4)
@@ -527,17 +539,24 @@ class TestOddPrimeRoutes:
             p = rng.choice(primes)
             for f in _route_cases(p, rng, 12):
                 _, f = arith._pmonic(f, p)
-                assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
                 square = _square_by_coefficients(f, p)
-                assert arith._monic_is_square(f, p) == square, (f, p)
+                if not any(f[1::2]):
+                    assert arith._even_roots(f[::2], p) == _roots_by_scan(f, p), (f, p)
+                    assert arith._even_is_square(f[::2], p) == square, (f, p)
+                if len(f) <= 3:
+                    assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
+                    assert arith._monic_is_square(f, p) == square, (f, p)
                 squares += square
         assert squares > 50
 
     def test_not_even_cubic_or_quartic_raises(self):
-        # the torsor solver never reduces to one (see arith._monic_roots)
+        # the list route takes only the shifts at a nonzero double root, whose
+        # reductions have degree <= 2 (see arith._monic_roots): every cubic and
+        # quartic raises there, an even one too, which the even route reads
         rng = random.Random(5)
         for p in (409, 1009, 2003):
-            for f in _not_even_cases(p, rng, 20):
+            even = [[rng.randrange(p), 0, rng.randrange(p), 0, 1] for _ in range(5)] + [[0, 0, 0, 0, 1], [0, 0, 0, 1]]
+            for f in _not_even_cases(p, rng, 20) + even:
                 with pytest.raises(ArithmeticError):
                     arith._monic_roots(f, p)
                 with pytest.raises(ArithmeticError):
@@ -549,7 +568,8 @@ class TestOddPrimeRoutes:
     )
     def test_shift_at_nonzero_double_root(self, a, b, delta, p, solvable, monkeypatch):
         # the reduction mod p is 3*(3 + 6z^2)^2, with double roots z = +-sqrt(-1/2);
-        # q(r + p*t) is not even, so its Weil test is the quadratic discriminant
+        # q(r + p*t) is not even, so the list route takes it, and its Weil
+        # test is the quadratic discriminant
         calls = {"shift": 0, "disc": 0}
         shift, is_square = arith._taylor_shift_scale, arith._monic_is_square
 
@@ -558,7 +578,7 @@ class TestOddPrimeRoutes:
             return shift(c, r, p)
 
         def counted_is_square(f, p):
-            calls["disc"] += len(f) == 3 and arith._even_half(f) is None
+            calls["disc"] += len(f) == 3 and any(f[1::2])
             return is_square(f, p)
 
         monkeypatch.setattr(arith, "_taylor_shift_scale", counted_shift)
@@ -567,6 +587,190 @@ class TestOddPrimeRoutes:
         assert calls["shift"] >= 1 and calls["disc"] >= 1
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p + 1)
         assert torsor_locally_solvable(a, b, delta, p) is solvable
+
+
+# The odd-p solver before the even route, kept as the oracle for it: every
+# level of the list [C, 0, B, 0, A] reduced to lead * f with f monic, and
+# an even quartic f's roots and square test read through its even half.
+def _list_route(q, p, c_parity, c_kron, depth) -> bool:
+    """Whether c*q(t) takes a square value (or 0) on Z_p, p odd."""
+    if depth < 0:
+        raise ArithmeticError("p-adic torsor recursion exceeded certified depth")
+    e = _val(math.gcd(*q), p)
+    if e:
+        q = [coef // p**e for coef in q]
+        c_parity ^= e & 1
+    f = [c % p for c in q]
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    lead = f[-1]
+    f = [c * pow(lead, -1, p) % p for c in f]
+    if c_parity == 0:
+        kron = c_kron * kronecker(lead, p)
+        if len(f) == 1:
+            return kron == 1
+        if p <= arith._SMALL_PRIME_SCAN:
+            if any(kron * kronecker(_poly_eval(f, t) % p, p) == 1 for t in range(p)):
+                return True
+        elif not _list_is_square(f, p) or kron == 1:
+            return True
+    elif len(f) == 1:
+        return False
+    roots = _list_roots(f, p)
+    df = [i * f[i] % p for i in range(1, len(f))]
+    for r in roots:
+        if _poly_eval(df, r) % p != 0:
+            return True
+        if _list_route(arith._taylor_shift_scale(q, r, p), p, c_parity, c_kron, depth - 1):
+            return True
+    return False
+
+
+def _even_half(f):
+    return None if any(f[1::2]) else f[::2]
+
+
+def _list_is_square(f, p):
+    deg = len(f) - 1
+    if deg == 1:
+        return False
+    if deg == 2:
+        return (f[1] * f[1] - 4 * f[0]) % p == 0
+    if deg == 4 and _even_half(f) is not None:
+        return (f[2] * f[2] - 4 * f[0]) % p == 0
+    raise ArithmeticError(f"square test of a degree-{deg} polynomial that is not even")
+
+
+def _list_roots(f, p):
+    if not any(f[:-1]):
+        return [0]
+    deg = len(f) - 1
+    if deg == 1:
+        return [-f[0] % p]
+    if deg == 2:
+        r = sqrt_mod_prime(f[1] * f[1] - 4 * f[0], p)
+        if r is None:
+            return []
+        half = (p + 1) // 2
+        return sorted({(r - f[1]) * half % p, (-r - f[1]) * half % p})
+    h = _even_half(f)
+    if h is None:
+        raise ArithmeticError(f"roots of a degree-{deg} polynomial that is not even")
+    roots = set()
+    for s in _list_roots(h, p):
+        r = sqrt_mod_prime(s, p)
+        if r is not None:
+            roots.update((r, -r % p))
+    return sorted(roots)
+
+
+def _reference_at_odd(a, b, delta, p):
+    """torsor_locally_solvable(a, b, delta, p) at an odd p by the list route,
+    or "raises" where it raises ArithmeticError."""
+    m = a * a - 4 * b
+    q = [delta**3, 0, -2 * a * delta * delta, 0, delta * m]
+    cap = 12 * _val(delta, p) + _val(b * b * m, p) + 36
+    try:
+        return _list_route(q, p, 0, 1, cap) or _list_route(q[::-1], p, 0, 1, cap)
+    except ArithmeticError:
+        return "raises"
+
+
+def _solvable_or_raises(a, b, delta, p):
+    try:
+        return torsor_locally_solvable(a, b, delta, p)
+    except ArithmeticError:
+        return "raises"
+
+
+class TestEvenRoute:
+    """The odd-p solver, which keeps the even quartic as three integers,
+    against the list route it replaced."""
+
+    @pytest.mark.parametrize("a,b", SAMPLE_CURVES)
+    def test_matches_list_route_at_good_primes(self, a, b):
+        # every good odd p < 2000, the twists by p and by u*p (both twist
+        # classes of a twist that ramifies at p), and all four delta classes
+        checked = solvable = 0
+        for p in sieve_primes(2000)[1:]:
+            if (b * (a * a - 4 * b)) % p == 0:
+                continue
+            u = least_nonresidue(p)
+            for rep in (p, u * p):
+                at, bt = a * rep, b * rep * rep
+                for delta in (1, u, p, u * p):
+                    expected = _reference_at_odd(at, bt, delta, p)
+                    assert torsor_locally_solvable(at, bt, delta, p) is expected, (at, bt, delta, p)
+                    checked += 1
+                    solvable += expected
+        assert 0 < solvable < checked
+
+    def test_matches_list_route_on_random_input(self):
+        # p on both sides of _SMALL_PRIME_SCAN, p^k | delta for k <= 3, and
+        # p often a bad prime: p^j | a or b, or p^j | a^2 - 4b
+        rng = random.Random(8)
+        small = [p for p in sieve_primes(arith._SMALL_PRIME_SCAN + 1) if p > 2]
+        large = [p for p in sieve_primes(3000) if p > arith._SMALL_PRIME_SCAN]
+        checked = solvable = scanned = 0
+        while checked < 6000:
+            p = rng.choice(small if checked % 2 else large)
+            a = rng.randint(-40, 40) * p ** rng.choice((0, 0, 1, 2))
+            b = rng.randint(-40, 40) * p ** rng.choice((0, 0, 1, 2, 3))
+            if rng.random() < 0.3:
+                m = rng.randint(-40, 40) * p ** rng.randint(1, 4)
+                b, rest = divmod(a * a - m, 4)
+                if rest:
+                    continue
+            if b * (a * a - 4 * b) == 0:
+                continue
+            delta = rng.choice((1, -1, 2, -3, 5, least_nonresidue(p))) * p ** (checked % 4)
+            expected = _reference_at_odd(a, b, delta, p)
+            assert _solvable_or_raises(a, b, delta, p) == expected, (a, b, delta, p)
+            checked += 1
+            solvable += expected is True
+            scanned += p <= arith._SMALL_PRIME_SCAN
+        assert 1000 < solvable < checked - 1000 and scanned == checked // 2
+
+    def test_matches_list_route_on_even_quartics(self):
+        # c*(c0 + c2 z^2 + c4 z^4) with c0, c2, c4 at random valuations, not
+        # only the torsor's: the shapes that its q and reversal never take
+        # (a z^2 reduction of a nonresidue class with solvable neighbours, say)
+        rng = random.Random(9)
+        primes = [p for p in sieve_primes(600) if p > 2]
+        outcomes = {True: 0, False: 0, "raises": 0}  # depth 3 is rarely too small
+        for i in range(4000):
+            p = primes[i % 10] if i % 2 else rng.choice(primes[10:])
+            c0, c2, c4 = (rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(3))
+            c2 *= rng.random() < 0.9
+            c_parity, c_kron, depth = rng.randrange(2), rng.choice((1, -1)), rng.choice((3, 12))
+            try:
+                expected = _list_route([c0, 0, c2, 0, c4], p, c_parity, c_kron, depth)
+            except ArithmeticError:
+                expected = "raises"
+            try:
+                found = arith._solve_even(c0, c2, c4, p, c_parity, c_kron, depth)
+            except ArithmeticError:
+                found = "raises"
+            assert found == expected, (c0, c2, c4, p, c_parity, c_kron, depth)
+            outcomes[expected] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+
+    def test_depth_cap_raises_on_both_routes(self):
+        # the quartic of test_shift_at_nonzero_double_root that is not
+        # solvable needs a shift at a nonzero double root, then more levels:
+        # one less than the least depth that decides it raises on both routes
+        a, b, delta, p = -6, -6 * 401**3, 3, 401
+        c0, c2, c4 = delta**3, -2 * a * delta * delta, delta * (a * a - 4 * b)
+        depth = 0
+        while True:
+            try:
+                found = arith._solve_even(c0, c2, c4, p, 0, 1, depth)
+                break
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    _list_route([c0, 0, c2, 0, c4], p, 0, 1, depth)
+                depth += 1
+        assert depth >= 2 and found is _list_route([c0, 0, c2, 0, c4], p, 0, 1, depth) is False
 
 
 def _reference_solvable_z2(q, disc) -> bool:

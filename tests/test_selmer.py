@@ -586,8 +586,8 @@ class TestAudit:
         assert report["failures"][0]["dims"] == {"oo": 0, "2": 2, "5": 2}
 
     def test_twist_class_invariance_sees_a_parity_fault(self, monkeypatch):
-        # d and d*k^2 reach one memo entry through factorize, so this check
-        # fails when factorize's exponent parities are wrong, and only then
+        # factorize gives the squarefree part of d*k^2, so this check fails
+        # when factorize's exponent parities are wrong
         import twistselmer.selmer as selmer
 
         pair = make_pair(1, -1)
@@ -596,6 +596,25 @@ class TestAudit:
         assert [f["check"] for f in report["failures"]] == ["twist-class-invariance"] * 9
         monkeypatch.undo()
         assert audit_curve(pair, 2000, seed=1)["ok"]
+
+    def test_twist_class_invariance_sees_swapped_signs(self, monkeypatch):
+        # a kernel that hands every |d| the rows of +d and -d in the wrong
+        # order passes every per-twist identity; d*k^2's rows come from _rows,
+        # past the memo and the kernel's entry, so the sample sees the swap
+        import twistselmer.selmer as selmer
+
+        kernel = selmer._descend_abs
+
+        def swapped(ctx, ad, primes):
+            plus, minus, plus_text, minus_text = kernel(ctx, ad, primes)
+            return minus, plus, minus_text, plus_text
+
+        pair = make_pair(1, -1)
+        monkeypatch.setattr(selmer, "_descend_abs", swapped)
+        report = audit_curve(pair, 2000)
+        assert report["failures"] and {f["check"] for f in report["failures"]} == {"twist-class-invariance"}
+        monkeypatch.undo()
+        assert audit_curve(pair, 2000)["ok"]
 
     def test_wrong_local_image_is_named(self, monkeypatch):
         import twistselmer.selmer as selmer
@@ -870,6 +889,23 @@ class TestResidueTable:
         assert _scan(pair, 5000) == want
         assert len(_context(pair).memo) == 50
 
+    def test_split_table_stops_growing_at_the_cap(self, monkeypatch):
+        # past the cap a prime with s = s' = 1 has its symbols computed and
+        # not stored; they are the same interned tuple, so the bytes do not move
+        import twistselmer.selmer as selmer
+
+        pair = make_pair(1, -1)
+        _context.cache_clear()
+        want = _scan(pair, 5000)
+        rows = [descend(pair, d) for d in range(-300, 300) if d]
+        full = len(_context(pair).split_syms)
+        monkeypatch.setattr(selmer, "_MEMO_CAP", 40)
+        _context.cache_clear()
+        assert _scan(pair, 5000) == want
+        assert full > 40 and len(_context(pair).split_syms) == 40
+        assert [descend(pair, d) for d in range(-300, 300) if d] == rows
+        assert len(_context(pair).split_syms) == 40
+
     @pytest.mark.parametrize("a, b", CURVES_20)
     def test_symbols_by_residue_are_those_of_the_prime(self, a, b):
         # s, s', the fixed-column mask and the unit bits, read by residue,
@@ -955,11 +991,13 @@ class TestMemo:
         monkeypatch.setattr(selmer, "_rows", record)
         _context.cache_clear()  # a sample on the cached context would run the kernel there
         assert audit_curve(pair, 10**4)["ok"]
-        # the twist-class sample reads the audit's own context too
+        # the twist-class sample reads the audit's own context too; last, it
+        # runs the kernel past the memo on its 4 * 3 values of d*k^2
         assert len({id(ctx) for ctx, _ in calls}) == 1
-        audited = [key for _, key in calls]
+        audited = [key for _, key in calls[:-12]]
         assert len(audited) == len(set(audited)) == len(signatures) == 1167
         assert set(audited) == signatures
+        assert len(calls) == 1167 + 12 and {key for _, key in calls[-12:]} <= signatures
 
     @pytest.mark.parametrize("a, b", PARITY_CURVES)
     def test_bad_prime_classes_are_a_function_of_the_key(self, a, b):
