@@ -16,13 +16,13 @@ REAL_PLACE = "oo"
 
 # At an odd p <= _SMALL_PRIME_SCAN a scan of all p residues decides whether
 # the reduction takes a unit value of the wanted class, beyond it the Weil
-# bound (sound from p = 17).  Per torsor call on the four delta classes of
-# twists d = k*p of random curves good at p (Python 3.11, 2-core VM) the
-# scan took 8-15 us against 4-8 us for the polynomial route at p = 17, 12
-# against 4-5 us at p = 31, and 164-178 against 9 us at p = 307-397.  The
-# scan, which needs no bound, keeps the primes up to 29, about 1% of an
-# audit's odd-p calls.
-_SMALL_PRIME_SCAN = 29
+# bound: a polynomial of degree <= 4 that is not a constant times a square
+# has character sum at most 3*sqrt(p), so it takes each unit class once
+# p - 4 > 3*sqrt(p), that is, from p = 17 on.
+_SMALL_PRIME_SCAN = 13
+
+# factorize trial-divides up to this bound, then asks is_prime of the cofactor
+_TRIAL_DIVISION_BOUND = 10**6
 
 # squarefree_factors keeps one list (about 100 bytes) per integer of a block
 SIEVE_BLOCK = 1 << 15
@@ -150,7 +150,12 @@ def is_perfect_square(n: int) -> bool:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Trial-division factorization of |n| (n != 0) as ((p, e), ...) ascending."""
+    """Factorization of |n| (n != 0) as ((p, e), ...) ascending.
+
+    Trial division by the integers up to _TRIAL_DIVISION_BOUND: a cofactor
+    left over is a prime if is_prime says so, and otherwise a ValueError.
+    Every |n| < _TRIAL_DIVISION_BOUND^2 factors by trial division alone.
+    """
     if n == 0:
         raise ValueError("factorize: 0 has no factorization")
     n = abs(n)
@@ -163,7 +168,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if e:
             out.append((p, e))
     f = 5
-    while f * f <= n:
+    while f * f <= n and f <= _TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             e = 0
             while n % p == 0:
@@ -172,6 +177,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             if e:
                 out.append((p, e))
         f += 6
+    if f * f <= n and not is_prime(n):
+        raise ValueError(f"factorize: {n} has no prime factor up to {_TRIAL_DIVISION_BOUND} and is not prime")
     if n > 1:
         out.append((n, 1))
     return tuple(out)
@@ -261,6 +268,8 @@ def least_nonresidue(p: int) -> int:
 # C = delta^3.  A point of the smooth model exists iff q takes a square
 # value (0 allowed) at some z in P^1(Q_v); z outside Z_p is covered by the
 # reversed polynomial, whose value at 0 is the leading-coefficient test.
+# At odd p, q(z) = Q(z^2) for the quadratic Q(y) = C + B y + A y^2, so the
+# solver asks whether Q takes a square value on the squares of Z_p.
 # ----------------------------------------------------------------------
 
 
@@ -285,7 +294,7 @@ def torsor_locally_solvable(a: int, b: int, delta: int, place) -> bool:
         disc = 4096 * delta**12 * b * b * m
         return any(_solve_z2(f, 0, 3 * (_v2(disc) + _v2(f[-1])) + 8) for f in ([C, 0, B, 0, A], [A, 0, B, 0, C]))
     cap = 12 * _val(delta, p) + _val(b * b * m, p) + 36  # v_p(disc) + 36
-    return _solve_even(C, B, A, p, 0, 1, cap) or _solve_even(A, B, C, p, 0, 1, cap)
+    return _solve_quadratic(C, B, A, p, 0, 1, cap, True) or _solve_quadratic(A, B, C, p, 0, 1, cap, True)
 
 
 def _val(n: int, p: int) -> int:
@@ -294,13 +303,6 @@ def _val(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _poly_eval(c, x):
-    acc = 0
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
 
 
 def _taylor_shift_scale(c, r, p):
@@ -321,11 +323,11 @@ def _v2(n: int) -> int:
 def _solve_z2(q, c_parity, depth) -> bool:
     """Whether 2^c_parity * q(t) takes a square value (or 0) on Z_2.
 
-    The 2-adic counterpart of _solve_odd.  The 2-content of q goes into the
-    multiplier, then each class t0 + 2*Z_2 (t0 in {0, 1}) is read from
-    s(t) = q(t0 + 2t).  If v(s_i) >= v(s_0) + 3 for every i >= 1, s is s_0
-    times a unit = 1 mod 8 on all of Z_2, so every value on the class has
-    the square class of s_0.  Newton's bound v(q(t0)) > 2*v(q'(t0)), with
+    The 2-adic counterpart of _solve_quadratic.  The 2-content of q goes
+    into the multiplier, then each class t0 + 2*Z_2 (t0 in {0, 1}) is read
+    from s(t) = q(t0 + 2t).  If v(s_i) >= v(s_0) + 3 for every i >= 1, s is
+    s_0 times a unit = 1 mod 8 on all of Z_2, so every value on the class
+    has the square class of s_0.  Newton's bound v(q(t0)) > 2*v(q'(t0)), with
     q'(t0) = s_1/2, certifies a root of q in Z_2.  Otherwise s is refined.
 
     Depth: with r = v(Res(q, q')) = v(disc) + v(lead) for the torsor's q,
@@ -360,134 +362,67 @@ def _solve_z2(q, c_parity, depth) -> bool:
     return False
 
 
-def _solve_even(c0, c2, c4, p, c_parity, c_kron, depth) -> bool:
-    """Whether c*q(z) takes a square value (or 0) on Z_p, p odd, for the even
-    q(z) = c0 + c2 z^2 + c4 z^4: the certificates and depth of _solve_odd,
-    read through the monic h with q = lead * h(z^2) mod p.
+def _solve_quadratic(c0, c1, c2, p, c_parity, c_kron, depth, squares) -> bool:
+    """Whether c*Q(y) takes a square value (or 0) for Q(y) = c0 + c1 y + c2 y^2,
+    p odd, over all y in Z_p, or over the squares y = z^2 of Z_p if squares.
 
-    The root 0 is never simple, and q(p*t) is even again.  A nonzero root r
-    is simple iff h'(r^2) != 0 mod p; only a shift at a nonzero double root,
-    whose reductions have degree <= 2 (see _monic_roots), goes to _solve_odd.
+    c is a squarefree multiplier tracked as (valuation parity, Kronecker
+    symbol of its unit part).  Each level takes the p-content and reads
+    Q mod p as lead * h, h monic of degree 1 or 2.  Certificates only: a
+    unit value that is a QR lifts by Hensel, so does a simple root of h
+    (on the squares, one that is a nonzero square: z^2 = s then has two
+    simple roots), and for p beyond scanning range the Weil bound forces a
+    QR value whenever h, or h(z^2) on the squares, is not a square.
+
+    On the squares the root 0 is the class z in p*Z_p, y = p^2 * z'^2.  A
+    double root s != 0 is the class z in +-r + p*Z_p, r^2 = s mod p: for a
+    unit r, z -> z^2 maps r + p^k*Z_p onto r^2 + p^k*Z_p, so the shift
+    Q(s + p*t) runs over all t in Z_p, and the y-tree is the z-tree of the
+    even quartic Q(z^2) level for level, under the same depth cap.
     """
     if depth < 0:
         raise ArithmeticError("p-adic torsor recursion exceeded certified depth")
-    g = math.gcd(c0, c2, c4)
+    g = math.gcd(c0, c1, c2)
     if g % p == 0:
         e = _val(g, p)
         pe = p**e
-        c0, c2, c4 = c0 // pe, c2 // pe, c4 // pe
+        c0, c1, c2 = c0 // pe, c1 // pe, c2 // pe
         c_parity ^= e & 1
-    r0, r2, r4 = c0 % p, c2 % p, c4 % p
-    if not (r2 or r4):  # a unit constant mod p
+    r0, r1, r2 = c0 % p, c1 % p, c2 % p
+    if not (r1 or r2):  # a unit constant mod p
         return c_parity == 0 and (pow(r0, p >> 1, p) == 1) == (c_kron == 1)
-    lead = r4 or r2
+    lead = r2 or r1
     inv = pow(lead, -1, p)
-    h = [r0 * inv % p, r2 * inv % p, 1] if r4 else [r0 * inv % p, 1]
+    h = [r0 * inv % p, r1 * inv % p, 1] if r2 else [r0 * inv % p, 1]
+    # h is a square iff disc(h) = 0; on the squares h(z^2) also when h = y
+    square = (h[1] * h[1] - 4 * h[0]) % p == 0 if r2 else squares and h[0] == 0
     if c_parity == 0:
         if p <= _SMALL_PRIME_SCAN:
-            if _unit_square_scan([r0, 0, r2, 0, r4], c_kron, p):
+            ys = {t * t % p for t in range(p)} if squares else range(p)
+            if any(c_kron * kronecker(r0 + (r1 + r2 * y) * y, p) == 1 for y in ys):
                 return True
-        # the Weil bound (see _solve_odd), with c*lead's symbol by Euler's criterion
-        elif (pow(lead, p >> 1, p) == 1) == (c_kron == 1) or not _even_is_square(h, p):
+        # the Weil bound, with c*lead's symbol by Euler's criterion
+        elif (pow(lead, p >> 1, p) == 1) == (c_kron == 1) or not square:
             return True
-    for r in _even_roots(h, p):
-        if r == 0:
-            found = _solve_even(c0, c2 * p * p, c4 * p**4, p, c_parity, c_kron, depth - 1)
-        elif not r4 or (2 * r * r + h[1]) % p:
-            return True  # simple root mod p: Hensel root of q in Z_p, value 0
+    for s in _monic_roots(h, p):
+        if squares and s == 0:
+            found = _solve_quadratic(c0, c1 * p * p, c2 * p**4, p, c_parity, c_kron, depth - 1, True)
+        elif squares and pow(s, p >> 1, p) != 1:
+            continue  # no z has z^2 = s mod p
+        elif not (r2 and square):
+            return True  # simple root mod p: Hensel root of Q in Z_p, value 0
         else:
-            found = _solve_odd(_taylor_shift_scale([c0, 0, c2, 0, c4], r, p), p, c_parity, c_kron, depth - 1)
+            found = _solve_quadratic(
+                c0 + (c1 + c2 * s) * s, (c1 + 2 * c2 * s) * p, c2 * p * p, p, c_parity, c_kron, depth - 1, False
+            )
         if found:
             return True
     return False
 
 
-def _even_is_square(h, p) -> bool:
-    """Whether h(z^2) is a square in F_p[z], for a monic h of degree 1 or 2.
-    A monic square root of h(z^2) is even, z^2 + v, or z when h = y, so
-    h(z^2) is a square iff h = y or disc(h) = 0."""
-    return (h[0] if len(h) == 2 else h[1] * h[1] - 4 * h[0]) % p == 0
-
-
-def _even_roots(h, p):
-    """The distinct roots in F_p of h(z^2), ascending, for a monic h of
-    degree 1 or 2: the square roots of the roots of h."""
-    roots = set()
-    for s in _monic_roots(h, p):
-        r = sqrt_mod_prime(s, p)
-        if r is not None:
-            roots.update((r, -r % p))
-    return sorted(roots)
-
-
-def _solve_odd(q, p, c_parity, c_kron, depth) -> bool:
-    """Whether c*q(t) takes a square value (or 0) on Z_p, p odd, for the
-    shift of an even quartic at a nonzero double root (see _solve_even).
-
-    c is a squarefree multiplier tracked as (valuation parity, Kronecker
-    symbol of its unit part).  Certificates only: a unit value that is a
-    QR lifts by Hensel, a simple root of the reduction is a Z_p-root of q,
-    and for p beyond scanning range the Weil bound forces a QR value
-    whenever the reduction is not a constant times a square.  The
-    reduction is read as lead * f with f monic, so c*q = (c*lead) * f mod p.
-    """
-    if depth < 0:
-        raise ArithmeticError("p-adic torsor recursion exceeded certified depth")
-    e = _val(math.gcd(*q), p)
-    if e:
-        pe = p**e
-        q = [coef // pe for coef in q]
-        c_parity ^= e & 1
-    lead, f = _pmonic(q, p)
-    if c_parity == 0:
-        kron = c_kron * kronecker(lead, p)
-        if len(f) == 1:
-            return kron == 1
-        if p <= _SMALL_PRIME_SCAN:
-            if _unit_square_scan(f, kron, p):
-                return True
-        # Weil bound: for p > 16 a polynomial of degree <= 4 that is not a
-        # constant times a square takes both classes of unit values; a monic
-        # square takes square values off its (< p) roots
-        elif kron == 1 or not _monic_is_square(f, p):
-            return True
-    elif len(f) == 1:
-        return False
-    roots = _monic_roots(f, p)
-    df = [i * f[i] % p for i in range(1, len(f))] if roots else ()
-    for r in roots:
-        if _poly_eval(df, r) % p != 0:
-            return True  # simple root mod p: Hensel root of q in Z_p, value 0
-        if _solve_odd(_taylor_shift_scale(q, r, p), p, c_parity, c_kron, depth - 1):
-            return True
-    return False
-
-
-def _unit_square_scan(qbar, c_kron, p) -> bool:
-    """Whether c*qbar(t) is a nonzero QR mod p at some residue t."""
-    return any(c_kron * kronecker(_poly_eval(qbar, t) % p, p) == 1 for t in range(p))
-
-
-def _monic_is_square(f, p):
-    """Whether a monic f in F_p[x] of degree 1 or 2 is the square of a
-    polynomial: a quadratic is one iff its discriminant vanishes.  The
-    solver makes no other f (see _monic_roots)."""
-    deg = len(f) - 1
-    if deg == 1:
-        return False
-    if deg == 2:
-        return (f[1] * f[1] - 4 * f[0]) % p == 0
-    raise ArithmeticError(f"square test of a degree-{deg} polynomial")
-
-
 def _monic_roots(f, p):
     """The distinct roots in F_p of a monic f of degree 1 or 2, ascending,
-    by formula, at every odd p.
-
-    The torsor solver makes no other f: _even_roots reads the roots of an
-    even quartic h(z^2) off those of h, and after a Taylor shift at
-    r != 0 mod p at most two roots of q (one of each pair +-root) lie near
-    r, so every reduction on _solve_odd's route has degree <= 2.
+    by formula, at every odd p: the solver's h, which has no other degree.
     """
     deg = len(f) - 1
     if deg == 1:
@@ -500,12 +435,3 @@ def _monic_roots(f, p):
     half = (p + 1) // 2
     return sorted({(r - f[1]) * half % p, (-r - f[1]) * half % p})
 
-
-def _pmonic(f, p):
-    """(lead, g): f mod p is lead * g, with g monic and lead its leading coefficient."""
-    f = [c % p for c in f]
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    lead = f[-1]
-    inv = pow(lead, -1, p)
-    return lead, [c * inv % p for c in f]

@@ -108,12 +108,12 @@ class QuadraticField:
     def __init__(self, m: int):
         if m in (0, 1):
             raise ValueError("m must be a squarefree integer distinct from 0 and 1")
-        if squarefree_part(m) != m:
-            raise ValueError(f"m = {m} is not squarefree")
         self.m = m
         self.disc = m if m % 4 == 1 else 4 * m
-        if abs(self.disc) > DISC_CAP:
+        if abs(self.disc) > DISC_CAP:  # before squarefree_part, which would factor a huge m
             raise FieldTooLargeError(f"|disc| = {abs(self.disc)} exceeds the cap {DISC_CAP}")
+        if squarefree_part(m) != m:
+            raise ValueError(f"m = {m} is not squarefree")
         self.signature = (2, 0) if m > 0 else (0, 1)
         # omega = sqrt(m) (m != 1 mod 4) or (1+sqrt(m))/2; trace/norm of omega:
         if m % 4 == 1:

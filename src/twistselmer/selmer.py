@@ -94,7 +94,8 @@ def make_pair(a: int, b: int) -> IsogenyPair:
     disc2 = a * a - 4 * b
     if b * disc2 == 0:
         raise ValueError(f"(a, b) = ({a}, {b}) gives a singular curve")
-    bad = tuple(p for p, _ in factorize(2 * b * disc2))
+    # b and disc2 apart: with a = 0, 2*b*disc2 = -8b^2, whose cofactor is no prime
+    bad = tuple(sorted({2, *(p for n in (b, disc2) for p, _ in factorize(n))}))
     eligible = not is_perfect_square(disc2) and not is_perfect_square(b * disc2)
     return IsogenyPair(a, b, -2 * a, disc2, bad, eligible)
 

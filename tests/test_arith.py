@@ -188,6 +188,34 @@ class TestIsPrime:
             is_prime(3317044064679887385961981)
 
 
+class TestFactorize:
+    def test_below_1e12_by_trial_division_alone(self, monkeypatch):
+        # every prime factor of n < 10^12 but one is at most 10^6, so is_prime is never asked
+        monkeypatch.setattr(arith, "is_prime", None)
+        rng = random.Random(11)
+        primes = sieve_primes(10**6 + 100)
+        assert primes[-7] < 10**6 < primes[-6]
+        for _ in range(300):
+            ps = sorted(rng.choice(primes) for _ in range(rng.randint(1, 4)))
+            n = math.prod(ps)
+            if n >= 10**12:
+                continue
+            assert factorize(n) == tuple((p, ps.count(p)) for p in sorted(set(ps))), ps
+        assert factorize(999983**2) == ((999983, 2),)
+        assert factorize(-999983 * 999979) == ((999979, 1), (999983, 1))
+
+    def test_prime_cofactor_past_the_bound(self):
+        p = 10**18 + 3
+        assert factorize(8 * p) == ((2, 3), (p, 1))
+        assert factorize(-3 * 5**2 * 999983 * p) == ((3, 1), (5, 2), (999983, 1), (p, 1))
+        assert factorize(1000003 * 999983) == ((999983, 1), (1000003, 1))
+
+    @pytest.mark.parametrize("n", [(10**9 + 7) * (10**9 + 9), 1000003**2, (10**18 + 3) ** 2])
+    def test_composite_cofactor_raises(self, n):
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
 class TestSquarefreePart:
     def test_examples(self):
         assert squarefree_part(12) == 3
@@ -493,105 +521,134 @@ def _roots_by_scan(f, p):
     return [t for t in range(p) if _poly_eval(f, t) % p == 0]
 
 
+def _solve_or_raises(c0, c1, c2, p, c_parity, c_kron, depth, squares):
+    try:
+        return arith._solve_quadratic(c0, c1, c2, p, c_parity, c_kron, depth, squares)
+    except ArithmeticError:
+        return "raises"
+
+
+def _list_or_raises(q, p, c_parity, c_kron, depth):
+    try:
+        return _list_route(q, p, c_parity, c_kron, depth)
+    except ArithmeticError:
+        return "raises"
+
+
+def _solver_shapes(f):
+    """The solver inputs (c0, c1, c2, squares) that read the polynomial f:
+    Q = f on all of Z_p if f has degree <= 2, and Q with f = Q(z^2) on the
+    squares if f is even."""
+    c = (list(f) + [0, 0])[:5]
+    shapes = [(*c[:3], False)] if len(f) <= 3 else []
+    if not any(f[1::2]):
+        shapes.append((c[0], c[2], c[4], True))
+    return shapes
+
+
 class TestOddPrimeRoutes:
     """The residue scan and the Weil route of the odd-prime torsor solver,
-    each run on its own against the other, and its root finders against
-    the roots found by a scan.  An even f = h(z^2) goes to the even route's
-    helpers, which read it through h; every other f to the list route's."""
+    each run on its own against the other, its root finder against the
+    roots found by a scan, and the solver against the list route on the
+    polynomials h and h(z^2) that it reads through h."""
 
     @pytest.mark.parametrize("p", [p for p in sieve_primes(30) if p > 2])
     def test_monic_roots_match_scan_at_scanned_primes(self, p):
-        # every monic polynomial of degree 1 and 2, and every even monic
-        # z^2 + w and z^4 + u z^2 + w, z^2 and z^4 included
-        for f in [[w, 1] for w in range(p)] + [[w, u, 1] for w in range(p) for u in range(p)]:
-            assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
-        for h in [[w, 1] for w in range(p)] + [[w, u, 1] for w in range(p) for u in range(p)]:
+        # every monic polynomial h of degree 1 and 2, then the solver on h over
+        # Z_p and on the squares, against the list route on h and h(z^2)
+        hs = [[w, 1] for w in range(p)] + [[w, u, 1] for w in range(p) for u in range(p)]
+        for h in hs:
+            assert arith._monic_roots(h, p) == _roots_by_scan(h, p), (h, p)
+        for h in hs:
             f = [c for coef in h for c in (coef, 0)][:-1]  # h(z^2)
-            assert arith._even_roots(h, p) == _roots_by_scan(f, p), (f, p)
+            c0, c1, c2 = (h + [0])[:3]
+            for c_parity, c_kron in ((0, 1), (0, -1), (1, 1)):
+                found = _solve_or_raises(c0, c1, c2, p, c_parity, c_kron, 12, False)
+                assert found == _list_or_raises(h, p, c_parity, c_kron, 12), (h, p, c_parity, c_kron)
+                found = _solve_or_raises(c0, c1, c2, p, c_parity, c_kron, 12, True)
+                assert found == _list_or_raises(f, p, c_parity, c_kron, 12), (f, p, c_parity, c_kron)
 
-    @pytest.mark.parametrize("p", [p for p in sieve_primes(401) if p >= 31])
+    @pytest.mark.parametrize("p", [p for p in sieve_primes(401) if p >= 17])
     def test_polynomial_route_matches_scan(self, p, monkeypatch):
-        monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
+        # the Weil route (from 17 on) against the scan of all p residues; at
+        # depth 0 every recursion raises, so only the first level is compared,
+        # and a unit value of the wanted class is found by both
         rng = random.Random(p)
         for f in _route_cases(p, rng, 24):
-            # the solver reads the monic g, with lead's symbol in the multiplier;
-            # the even route takes every quartic and the even quadratics
-            lead, g = arith._pmonic(f, p)
-            even, short = not any(g[1::2]), len(g) <= 3
-            assert even or short, f
-            if even:
-                assert arith._even_roots(g[::2], p) == _roots_by_scan(f, p), f
-            if short:
-                assert arith._monic_roots(g, p) == _roots_by_scan(f, p), f
-            for c_kron in (1, -1):
-                exists = arith._unit_square_scan(f, c_kron, p)
-                kron = c_kron * kronecker(lead, p)
-                if even:
-                    assert (kron == 1 or not arith._even_is_square(g[::2], p)) is exists, (f, c_kron)
-                if short:
-                    assert (kron == 1 or not arith._monic_is_square(g, p)) is exists, (f, c_kron)
+            shapes = _solver_shapes(f)
+            assert shapes, f
+            for c0, c1, c2, squares in shapes:
+                ys = {t * t % p for t in range(p)} if squares else range(p)
+                for c_kron in (1, -1):
+                    exists = any(c_kron * kronecker(c0 + (c1 + c2 * y) * y, p) == 1 for y in ys)
+                    for depth in (0, 12):
+                        monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 13)
+                        weil = _solve_or_raises(c0, c1, c2, p, 0, c_kron, depth, squares)
+                        monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p)
+                        scan = _solve_or_raises(c0, c1, c2, p, 0, c_kron, depth, squares)
+                        assert weil == scan and (scan is True or not exists), (f, squares, c_kron, depth)
 
     def test_even_reduction_matches_scan(self):
+        # past the scanned primes: the roots of h against a scan, and the
+        # solver on h and h(z^2) against the list route, squares of
+        # polynomials (Weil's exception) among them
         rng = random.Random(4)
         primes = [p for p in sieve_primes(3000) if p > 400]
         squares = 0
         for _ in range(40):
             p = rng.choice(primes)
             for f in _route_cases(p, rng, 12):
-                _, f = arith._pmonic(f, p)
-                square = _square_by_coefficients(f, p)
-                if not any(f[1::2]):
-                    assert arith._even_roots(f[::2], p) == _roots_by_scan(f, p), (f, p)
-                    assert arith._even_is_square(f[::2], p) == square, (f, p)
+                f = [c * pow(f[-1], -1, p) % p for c in f]
                 if len(f) <= 3:
                     assert arith._monic_roots(f, p) == _roots_by_scan(f, p), (f, p)
-                    assert arith._monic_is_square(f, p) == square, (f, p)
-                squares += square
+                for c0, c1, c2, on_squares in _solver_shapes(f):
+                    q = f if on_squares else [c0, c1, c2]
+                    for c_parity, c_kron in ((0, 1), (0, -1), (1, 1)):
+                        found = _solve_or_raises(c0, c1, c2, p, c_parity, c_kron, 12, on_squares)
+                        assert found == _list_or_raises(q, p, c_parity, c_kron, 12), (f, p, on_squares)
+                squares += _square_by_coefficients(f, p)
         assert squares > 50
 
     def test_not_even_cubic_or_quartic_raises(self):
-        # the list route takes only the shifts at a nonzero double root, whose
-        # reductions have degree <= 2 (see arith._monic_roots): every cubic and
-        # quartic raises there, an even one too, which the even route reads
+        # the solver reads every reduction through a monic h of degree 1 or 2
+        # (see arith._monic_roots): every cubic and quartic raises there
         rng = random.Random(5)
         for p in (409, 1009, 2003):
             even = [[rng.randrange(p), 0, rng.randrange(p), 0, 1] for _ in range(5)] + [[0, 0, 0, 0, 1], [0, 0, 0, 1]]
             for f in _not_even_cases(p, rng, 20) + even:
                 with pytest.raises(ArithmeticError):
                     arith._monic_roots(f, p)
-                with pytest.raises(ArithmeticError):
-                    arith._monic_is_square(f, p)
 
     @pytest.mark.parametrize(
         "a, b, delta, p, solvable",
         [(-6, -6 * 401**2, 3, 401, True), (-6, -6 * 401**3, 3, 401, False)],
     )
     def test_shift_at_nonzero_double_root(self, a, b, delta, p, solvable, monkeypatch):
-        # the reduction mod p is 3*(3 + 6z^2)^2, with double roots z = +-sqrt(-1/2);
-        # q(r + p*t) is not even, so the list route takes it, and its Weil
-        # test is the quadratic discriminant
-        calls = {"shift": 0, "disc": 0}
-        shift, is_square = arith._taylor_shift_scale, arith._monic_is_square
+        # the reduction mod p is 3*(3 + 6z^2)^2, with double roots z = +-sqrt(-1/2),
+        # that is, the double root y = -1/2 of h: its shift Q(s + p*t) runs over
+        # all of Z_p, once for both z, and so does every level below it: q takes
+        # one such level when solvable, q and its reversal two each when not
+        shifted = 1 if solvable else 4
+        solve = arith._solve_quadratic
+        calls = []
 
-        def counted_shift(c, r, p):
-            calls["shift"] += r % p != 0
-            return shift(c, r, p)
+        def counted(c0, c1, c2, p, c_parity, c_kron, depth, squares):
+            calls.append(squares)
+            return solve(c0, c1, c2, p, c_parity, c_kron, depth, squares)
 
-        def counted_is_square(f, p):
-            calls["disc"] += len(f) == 3 and any(f[1::2])
-            return is_square(f, p)
-
-        monkeypatch.setattr(arith, "_taylor_shift_scale", counted_shift)
-        monkeypatch.setattr(arith, "_monic_is_square", counted_is_square)
+        monkeypatch.setattr(arith, "_solve_quadratic", counted)
         assert torsor_locally_solvable(a, b, delta, p) is solvable
-        assert calls["shift"] >= 1 and calls["disc"] >= 1
+        assert calls.count(False) == shifted, calls
+        calls.clear()
         monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p + 1)
         assert torsor_locally_solvable(a, b, delta, p) is solvable
+        assert calls.count(False) == shifted, calls
 
 
-# The odd-p solver before the even route, kept as the oracle for it: every
-# level of the list [C, 0, B, 0, A] reduced to lead * f with f monic, and
-# an even quartic f's roots and square test read through its even half.
+# The odd-p solver before the quadratic in y = z^2, kept as the oracle for
+# it: every level of the list [C, 0, B, 0, A] reduced to lead * f with f
+# monic, and an even quartic f's roots and square test read through its
+# even half.
 def _list_route(q, p, c_parity, c_kron, depth) -> bool:
     """Whether c*q(t) takes a square value (or 0) on Z_p, p odd."""
     if depth < 0:
@@ -684,8 +741,8 @@ def _solvable_or_raises(a, b, delta, p):
 
 
 class TestEvenRoute:
-    """The odd-p solver, which keeps the even quartic as three integers,
-    against the list route it replaced."""
+    """The odd-p solver, which reads the even quartic q(z) as the quadratic
+    Q(y) on the squares y = z^2, against the list route it replaced."""
 
     @pytest.mark.parametrize("a,b", SAMPLE_CURVES)
     def test_matches_list_route_at_good_primes(self, a, b):
@@ -748,7 +805,7 @@ class TestEvenRoute:
             except ArithmeticError:
                 expected = "raises"
             try:
-                found = arith._solve_even(c0, c2, c4, p, c_parity, c_kron, depth)
+                found = arith._solve_quadratic(c0, c2, c4, p, c_parity, c_kron, depth, True)
             except ArithmeticError:
                 found = "raises"
             assert found == expected, (c0, c2, c4, p, c_parity, c_kron, depth)
@@ -764,13 +821,35 @@ class TestEvenRoute:
         depth = 0
         while True:
             try:
-                found = arith._solve_even(c0, c2, c4, p, 0, 1, depth)
+                found = arith._solve_quadratic(c0, c2, c4, p, 0, 1, depth, True)
                 break
             except ArithmeticError:
                 with pytest.raises(ArithmeticError):
                     _list_route([c0, 0, c2, 0, c4], p, 0, 1, depth)
                 depth += 1
         assert depth >= 2 and found is _list_route([c0, 0, c2, 0, c4], p, 0, 1, depth) is False
+
+    def test_matches_list_route_on_quadratics(self):
+        # c*(c0 + c1 y + c2 y^2) over all of Z_p, the domain below a shift at a
+        # double root, which the torsor's even quartics reach only rarely: a
+        # shift kept on the squares differs from the list route on about 2%
+        rng = random.Random(10)
+        primes = [p for p in sieve_primes(600) if p > 2]
+        outcomes = {True: 0, False: 0, "raises": 0}
+        for i in range(5000):
+            p = primes[i % 10] if i % 2 else rng.choice(primes[10:])
+            c0, c1, c2 = (rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(3))
+            if i % 3 == 0:  # c2 (y - s)^2 + p^k u: a double root mod p at s
+                s, k = rng.randrange(p), rng.randint(1, 4)
+                c0, c1 = c2 * s * s + p**k * rng.randrange(1, p), -2 * c2 * s
+            c1 *= rng.random() < 0.9
+            c2 *= rng.random() < 0.9
+            c_parity, c_kron, depth = rng.randrange(2), rng.choice((1, -1)), rng.choice((2, 12))
+            expected = _list_or_raises([c0, c1, c2], p, c_parity, c_kron, depth)
+            found = _solve_or_raises(c0, c1, c2, p, c_parity, c_kron, depth, False)
+            assert found == expected, (c0, c1, c2, p, c_parity, c_kron, depth)
+            outcomes[expected] += 1
+        assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
 
 
 def _reference_solvable_z2(q, disc) -> bool:
@@ -873,8 +952,9 @@ class TestTwoAdicSolver:
         assert arith._solve_z2([1, 0, 1], 0, 1) is True
         with pytest.raises(ArithmeticError):
             arith._solve_z2([1, 0, 1], 0, 0)
-        # (t^2 + 9) times a nonresidue at 3: its unit values are nonresidues and
-        # t = 0 is a double root mod 3, so the class 3*Z_3 needs a shift
-        assert arith._solve_odd([9, 0, 1], 3, 0, -1, 1) is True
+        # (z^2 + 9) times a nonresidue at 3, read as 9 + y on the squares: its
+        # unit values are nonresidues and y = 0 is a root mod 3, so the class
+        # z in 3*Z_3 needs one more level
+        assert arith._solve_quadratic(9, 1, 0, 3, 0, -1, 1, True) is True
         with pytest.raises(ArithmeticError):
-            arith._solve_odd([9, 0, 1], 3, 0, -1, 0)
+            arith._solve_quadratic(9, 1, 0, 3, 0, -1, 0, True)

@@ -398,6 +398,17 @@ class TestIdealCount:
     def test_field_cap_violation(self, tmp_path):
         assert run(["ideal-count", "--m", "-10007", "--X", "100", "--out", str(tmp_path)]) == 2
 
+    def test_huge_field_exits_2_at_once(self, tmp_path, capsys):
+        # the cap is checked before m is factored: a 19-digit m is refused, not factored
+        t0 = time.perf_counter()
+        assert run(["ideal-count", "--m", "1000000000000000003", "--out", str(tmp_path / "ic")]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "exceeds the cap" in capsys.readouterr().err
+        t0 = time.perf_counter()
+        assert run(["ek", "--field", "1000000000000000003", "--out", str(tmp_path / "ek")]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "exceeds the cap" in capsys.readouterr().err
+
     # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
     # 3317044064679887385961981 is past the range where Miller-Rabin to the bases up to 41 is proven
     @pytest.mark.parametrize("spec", ["4:0", "1:0", "9:0", "0:0", "3:-1", "3215031751:0", "3317044064679887385961981:0"])
@@ -440,6 +451,15 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: (a, b) = (0, 0) gives a singular curve\n"
+
+    def test_b_without_small_prime_factor_exits_2(self, capsys):
+        # (10^9 + 7)(10^9 + 9) has no prime factor up to 10^6 and is no prime:
+        # factorize refuses it instead of trial-dividing to 10^9
+        t0 = time.perf_counter()
+        assert run(["audit", "--a", "0", "--b", str((10**9 + 7) * (10**9 + 9)), "--X", "100"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not prime" in captured.err
 
     def test_fault_injection(self, capsys):
         assert run(["audit", "--a", "1", "--b", "-1", "--X", "60", "--inject-fault"]) == 1

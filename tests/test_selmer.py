@@ -158,14 +158,14 @@ class TestLocalDim:
 
     @pytest.mark.parametrize("a, b", CURVES_20[:5])
     def test_weil_route_matches_scan_below_2000(self, a, b, monkeypatch):
-        # at every good prime 29 < p < 2000 and both twist classes there, the
+        # at every good prime 17 <= p < 2000 and both twist classes there, the
         # Weil bound and the roots in F_p[x] against the scan of all p residues
         import twistselmer.arith as arith
 
         pair = make_pair(a, b)
-        for p in (p for p in sieve_primes(2000) if p > 29 and p not in pair.bad_primes):
+        for p in (p for p in sieve_primes(2000) if p >= 17 and p not in pair.bad_primes):
             for rep in (p, p * least_nonresidue(p)):
-                monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 29)
+                monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", 13)
                 weil = local_image(a, b, rep, p)
                 monkeypatch.setattr(arith, "_SMALL_PRIME_SCAN", p)
                 assert local_image(a, b, rep, p) == weil, (a, b, rep, p)
@@ -570,6 +570,15 @@ class TestAudit:
         assert report["ok"], report["failures"][:2]
         assert report["n_cross_checks"] > 0
         assert report["n_corrections"] <= report["correction_bound"]
+
+    def test_prime_b_past_trial_division(self):
+        # b = 10^18 + 3 is prime: factorize reads it by is_prime past 10^6, and
+        # make_pair factors b and a^2 - 4b apart, never b^2
+        pair = make_pair(0, 10**18 + 3)
+        assert pair.bad_primes == (2, 10**18 + 3)
+        report = audit_curve(pair, 2000)
+        assert report["ok"], report["failures"][:2]
+        assert report["n_cross_checks"] > 0
 
     def test_fault_injection_detected(self):
         report = audit_curve(make_pair(1, -1), 60, inject_fault=True)
